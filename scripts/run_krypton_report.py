@@ -15,9 +15,7 @@ from varsolid import (LatticeKind, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, com_statistics, enumerate_shells,
                       free_spread, make_krypton_units, minimum_certificate,
                       same_site_W, solve_solid)
-
-EXPERIMENT = {"d_angstrom": 3.992, "u_cal_per_mole": -2666.0,
-              "bulk_modulus_kbar": 34.3}
+from varsolid.cli import EXPERIMENT_KRYPTON
 
 
 def main():
@@ -49,12 +47,12 @@ def main():
           f"certificate {'passed' if ok else 'FAILED'}):")
     print(f"  lambda* = {sol.lambda_star:.6f} / sigma")
     print(f"  d*      = {sol.d_star:.6f} sigma = {sol.d_star_angstrom:.4f} A"
-          f"   [experiment {EXPERIMENT['d_angstrom']} A]")
+          f"   [experiment {EXPERIMENT_KRYPTON['d_angstrom']} A]")
     print(f"  U       = {sol.u_min:.6f} eps = {sol.u_min_cal_per_mole:.1f} "
-          f"cal/mole   [experiment {EXPERIMENT['u_cal_per_mole']:.0f}]")
+          f"cal/mole   [experiment {EXPERIMENT_KRYPTON['u_cal_per_mole']:.0f}]")
     print(f"  B       = {sol.bulk.value:.4f} eps/sigma^3 = "
           f"{sol.bulk.value_kbar:.2f} kbar   "
-          f"[experiment {EXPERIMENT['bulk_modulus_kbar']}]"
+          f"[experiment {EXPERIMENT_KRYPTON['bulk_modulus_kbar']}]"
           f"   (Richardson rel diff {sol.bulk.richardson_rel_diff:.1e})")
     print(f"  W       = {w.W:.4e} eps; W/|u_pot| = {w.ratio:.3e} "
           f"(double occupancy is energetically forbidden)")
@@ -88,7 +86,7 @@ def main():
             "N": n,
             "chi_sigma2": stats.chi,
             "product_hbar": stats.product,
-            "experiment": EXPERIMENT,
+            "experiment": EXPERIMENT_KRYPTON,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -136,7 +136,7 @@ class RunConfig:
 # ----------------------------------------------------------------------
 
 def _write_json(payload: dict[str, Any], path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -307,8 +307,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         lo, hi, num = float(lo_s), float(hi_s), int(num_s)
     except ValueError as exc:
         raise CliInputError(f"--range must be lo:hi:num, got {args.range!r}") from exc
-    if not (lo > 0 and hi > lo and num >= 2):
-        raise CliInputError("need 0 < lo < hi and num >= 2")
+    if not (math.isfinite(hi) and 0 < lo < hi and num >= 2):
+        raise CliInputError("need finite 0 < lo < hi and num >= 2")
     units = cfg.units()
     pot = cfg.potential()
     unit_shells = enumerate_shells(LatticeKind.FCC, 1.0, cfg.shell_cutoff_factor)
@@ -544,6 +544,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(sys.argv[1:] if argv is None else list(argv))
     except CliInputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:  # a rejected model value, or a non-finite result
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, QuadratureError) as exc:

@@ -55,8 +55,9 @@ def energy_per_particle(p: OrbitalParams, pot: TwoYukawaParams,
     if not shells.shells:
         raise ValueError("shell list is empty")
     kinetic = kinetic_per_particle(p, units)
-    contributions = tuple((r, 0.5 * c * pair_energy(p, pot, r))
-                          for r, c in shells.shells)
+    energies = pair_energy(p, pot, shells.distances()).tolist()
+    contributions = tuple((r, 0.5 * c * e)
+                          for (r, c), e in zip(shells.shells, energies))
     potential_total = math.fsum(v for _, v in contributions)
     return EnergyBreakdown(kinetic=kinetic,
                            potential_shells=contributions,

@@ -37,6 +37,20 @@ at small s.)  The closed form is exact for every s, including s = 0 (the
 same-site penalty W) and the far tail where quadrature loses all digits to
 cancellation.
 
+Arrays: pair_energy takes one separation or an array of them, so a shell
+sum is one call.  Over an array the float closed form runs as numpy
+arithmetic: the coefficients lam^8/D^k are scalars computed once per call,
+and e^{-lam s} and the polynomials in lam s are shared by both Yukawa
+pieces.  Every entry is bitwise equal to the same formula evaluated in
+Python floats one separation at a time, the way the recorded optimum was
+computed.  For that the arithmetic keeps the scalar expression order
+((3 lam) s, not 3 (lam s)), the square of lam s is written x*x (Python's
+x**2 calls libm pow, which differs from the correctly rounded x*x on about
+0.1% of arguments), and the exponentials are math.exp and math.expm1
+mapped over the elements, not np.exp: np.exp differs from math.exp by one
+ulp on about 5% of arguments, enough to move the solid's optimum by ~1e-7
+relative.
+
 Conditioning: the partial-fraction coefficients blow up like D^{-4} when
 lam approaches a potential exponent.  Within a +-5% relative window around
 alpha the evaluation switches to arbitrary-precision arithmetic with digits
@@ -161,32 +175,49 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
     return float(out) if out.ndim == 0 else out
 
 
-def _smeared_yukawa(alpha: float, lam: float, s: float) -> float:
-    """I(alpha; lam, s): e^{-alpha r}/r smeared over two site densities.
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """fn (math.exp or math.expm1) over every element of a 1-D float array."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
-    Partial-fraction closed form (module docstring).  Double precision;
-    accurate while |alpha - lam| is not too small.
+
+def _pair_energy_float(lam: float, pot: TwoYukawaParams, s: np.ndarray) -> np.ndarray:
+    """Float closed form (module docstring) over a 1-D array of separations.
+
+    Each Yukawa piece is pot-weighted I(alpha; lam, s), e^{-alpha r}/r smeared
+    over two site densities.  The partial-fraction coefficients are scalars
+    of lam; e^{-lam s} and the polynomials in lam s are shared by both
+    pieces.  Accurate while |alpha - lam| is not too small.
     """
-    d = (alpha - lam) * (alpha + lam)
-    lam8 = lam**8
-    a_ = lam8 / d**4
-    b2 = lam8 / d**3
-    b3 = -lam8 / d**2
-    b4 = lam8 / d
-    if s == 0.0:
-        core = lam - alpha
-    else:
-        core = -math.exp(-alpha * s) * math.expm1(-(lam - alpha) * s) / s
-    els = math.exp(-lam * s)
-    return (a_ * core / (4.0 * math.pi)
-            + els * (b2 / (8.0 * math.pi * lam)
-                     + b3 * (1.0 + lam * s) / (32.0 * math.pi * lam**3)
-                     + b4 * (3.0 + 3.0 * lam * s + (lam * s) ** 2)
-                     / (192.0 * math.pi * lam**5)))
+    zero = s == 0.0
+    s_div = np.where(zero, 1.0, s)
+    x = lam * s
+    els = _map(math.exp, -lam * s)
+    poly3 = 1.0 + x
+    poly4 = 3.0 + 3.0 * lam * s + x * x
+
+    def smeared(alpha: float) -> np.ndarray:
+        d = (alpha - lam) * (alpha + lam)
+        lam8 = lam**8
+        a_ = lam8 / d**4
+        b2 = lam8 / d**3
+        b3 = -lam8 / d**2
+        b4 = lam8 / d
+        core = np.where(zero, lam - alpha,
+                        -_map(math.exp, -alpha * s)
+                        * _map(math.expm1, -(lam - alpha) * s) / s_div)
+        return (a_ * core / (4.0 * math.pi)
+                + els * (b2 / (8.0 * math.pi * lam)
+                         + b3 * poly3 / (32.0 * math.pi * lam**3)
+                         + b4 * poly4 / (192.0 * math.pi * lam**5)))
+
+    pref = -4.0 * math.pi * pot.epsilon * pot.b * pot.sigma
+    return pref * (math.exp(pot.m) * smeared(pot.m / pot.sigma)
+                   - math.exp(pot.n) * smeared(pot.n / pot.sigma))
 
 
 def _smeared_yukawa_mp(alpha, lam, s):
-    """Same closed form in mpf arithmetic at the caller's working precision.
+    """I(alpha; lam, s), the smeared Yukawa kernel of `_pair_energy_float`,
+    in mpf arithmetic at the caller's working precision.
 
     Every input is promoted to mpf *before* any arithmetic: squaring alpha
     in double first would poison the near-cancelling alpha^2 - lam^2.
@@ -204,10 +235,11 @@ def _smeared_yukawa_mp(alpha, lam, s):
     else:
         core = -mp.exp(-alpha * s) * mp.expm1(-(lam - alpha) * s) / s
     els = mp.exp(-lam * s)
+    x = lam * s
     return (a_ * core / (4 * pi)
             + els * (b2 / (8 * pi * lam)
-                     + b3 * (1 + lam * s) / (32 * pi * lam**3)
-                     + b4 * (3 + 3 * lam * s + (lam * s) ** 2) / (192 * pi * lam**5)))
+                     + b3 * (1 + x) / (32 * pi * lam**3)
+                     + b4 * (3 + 3 * lam * s + x * x) / (192 * pi * lam**5)))
 
 
 def _pair_energy_mp(lam: float, s: float, pot: TwoYukawaParams, gap: float) -> float:
@@ -230,24 +262,33 @@ def _pair_energy_mp(lam: float, s: float, pot: TwoYukawaParams, gap: float) -> f
         return float(val)
 
 
-def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float) -> float:
+def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
     """Interaction energy of two exponential site densities at separation s.
 
     Exact closed form of the convolution-theorem integral
     (1/2 pi^2) int k^2 v~(k) n~(k)^2 j0(ks) dk; positive at s = 0 (the
     same-site penalty), negative around the solid's neighbor distances,
     and exponentially small once the densities separate.
+
+    `s` is a number or an array of separations.  A number gives a Python
+    float; an array gives an array of its shape, each entry bitwise equal to
+    the call with that entry alone (inside DEGENERACY_WINDOW each entry
+    runs the mpmath branch on its own).  Every entry must be finite and
+    >= 0.
     """
     if not p.has_infinite_cutoff:
         raise ValueError("pair_energy requires an infinite orbital cutoff")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValueError(f"separation must be finite and >= 0, got {s}")
+    arr = np.asarray(s, dtype=float)
+    flat = arr.reshape(-1)
+    bad = ~(np.isfinite(flat) & (flat >= 0.0))
+    if bad.any():
+        raise ValueError(f"separation must be finite and >= 0, got {flat[bad][0]}")
     lam = p.lam
     alpha_m = pot.m / pot.sigma
     alpha_n = pot.n / pot.sigma
     gap = min(abs(lam - alpha_m) / alpha_m, abs(lam - alpha_n) / alpha_n)
     if gap < DEGENERACY_WINDOW:
-        return _pair_energy_mp(lam, s, pot, gap)
-    pref = -4.0 * math.pi * pot.epsilon * pot.b * pot.sigma
-    return pref * (math.exp(pot.m) * _smeared_yukawa(alpha_m, lam, s)
-                   - math.exp(pot.n) * _smeared_yukawa(alpha_n, lam, s))
+        out = np.array([_pair_energy_mp(lam, x, pot, gap) for x in flat.tolist()])
+    else:
+        out = _pair_energy_float(lam, pot, flat)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

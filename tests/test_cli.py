@@ -93,6 +93,21 @@ def test_successful_observables_exits_0(tmp_path, capsys):
                                                   rel=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ("observables", "--lambda", "nan", "--N", "10"),
+    ("observables", "--lambda", "inf", "--N", "10"),
+    ("selfgrav", "--kind", "boson", "--kappa", "nan", "--N-list", "2,3"),
+    ("sweep", "--param", "lambda", "--range", "1:inf:3"),
+    ("selfgrav", "--kind", "fermion", "--kappa", "-1"),
+])
+def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys):
+    # no NaN/Infinity reaches stdout and no ValueError escapes as a traceback
+    assert run_cli(*argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_unbound_system_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mass_u": 8.3798e-11, "max_iter": 150}))

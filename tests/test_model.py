@@ -16,14 +16,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from varsolid import (DEGENERACY_WINDOW, OrbitalParams, TwoYukawaParams,
-                      density_fourier, orbital_norm_constant, pair_energy,
-                      two_yukawa, two_yukawa_fourier)
+from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
+                      TwoYukawaParams, density_fourier, enumerate_shells,
+                      orbital_norm_constant, pair_energy, two_yukawa,
+                      two_yukawa_fourier)
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check)
@@ -31,6 +32,8 @@ from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6  # nearest-neighbor distance in sigma units
 POT = TwoYukawaParams()
+#: the 133 shell distances of the default 12 d cutoff, at d = 1
+UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances()
 
 
 # ----------------------------------------------------------------------
@@ -127,11 +130,16 @@ def test_two_yukawa_rejects_nonpositive_r():
        sig=st.floats(min_value=0.3, max_value=3.0),
        x=st.floats(min_value=0.05, max_value=8.0))
 @settings(max_examples=60)
+@example(eps=1.0, sig=1.125, x=0.99999)
 def test_two_yukawa_dimensional_scaling(eps, sig, x):
-    # v(x*sigma; eps, sigma) = eps * v(x; 1, 1)
+    # v(r; eps, sigma) = eps * v(r/sigma; 1, 1).  The reference is taken at
+    # the reduced separation the scaled potential sees, r/sigma, which can
+    # differ from x by an ulp: near the zero of v at x = 1 that ulp alone is
+    # ~1e-11 relative (x = 0.99999), so it cannot be compared against x.
+    r = x * sig
     scaled = TwoYukawaParams(epsilon=eps, sigma=sig)
-    assert two_yukawa(x * sig, scaled) == pytest.approx(
-        eps * two_yukawa(x, POT), rel=1e-12, abs=1e-300)
+    assert two_yukawa(r, scaled) == pytest.approx(
+        eps * two_yukawa(r / sig, POT), rel=1e-12, abs=1e-300)
 
 
 def test_two_yukawa_params_validation():
@@ -270,3 +278,71 @@ def test_pair_energy_generic_sigma_epsilon():
     base = pair_energy(OrbitalParams(91.33), POT, 1.1)
     got = pair_energy(OrbitalParams(91.33 / sig), scaled, 1.1 * sig)
     assert got == pytest.approx(eps * base, rel=1e-11)
+
+
+# ----------------------------------------------------------------------
+# array kernel
+# ----------------------------------------------------------------------
+
+def _in_window(lam):
+    return min(abs(lam - POT.m) / POT.m, abs(lam - POT.n) / POT.n) < DEGENERACY_WINDOW
+
+
+def _pair_energy_python_floats(lam, s):
+    """The float closed form in Python floats, one separation at a time."""
+    def smeared(alpha):
+        d = (alpha - lam) * (alpha + lam)
+        lam8 = lam**8
+        a_, b2, b3, b4 = lam8 / d**4, lam8 / d**3, -lam8 / d**2, lam8 / d
+        if s == 0.0:
+            core = lam - alpha
+        else:
+            core = -math.exp(-alpha * s) * math.expm1(-(lam - alpha) * s) / s
+        x = lam * s
+        return (a_ * core / (4.0 * math.pi)
+                + math.exp(-lam * s) * (b2 / (8.0 * math.pi * lam)
+                                        + b3 * (1.0 + x) / (32.0 * math.pi * lam**3)
+                                        + b4 * (3.0 + 3.0 * lam * s + x * x)
+                                        / (192.0 * math.pi * lam**5)))
+    return -4.0 * math.pi * POT.epsilon * POT.b * POT.sigma * (
+        math.exp(POT.m) * smeared(POT.m) - math.exp(POT.n) * smeared(POT.n))
+
+
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
+       d=st.floats(min_value=0.5, max_value=2.0))
+@settings(max_examples=40, deadline=None)
+def test_pair_energy_array_is_bitwise_the_scalar_form(lam, d):
+    s = np.concatenate(([0.0], UNIT_SHELLS * d))
+    p = OrbitalParams(lam)
+    got = pair_energy(p, POT, s)
+    assert isinstance(got, np.ndarray) and got.shape == s.shape
+    assert got.tolist() == [pair_energy(p, POT, float(x)) for x in s]
+    assert got.tolist() == [_pair_energy_python_floats(lam, float(x)) for x in s]
+
+
+def test_pair_energy_array_keeps_shape_and_scalar_gives_float():
+    p = OrbitalParams(LAM_KR)
+    grid = np.array([[0.0, 0.9], [1.1, 2.0]])
+    got = pair_energy(p, POT, grid)
+    assert got.shape == (2, 2)
+    assert got[1, 0] == pair_energy(p, POT, 1.1)
+    assert type(pair_energy(p, POT, 1.1)) is float
+    assert type(pair_energy(p, POT, 0)) is float
+
+
+@pytest.mark.parametrize("lam", [2.69, 2.69 * 1.03, 14.70 * (1 - 1e-7), 14.70 * 0.97])
+def test_pair_energy_array_inside_window_matches_reference(lam):
+    p = OrbitalParams(lam)
+    s = np.array([0.0, 1.1, 1.1 * math.sqrt(2.0)])
+    got = pair_energy(p, POT, s)
+    for x, value in zip(s.tolist(), got.tolist()):
+        ref = pair_energy_realspace_reference(p, POT, x)
+        assert value == pytest.approx(ref, rel=1e-9)
+        assert value == pair_energy(p, POT, x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+@pytest.mark.parametrize("lam", [LAM_KR, 2.69])
+def test_pair_energy_array_rejects_non_finite_or_negative(lam, bad):
+    with pytest.raises(ValueError):
+        pair_energy(OrbitalParams(lam), POT, np.array([1.0, bad, 2.0]))

@@ -10,6 +10,10 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       minimize_solid, minimum_certificate)
 from varsolid.optimize import frozen_energy_curve, relaxed_energy_curve
 
+#: the default-start optimum (lambda*, d*, U, B) in natural units
+RECORDED_OPTIMUM = {"lambda_star": 91.195498437583, "d_star": 1.0977610864951037,
+                    "u_min": -7.9819948057972585, "bulk": 67.357917087803}
+
 SQ2 = math.sqrt(2.0)
 
 
@@ -17,6 +21,34 @@ def test_optimum_matches_reference_values(solid):
     assert solid.lambda_star == pytest.approx(91.33, rel=0.01)
     assert solid.d_star_angstrom == pytest.approx(3.953, rel=0.005)
     assert solid.u_min_cal_per_mole == pytest.approx(-2690.0, rel=0.01)
+
+
+def test_default_solve_reproduces_recorded_optimum(solid):
+    got = {"lambda_star": solid.lambda_star, "d_star": solid.d_star,
+           "u_min": solid.u_min, "bulk": solid.bulk.value}
+    for key, want in RECORDED_OPTIMUM.items():
+        assert got[key] == pytest.approx(want, rel=1e-9), key
+
+
+def test_one_pair_energy_call_per_energy_evaluation(potential, krypton_units,
+                                                    monkeypatch):
+    # a shell sum is one array call of the kernel, made through the
+    # module-level binding in varsolid.energy
+    from varsolid import energy, optimize
+    counts = {"pair": 0, "energy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(energy, "pair_energy", counted("pair", energy.pair_energy))
+    monkeypatch.setattr(optimize, "energy_per_particle",
+                        counted("energy", optimize.energy_per_particle))
+    sol = minimize_solid(potential, krypton_units, OptimizeOptions())
+    assert counts["energy"] == sol.n_evaluations > 0
+    assert counts["pair"] == counts["energy"]
 
 
 def test_solution_invariants(solid):
