@@ -8,8 +8,8 @@ from .energy import EnergyBreakdown, SameSiteW, energy_per_particle, \
     kinetic_per_particle, same_site_W
 from .lattice import Cluster, LatticeKind, LatticeShells, build_cluster, \
     enumerate_shells
-from .model import (DEGENERACY_WINDOW, GravParams, OrbitalParams,
-                    TwoYukawaParams, density_fourier, orbital_norm_constant,
+from .model import (DEGENERACY_WINDOW, OrbitalParams, TwoYukawaParams,
+                    density_fourier, orbital_norm_constant,
                     pair_energy, two_yukawa, two_yukawa_fourier)
 from .observables import (ComStatistics, SuperpositionSpec, branch_overlap,
                           com_statistics, free_spread, galilean_boost,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BosonSolution", "BulkModulusResult", "Cluster", "ComStatistics",
     "ConvergenceError", "DEGENERACY_WINDOW", "EnergyBreakdown",
-    "FermionSolution", "GravParams", "LatticeKind", "LatticeShells",
+    "FermionSolution", "LatticeKind", "LatticeShells",
     "McEstimate", "OptimizeOptions", "OrbitalParams", "QuadratureError",
     "SameSiteW", "SolidSolution", "SuperpositionSpec", "TwoYukawaParams",
     "UnitSystem", "boson_energy", "boson_solve", "branch_overlap",

@@ -23,10 +23,9 @@ from .units import UnitSystem
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Kinetic, per-shell potential, and total energy per particle (epsilon)."""
+    """Kinetic, potential, and total energy per particle (epsilon)."""
 
     kinetic: float
-    potential_shells: tuple[tuple[float, float], ...]  # (distance, contribution)
     potential_total: float
     total: float
 
@@ -52,15 +51,12 @@ def kinetic_per_particle(p: OrbitalParams, units: UnitSystem) -> float:
 def energy_per_particle(p: OrbitalParams, pot: TwoYukawaParams,
                         shells: LatticeShells, units: UnitSystem) -> EnergyBreakdown:
     """Average energy per particle for orbital p on the given shell structure."""
-    if not shells.shells:
+    if shells.distances().size == 0:
         raise ValueError("shell list is empty")
     kinetic = kinetic_per_particle(p, units)
-    energies = pair_energy(p, pot, shells.distances()).tolist()
-    contributions = tuple((r, 0.5 * c * e)
-                          for (r, c), e in zip(shells.shells, energies))
-    potential_total = math.fsum(v for _, v in contributions)
+    energies = pair_energy(p, pot, shells.distances())
+    potential_total = math.fsum((0.5 * shells.counts() * energies).tolist())
     return EnergyBreakdown(kinetic=kinetic,
-                           potential_shells=contributions,
                            potential_total=potential_total,
                            total=kinetic + potential_total)
 

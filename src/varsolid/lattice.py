@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +25,49 @@ class LatticeKind(enum.Enum):
     FCC = "fcc"
 
 
-@dataclass(frozen=True)
+def _read_only(values, dtype) -> np.ndarray:
+    """`values` as a write-protected 1-D array: a read-only array of the
+    right dtype is kept as it is, anything else is copied first."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.ndim == 1 and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=dtype).reshape(-1)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class LatticeShells:
-    """Ordered neighbor shells (distance, coordination count) of one site."""
+    """Ordered neighbor shells of one site: distances r_n and counts c_n.
+
+    Both are read-only numpy arrays, so a shell structure can be shared
+    (the optimizer caches its unit shells) and rescaled without copying
+    its counts.  Equality is identity: arrays have no single truth value.
+    """
 
     kind: LatticeKind
     spacing_d: float
-    shells: tuple[tuple[float, int], ...]
+    distances_r: np.ndarray  # ascending shell distances
+    counts_c: np.ndarray  # coordination count of each shell
+
+    def __post_init__(self) -> None:
+        r = _read_only(self.distances_r, float)
+        c = _read_only(self.counts_c, np.int64)
+        if r.shape != c.shape:
+            raise ValueError(f"{r.size} distances but {c.size} counts")
+        object.__setattr__(self, "distances_r", r)
+        object.__setattr__(self, "counts_c", c)
+
+    @property
+    def shells(self) -> tuple[tuple[float, int], ...]:
+        """(distance, count) pairs, for readers that iterate shells."""
+        return tuple(zip(self.distances_r.tolist(), self.counts_c.tolist()))
 
     def distances(self) -> np.ndarray:
-        return np.array([s[0] for s in self.shells])
+        return self.distances_r
 
     def counts(self) -> np.ndarray:
-        return np.array([s[1] for s in self.shells])
+        return self.counts_c
 
     def scaled(self, new_d: float) -> "LatticeShells":
         """Same shell structure at a different lattice spacing.
@@ -47,9 +77,9 @@ class LatticeShells:
         """
         if new_d <= 0.0:
             raise ValueError(f"spacing must be positive, got {new_d}")
-        factor = new_d / self.spacing_d
-        return replace(self, spacing_d=new_d,
-                       shells=tuple((r * factor, c) for r, c in self.shells))
+        distances = self.distances_r * (new_d / self.spacing_d)
+        distances.flags.writeable = False
+        return LatticeShells(self.kind, new_d, distances, self.counts_c)
 
 
 @dataclass(frozen=True)
@@ -87,9 +117,10 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
     m = _fcc_integer_m(n1, n2, n3).ravel()
     m = m[(m > 0) & (m <= m_max)]
     counts = np.bincount(m, minlength=m_max + 1)
-    shells = tuple((d * math.sqrt(mm / 2.0), int(counts[mm]))
-                   for mm in range(1, m_max + 1) if counts[mm] > 0)
-    return LatticeShells(kind=kind, spacing_d=d, shells=shells)
+    occupied = np.flatnonzero(counts)
+    return LatticeShells(kind=kind, spacing_d=d,
+                         distances_r=d * np.sqrt(occupied / 2.0),
+                         counts_c=counts[occupied])
 
 
 def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:

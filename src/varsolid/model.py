@@ -33,7 +33,9 @@ each term inverting through the standard table
 (The k^{-2} partial-fraction term with numerator lam^8/D^4 cancels between
 alpha- and lam-poles, leaving no 1/w Coulomb remnant; the difference
 (e^{-alpha s} - e^{-lam s})/s is computed with expm1 to keep full precision
-at small s.)  The closed form is exact for every s, including s = 0 (the
+at small s, with the smaller exponential factored out, e^{-min(alpha, lam) s},
+so that the expm1 argument is never positive and nothing overflows at large
+s.)  The closed form is exact for every s, including s = 0 (the
 same-site penalty W) and the far tail where quadrature loses all digits to
 cancellation.
 
@@ -108,17 +110,6 @@ class TwoYukawaParams:
             raise ValueError(f"need n > m > 0, got m={self.m}, n={self.n}")
         if self.b <= 0.0 or self.epsilon <= 0.0 or self.sigma <= 0.0:
             raise ValueError("b, epsilon, sigma must all be positive")
-
-
-@dataclass(frozen=True)
-class GravParams:
-    """Attractive Coulomb-type pair interaction v(r) = -kappa/r."""
-
-    kappa: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
 
 def orbital_norm_constant(p: OrbitalParams) -> float:
@@ -202,9 +193,11 @@ def _pair_energy_float(lam: float, pot: TwoYukawaParams, s: np.ndarray) -> np.nd
         b2 = lam8 / d**3
         b3 = -lam8 / d**2
         b4 = lam8 / d
-        core = np.where(zero, lam - alpha,
-                        -_map(math.exp, -alpha * s)
-                        * _map(math.expm1, -(lam - alpha) * s) / s_div)
+        if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
+            tail = els * _map(math.expm1, -(alpha - lam) * s)
+        else:
+            tail = -_map(math.exp, -alpha * s) * _map(math.expm1, -(lam - alpha) * s)
+        core = np.where(zero, lam - alpha, tail / s_div)
         return (a_ * core / (4.0 * math.pi)
                 + els * (b2 / (8.0 * math.pi * lam)
                          + b3 * poly3 / (32.0 * math.pi * lam**3)

@@ -9,6 +9,7 @@ with v = d^3/sqrt(2) per particle on FCC.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -67,8 +68,11 @@ class SolidSolution:
     bulk: BulkModulusResult | None = None
 
 
-def _unit_shells(opts: OptimizeOptions) -> LatticeShells:
-    return enumerate_shells(LatticeKind.FCC, 1.0, opts.shell_cutoff_factor)
+@functools.lru_cache(maxsize=8)
+def _unit_shells(cutoff_factor: float) -> LatticeShells:
+    """Shells at d = 1, enumerated once per cutoff; safe to share because
+    LatticeShells is frozen and its arrays are read-only."""
+    return enumerate_shells(LatticeKind.FCC, 1.0, cutoff_factor)
 
 
 def _objective(pot: TwoYukawaParams, units: UnitSystem,
@@ -89,7 +93,7 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
     Deterministic: fixed start, no restarts.  Raises ConvergenceError if the
     simplex stalls or the converged point is not a bound solid.
     """
-    unit_shells = _unit_shells(opts)
+    unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
 
     res = minimize(lambda x: u_of(math.exp(x[0]), x[1]),
@@ -125,7 +129,7 @@ def relaxed_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
                          units: UnitSystem,
                          opts: OptimizeOptions = OptimizeOptions()) -> Callable[[float], float]:
     """u(d) with lam re-optimized (bounded Brent in ln lam) at each spacing."""
-    unit_shells = _unit_shells(opts)
+    unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
     center = math.log(sol.lambda_star)
 
@@ -145,7 +149,7 @@ def frozen_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
                         units: UnitSystem,
                         opts: OptimizeOptions = OptimizeOptions()) -> Callable[[float], float]:
     """u(d) at fixed lam = lam* (config switch for comparison runs)."""
-    unit_shells = _unit_shells(opts)
+    unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
     return lambda d: u_of(sol.lambda_star, d)
 
@@ -209,7 +213,7 @@ def minimum_certificate(sol: SolidSolution, pot: TwoYukawaParams,
                         opts: OptimizeOptions = OptimizeOptions(),
                         perturbation: float = 0.01) -> bool:
     """True iff +-perturbation moves in lam* and d* never lower the energy."""
-    unit_shells = _unit_shells(opts)
+    unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
     u0 = u_of(sol.lambda_star, sol.d_star)
     for flam, fd in ((1 + perturbation, 1.0), (1 - perturbation, 1.0),

@@ -115,6 +115,22 @@ def test_unbound_system_exits_2(tmp_path, capsys):
     assert "convergence failure" in capsys.readouterr().err
 
 
+def test_small_lambda_config_fails_closed(tmp_path, capsys):
+    # lam below both potential exponents: the pair energy once overflowed
+    # e^{(alpha - lam) s} at the far shells and ended in a raw traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_init": 1.0}))
+    assert run_cli("--config", str(cfg), "optimize") == EXIT_CONVERGENCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("convergence failure:")
+    assert run_cli("--config", str(cfg), "sweep", "--param", "d",
+                   "--range", "4:5:2") == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["d_sigma"] for row in rows] == [4.0, 5.0]
+    assert all(math.isfinite(row["u_epsilon"]) for row in rows)
+
+
 def test_unwritable_output_exits_1(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.json"
     assert run_cli("--output", str(target), "observables",

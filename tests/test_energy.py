@@ -5,15 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from varsolid import (LatticeKind, OrbitalParams, build_cluster,
-                      energy_per_particle, enumerate_shells,
-                      kinetic_per_particle, pair_energy, same_site_W)
+from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
+                      TwoYukawaParams, build_cluster, energy_per_particle,
+                      enumerate_shells, kinetic_per_particle, pair_energy,
+                      same_site_W)
 from varsolid.energy import occupancy_penalty
 
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6
+#: the default 12 d cutoff at d = 1, as the optimizer sums it
+UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
 
 
 def shells_at(d, factor=12.0):
@@ -50,13 +55,35 @@ def test_kinetic_rejects_finite_cutoff(krypton_units):
 
 
 def test_breakdown_is_consistent(potential, krypton_units):
-    bd = energy_per_particle(OrbitalParams(LAM_KR), potential,
-                             shells_at(D_KR), krypton_units)
+    p = OrbitalParams(LAM_KR)
+    shells = shells_at(D_KR)
+    bd = energy_per_particle(p, potential, shells, krypton_units)
     assert bd.total == pytest.approx(bd.kinetic + bd.potential_total,
                                      abs=1e-12)
     assert bd.potential_total == pytest.approx(
-        math.fsum(c for _, c in bd.potential_shells), abs=1e-12)
+        math.fsum(0.5 * c * pair_energy(p, potential, r)
+                  for r, c in shells.shells), abs=1e-12)
     assert bd.total < 0.0
+
+
+def _in_window(lam, pot):
+    return min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n) < DEGENERACY_WINDOW
+
+
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(
+           lambda v: not _in_window(v, TwoYukawaParams())),
+       d=st.floats(min_value=0.9, max_value=1.5))
+@settings(max_examples=30, deadline=None)
+def test_shell_sum_is_bitwise_the_per_shell_fsum(lam, d, krypton_units):
+    # the array sum is the same IEEE products, 0.5*c*E, as a loop of
+    # scalar pair energies, and fsum is exact: the totals agree bitwise
+    pot = TwoYukawaParams()
+    p = OrbitalParams(lam)
+    shells = UNIT_SHELLS.scaled(d)
+    want = math.fsum(0.5 * c * pair_energy(p, pot, float(r))
+                     for r, c in shells.shells)
+    got = energy_per_particle(p, pot, shells, krypton_units)
+    assert got.potential_total == want
 
 
 def test_far_shell_limit_is_kinetic_only(potential, krypton_units):
@@ -145,6 +172,7 @@ def test_occupancy_penalty():
 
 def test_empty_shells_rejected(potential, krypton_units):
     from varsolid import LatticeShells
-    empty = LatticeShells(kind=LatticeKind.FCC, spacing_d=1.0, shells=())
+    empty = LatticeShells(kind=LatticeKind.FCC, spacing_d=1.0,
+                          distances_r=(), counts_c=())
     with pytest.raises(ValueError):
         energy_per_particle(OrbitalParams(5.0), potential, empty, krypton_units)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varsolid import LatticeKind, build_cluster, enumerate_shells
+from varsolid import LatticeKind, LatticeShells, build_cluster, enumerate_shells
 
 SQ2 = math.sqrt(2.0)
 
@@ -68,6 +68,36 @@ def test_distances_scale_with_d_counts_do_not():
     # scaled() must agree with a fresh enumeration
     np.testing.assert_allclose(a.scaled(2.7).distances(), b.distances(),
                                rtol=1e-13)
+
+
+@given(d=st.floats(min_value=0.3, max_value=20.0))
+@settings(max_examples=40, deadline=None)
+def test_scaled_is_one_multiply_of_the_unit_distances(d):
+    unit = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
+    shells = unit.scaled(d)
+    assert shells.spacing_d == d
+    assert shells.distances().tolist() == (unit.distances() * d).tolist()
+    assert shells.counts() is unit.counts()
+
+
+def test_shell_arrays_are_read_only():
+    shells = enumerate_shells(LatticeKind.FCC, 1.0, 4.0)
+    for arr in (shells.distances(), shells.counts(),
+                shells.scaled(1.3).distances()):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert shells.distances() is shells.distances()  # no copy per call
+    assert shells.counts().dtype == np.int64
+
+
+def test_shells_from_caller_arrays_are_private_copies():
+    r = np.array([1.0, math.sqrt(2.0)])
+    c = np.array([12, 6])
+    shells = LatticeShells(LatticeKind.FCC, 1.0, r, c)
+    r[0] = 5.0
+    assert shells.shells == ((1.0, 12), (math.sqrt(2.0), 6))
+    with pytest.raises(ValueError):
+        LatticeShells(LatticeKind.FCC, 1.0, r, c[:1])
 
 
 @given(d=st.floats(min_value=0.05, max_value=50.0),

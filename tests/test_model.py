@@ -263,6 +263,19 @@ def test_pair_energy_property_against_realspace(lam, s):
     assert cf == pytest.approx(ref, rel=5e-10, abs=1e-250)
 
 
+@pytest.mark.parametrize("lam,s", [(1.0, 60.0), (10.0, 200.0), (1.0, 1000.0)])
+def test_pair_energy_small_lambda_far_separation_does_not_overflow(lam, s):
+    # lam below both exponents: (alpha - lam) s passes 709, where
+    # e^{(alpha - lam) s} would overflow although the energy is tiny
+    p = OrbitalParams(lam)
+    cf = pair_energy(p, POT, s)
+    assert math.isfinite(cf)
+    assert pair_energy(p, POT, np.array([s])).tolist() == [cf]
+    if s < 500.0:  # beyond, both are below the smallest double
+        ref = pair_energy_realspace_reference(p, POT, s)
+        assert cf == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+
 def test_pair_energy_rejects_finite_cutoff_and_negative_s():
     with pytest.raises(ValueError):
         pair_energy(OrbitalParams(5.0, cutoff_a=1.0), POT, 1.0)
@@ -296,6 +309,8 @@ def _pair_energy_python_floats(lam, s):
         a_, b2, b3, b4 = lam8 / d**4, lam8 / d**3, -lam8 / d**2, lam8 / d
         if s == 0.0:
             core = lam - alpha
+        elif lam < alpha:
+            core = math.exp(-lam * s) * math.expm1(-(alpha - lam) * s) / s
         else:
             core = -math.exp(-alpha * s) * math.expm1(-(lam - alpha) * s) / s
         x = lam * s

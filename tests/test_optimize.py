@@ -7,7 +7,8 @@ import pytest
 
 from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, UnitSystem, bulk_modulus,
-                      minimize_solid, minimum_certificate)
+                      enumerate_shells, minimize_solid, minimum_certificate,
+                      solve_solid)
 from varsolid.optimize import frozen_energy_curve, relaxed_energy_curve
 
 #: the default-start optimum (lambda*, d*, U, B) in natural units
@@ -49,6 +50,25 @@ def test_one_pair_energy_call_per_energy_evaluation(potential, krypton_units,
     sol = minimize_solid(potential, krypton_units, OptimizeOptions())
     assert counts["energy"] == sol.n_evaluations > 0
     assert counts["pair"] == counts["energy"]
+
+
+def test_solve_enumerates_shells_at_most_once(potential, krypton_units,
+                                              monkeypatch):
+    # the unit shells are read-only, so one enumeration serves the
+    # minimization, the bulk modulus and every later solve with that cutoff
+    from varsolid import optimize
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_shells(*args)
+
+    monkeypatch.setattr(optimize, "enumerate_shells", counted)
+    optimize._unit_shells.cache_clear()
+    solve_solid(potential, krypton_units, OptimizeOptions())
+    assert len(calls) == 1
+    solve_solid(potential, krypton_units, OptimizeOptions(lambda_init=80.0))
+    assert len(calls) == 1
 
 
 def test_solution_invariants(solid):
