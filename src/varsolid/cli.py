@@ -23,24 +23,21 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import energy as energy_mod
-from . import oracle
-from .lattice import LatticeKind, enumerate_shells
-from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
-                    pair_energy, two_yukawa, two_yukawa_fourier)
+from .model import OrbitalParams, TwoYukawaParams
 from .observables import (SuperpositionSpec, branch_overlap, com_statistics,
                           free_spread, galilean_boost, superposition_spread)
 from .optimize import (ConvergenceError, OptimizeOptions, SolidSolution,
-                       bulk_modulus, minimize_solid)
-from .oracle import QuadratureError
-from .selfgrav import boson_energy, boson_solve, fermion_solve, fermion_tf_energy
-from .units import UnitSystem, make_krypton_units
+                       _unit_shells, solve_solid)
+from .oracle import QuadratureError, verify_checks
+from .selfgrav import boson_solve, fermion_solve
+from .units import (KRYPTON_EPSILON_K, KRYPTON_MASS_U, KRYPTON_SIGMA_M,
+                    UnitSystem)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,6 +49,9 @@ EXIT_VERIFY = 3
 EXPERIMENT_KRYPTON = {"d_angstrom": 3.992, "u_cal_per_mole": -2666.0,
                       "bulk_modulus_kbar": 34.3}
 
+#: CSV columns of the verify table, as the --help epilog documents them
+VERIFY_COLUMNS = ("check", "value", "reference", "error", "tolerance", "passed")
+
 
 class CliInputError(ValueError):
     """Bad command line, config, or output destination."""
@@ -59,36 +59,47 @@ class CliInputError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat configuration; the defaults reproduce the Krypton solid run."""
+    """Flat configuration; the defaults reproduce the Krypton solid run.
 
-    b: float = 2.026
-    m: float = 2.69
-    n: float = 14.70
-    epsilon_K: float = 170.0
-    sigma_angstrom: float = 3.6
-    mass_u: float = 83.798
-    lambda_init: float = 50.0
-    d_init: float = 1.1
-    param_tol: float = 1e-7
-    max_iter: int = 600
-    shell_cutoff_factor: float = 12.0
+    Potential, unit and optimizer defaults are the library's own
+    (`TwoYukawaParams`, `units.KRYPTON_*`, `OptimizeOptions`), and those
+    objects validate their fields.  Every field must match its annotation:
+    a float field takes a finite int or float (stored as float, never a
+    bool), an int field an int, a bool field a bool.
+    """
+
+    b: float = TwoYukawaParams.b
+    m: float = TwoYukawaParams.m
+    n: float = TwoYukawaParams.n
+    epsilon_K: float = KRYPTON_EPSILON_K
+    sigma_angstrom: float = KRYPTON_SIGMA_M * 1e10
+    mass_u: float = KRYPTON_MASS_U
+    lambda_init: float = OptimizeOptions.lambda_init
+    d_init: float = OptimizeOptions.d_init
+    param_tol: float = OptimizeOptions.param_tol
+    max_iter: int = OptimizeOptions.max_iter
+    shell_cutoff_factor: float = OptimizeOptions.shell_cutoff_factor
     quad_rtol: float = 1e-10
-    relaxed_bulk: bool = True
-    fd_step_rel: float = 1e-2
+    relaxed_bulk: bool = OptimizeOptions.relaxed_bulk
+    fd_step_rel: float = OptimizeOptions.fd_step_rel
     n_list: tuple[int, ...] = (100, 10_000, 1_000_000)
     seed: int = 20260815
     mc_samples: int = 200_000
 
     def __post_init__(self) -> None:
-        for name in ("b", "m", "n", "epsilon_K", "sigma_angstrom", "mass_u",
-                     "lambda_init", "d_init", "shell_cutoff_factor", "fd_step_rel"):
-            if not getattr(self, name) > 0.0:
-                raise CliInputError(f"config field {name} must be positive")
-        for name in ("param_tol", "quad_rtol"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise CliInputError(f"config field {name} must lie in (0, 1)")
-        if self.max_iter < 1 or self.mc_samples < 1000:
-            raise CliInputError("max_iter must be >= 1 and mc_samples >= 1000")
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, f.type,
+                                                    getattr(self, f.name)))
+        try:
+            self.units()
+            self.potential()
+            self.optimizer_options()
+        except ValueError as exc:
+            raise CliInputError(f"config: {exc}") from exc
+        if not 0.0 < self.quad_rtol < 1.0:
+            raise CliInputError("config field quad_rtol must lie in (0, 1)")
+        if self.mc_samples < 1000 or self.seed < 0:
+            raise CliInputError("mc_samples must be >= 1000 and seed >= 0")
         if any(n < 2 for n in self.n_list):
             raise CliInputError("every entry of n_list must be >= 2")
 
@@ -109,12 +120,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise CliInputError(f"unknown config keys: {sorted(unknown)}")
-        if "n_list" in raw:
-            raw["n_list"] = tuple(int(x) for x in raw["n_list"])
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise CliInputError(f"malformed config: {exc}") from exc
+        return cls(**raw)
 
     def units(self) -> UnitSystem:
         return UnitSystem(sigma_m=self.sigma_angstrom * 1e-10,
@@ -124,11 +130,40 @@ class RunConfig:
         return TwoYukawaParams(b=self.b, m=self.m, n=self.n)
 
     def optimizer_options(self) -> OptimizeOptions:
-        return OptimizeOptions(lambda_init=self.lambda_init, d_init=self.d_init,
-                               param_tol=self.param_tol, max_iter=self.max_iter,
-                               shell_cutoff_factor=self.shell_cutoff_factor,
-                               relaxed_bulk=self.relaxed_bulk,
-                               fd_step_rel=self.fd_step_rel)
+        mine = {f.name for f in dataclasses.fields(self)}
+        return OptimizeOptions(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(OptimizeOptions)
+                                  if f.name in mine})
+
+
+_KINDS = {"float": "a finite number", "int": "an integer",
+          "bool": "true or false", "tuple[int, ...]": "a list of integers"}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(name: str, annotation: str, value: Any) -> Any:
+    """`value` checked against a RunConfig annotation (a string, since
+    annotations are postponed); float fields store ints as floats and
+    n_list stores a list as a tuple."""
+    if annotation == "float" and (_is_int(value) or isinstance(value, float)):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    elif annotation == "int" and _is_int(value):
+        return value
+    elif annotation == "bool" and isinstance(value, bool):
+        return value
+    elif annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
+            and all(_is_int(x) for x in value):
+        return tuple(value)
+    raise CliInputError(f"config field {name} must be {_KINDS[annotation]}, "
+                        f"got {type(value).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +182,16 @@ def _write_json(payload: dict[str, Any], path: str | None) -> None:
         raise CliInputError(f"cannot write output {path}: {exc}") from exc
 
 
-def _write_csv(rows: list[dict[str, Any]], path: str) -> None:
+def _write_csv(rows: list[dict[str, Any]], path: str,
+               columns: Sequence[str] | None = None) -> None:
+    """Rows as CSV; `columns` (default: the first row's keys) are written
+    and any other key of a row is left out."""
     if not rows:
         raise CliInputError("no rows to write as CSV")
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(columns or rows[0]),
+                                    extrasaction="ignore")
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
@@ -163,10 +202,9 @@ def _write_csv(rows: list[dict[str, Any]], path: str) -> None:
 
 def _solution_payload(sol: SolidSolution, cfg: RunConfig,
                       units: UnitSystem) -> dict[str, Any]:
-    p_star = OrbitalParams(sol.lambda_star)
-    shells = enumerate_shells(LatticeKind.FCC, sol.d_star,
-                              cfg.shell_cutoff_factor * sol.d_star)
-    w = energy_mod.same_site_W(p_star, cfg.potential(), shells, units)
+    shells = _unit_shells(cfg.shell_cutoff_factor).scaled(sol.d_star)
+    w = energy_mod.same_site_W(OrbitalParams(sol.lambda_star), cfg.potential(),
+                               shells, units)
     payload: dict[str, Any] = {
         "lambda_star_per_sigma": sol.lambda_star,
         "d_star_sigma": sol.d_star,
@@ -196,10 +234,7 @@ def _solution_payload(sol: SolidSolution, cfg: RunConfig,
 
 def _cmd_optimize(args: argparse.Namespace, cfg: RunConfig) -> int:
     units = cfg.units()
-    opts = cfg.optimizer_options()
-    sol = minimize_solid(cfg.potential(), units, opts)
-    sol = dataclasses.replace(sol, bulk=bulk_modulus(sol, cfg.potential(),
-                                                     units, opts))
+    sol = solve_solid(cfg.potential(), units, cfg.optimizer_options())
     _write_json(_solution_payload(sol, cfg, units), args.output)
     return EXIT_OK
 
@@ -311,7 +346,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise CliInputError("need finite 0 < lo < hi and num >= 2")
     units = cfg.units()
     pot = cfg.potential()
-    unit_shells = enumerate_shells(LatticeKind.FCC, 1.0, cfg.shell_cutoff_factor)
+    unit_shells = _unit_shells(cfg.shell_cutoff_factor)
     rows = []
     for value in np.linspace(lo, hi, num):
         lam = float(value) if args.param == "lambda" else cfg.lambda_init
@@ -328,139 +363,14 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# ----------------------------------------------------------------------
-# verify
-# ----------------------------------------------------------------------
-
-def _verify_checks(cfg: RunConfig) -> list[dict[str, Any]]:
-    units = cfg.units()
-    pot = cfg.potential()
-    rng = np.random.default_rng(cfg.seed)
-    checks: list[dict[str, Any]] = []
-
-    def record(name: str, value: float, reference: float, tol: float,
-               mode: str = "rel") -> None:
-        if mode == "rel":
-            err = abs(value - reference) / max(abs(reference), 1e-300)
-        else:
-            err = abs(value - reference)
-        checks.append({"check": name, "value": value, "reference": reference,
-                       "error": err, "tolerance": tol,
-                       "passed": bool(err <= tol)})
-
-    # potential transform against direct sine quadrature
-    worst_k, worst = 0.0, 0.0
-    for k in rng.uniform(0.05, 60.0, 20):
-        got = oracle.radial_transform_check(lambda r: float(two_yukawa(r, pot)),
-                                            float(k), rtol=cfg.quad_rtol)
-        want = two_yukawa_fourier(float(k), pot)
-        rel = abs(got - want) / abs(want)
-        if rel > worst:
-            worst_k, worst = float(k), rel
-    checks.append({"check": "two_yukawa_fourier vs sine quadrature (20 k)",
-                   "value": worst, "reference": 0.0, "error": worst,
-                   "tolerance": 1e-9, "passed": bool(worst <= 1e-9),
-                   "worst_k": worst_k})
-
-    # density transform
-    lam0 = 91.33
-    p0 = OrbitalParams(lam0)
-    got = oracle.radial_transform_check(
-        lambda r: lam0**3 * math.exp(-lam0 * r) / (8.0 * math.pi), 10.0,
-        rtol=cfg.quad_rtol)
-    record("density_fourier vs sine quadrature (k=10)", got,
-           density_fourier(p0, 10.0), 1e-9)
-
-    # Plancherel: (1/2 pi^2) int k^2 n~^2 dk = int n^2 d^3r = lam^3/(64 pi)
-    plancherel, _ = integrate.quad(
-        lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
-        epsabs=1e-13, epsrel=1e-12, limit=400)
-    record("Plancherel norm of site density", plancherel / (2.0 * math.pi**2),
-           lam0**3 / (64.0 * math.pi), 1e-9)
-
-    # pair energy: closed form vs real-space quadrature and vs Fourier QAGS
-    worst = 0.0
-    for lam, s in ((91.33, 0.0), (91.33, 1.0981), (91.33, 2.1962), (50.0, 1.3),
-                   (14.7, 1.0981), (200.0, 0.9)):
-        cf = pair_energy(OrbitalParams(lam), pot, s)
-        ref = oracle.pair_energy_realspace_reference(OrbitalParams(lam), pot, s)
-        worst = max(worst, abs(cf - ref) / max(abs(ref), 1e-300))
-    checks.append({"check": "pair_energy closed form vs real-space quadrature",
-                   "value": worst, "reference": 0.0, "error": worst,
-                   "tolerance": 1e-9, "passed": bool(worst <= 1e-9)})
-
-    qval, qerr = oracle.pair_energy_quadrature(p0, pot, 0.0, rtol=cfg.quad_rtol)
-    w0 = pair_energy(p0, pot, 0.0)
-    record("same-site W vs Fourier quadrature", qval, w0,
-           max(1e-8, 3.0 * qerr / abs(w0)))
-
-    # Monte Carlo pair energies
-    for i, (lam, s) in enumerate(((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))):
-        est = oracle.mc_pair_energy(OrbitalParams(lam), pot, s,
-                                    samples=cfg.mc_samples,
-                                    seed=cfg.seed + 1 + i)
-        cf = pair_energy(OrbitalParams(lam), pot, s)
-        dev = abs(est.mean - cf) / est.std_error
-        checks.append({"check": f"pair_energy MC lam={lam} s={s}",
-                       "value": est.mean, "reference": cf, "error": dev,
-                       "tolerance": 3.0, "passed": bool(dev <= 3.0),
-                       "unit": "standard errors"})
-
-    # Coulomb and Thomas-Fermi coefficient pins
-    record("Coulomb self-energy of e^{-2r} cloud",
-           oracle.coulomb_self_energy_quadrature(2.0), 5.0 * 2.0 / 16.0, 1e-9)
-    from .selfgrav import C_KIN
-    got = oracle.density_power_integral_quadrature(3.0, 7.0, 5.0 / 3.0)
-    record("Thomas-Fermi kinetic coefficient", got,
-           C_KIN * 7.0 ** (5.0 / 3.0) * 3.0**2, 1e-9)
-
-    # momentum variance pin: per-axis <p^2> of e^{-beta r} orbital
-    beta = 45.665
-    est = oracle.mc_momentum_axis_variance(beta, samples=cfg.mc_samples,
-                                           seed=cfg.seed + 17)
-    dev = abs(est.mean - beta**2 / 3.0) / est.std_error
-    checks.append({"check": "per-axis momentum variance (hbar beta)^2/3",
-                   "value": est.mean, "reference": beta**2 / 3.0, "error": dev,
-                   "tolerance": 4.0, "passed": bool(dev <= 4.0),
-                   "unit": "standard errors"})
-
-    # uncertainty product identity
-    worst = 0.0
-    for _ in range(100):
-        lam = float(rng.uniform(0.5, 500.0))
-        n = int(rng.integers(1, 10**9))
-        worst = max(worst, abs(com_statistics(lam, n).product - 1.0 / math.sqrt(3.0)))
-    checks.append({"check": "uncertainty product hbar/sqrt(3) (100 draws)",
-                   "value": worst, "reference": 0.0, "error": worst,
-                   "tolerance": 1e-12, "passed": bool(worst <= 1e-12)})
-
-    # self-gravitating minima: closed forms vs scalar minimization.  A
-    # function-value minimizer cannot localize the argmin of a quadratic
-    # better than ~sqrt(eps) relative, so the tolerance is 1e-6, not 1e-12.
-    from scipy.optimize import minimize_scalar
-    b_sol = boson_solve(1000, kappa=0.7, mu=1.3)
-    num = minimize_scalar(lambda b: boson_energy(b, 1000, kappa=0.7, mu=1.3),
-                          bounds=(0.5 * b_sol.beta_star, 2.0 * b_sol.beta_star),
-                          method="bounded", options={"xatol": 1e-12})
-    record("boson beta* closed form vs minimization", b_sol.beta_star,
-           float(num.x), 1e-6)
-    f_sol = fermion_solve(1000, kappa=0.7, mu=1.3)
-    num = minimize_scalar(lambda g: fermion_tf_energy(g, 1000, kappa=0.7, mu=1.3),
-                          bounds=(0.5 * f_sol.gamma_star, 2.0 * f_sol.gamma_star),
-                          method="bounded", options={"xatol": 1e-12})
-    record("fermion gamma* closed form vs minimization", f_sol.gamma_star,
-           float(num.x), 1e-6)
-
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    checks = _verify_checks(cfg)
+    checks = verify_checks(cfg.potential(), cfg.seed, cfg.quad_rtol,
+                           cfg.mc_samples)
     all_passed = all(c["passed"] for c in checks)
     payload = {"all_passed": all_passed, "checks": checks}
     _write_json(payload, args.output)
     if args.csv:
-        _write_csv(checks, args.csv)
+        _write_csv(checks, args.csv, VERIFY_COLUMNS)
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 

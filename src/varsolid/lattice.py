@@ -105,8 +105,10 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
     """
     if kind is not LatticeKind.FCC:
         raise ValueError(f"unsupported lattice kind: {kind}")
-    if d <= 0.0:
-        raise ValueError(f"spacing must be positive, got {d}")
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"spacing must be positive and finite, got {d}")
+    if not math.isfinite(max_distance):
+        raise ValueError(f"max_distance must be finite, got {max_distance}")
     if max_distance < d:
         raise ValueError(f"max_distance {max_distance} is below one spacing {d}")
 

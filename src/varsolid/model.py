@@ -106,6 +106,9 @@ class TwoYukawaParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("b", "m", "n", "epsilon", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.n > self.m > 0.0):
             raise ValueError(f"need n > m > 0, got m={self.m}, n={self.n}")
         if self.b <= 0.0 or self.epsilon <= 0.0 or self.sigma <= 0.0:

@@ -43,10 +43,10 @@ class ComStatistics:
 
 def com_statistics(lam: float, N: float) -> ComStatistics:
     """Exact CoM statistics for N particles at orbital decay rate lam."""
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if N < 1:
-        raise ValueError(f"particle count must be >= 1, got {N}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not (math.isfinite(N) and N >= 1):
+        raise ValueError(f"particle count must be finite and >= 1, got {N}")
     chi = 4.0 / (lam * lam * N)
     omega = lam * lam * N / 12.0
     return ComStatistics(chi=chi, omega=omega,

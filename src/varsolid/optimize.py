@@ -33,6 +33,11 @@ class ConvergenceError(RuntimeError):
         self.best_u = best_u
 
 
+#: largest shell_cutoff_factor accepted; the enumeration box grows like its
+#: cube (about 1.6M sites at 40, against 133 shells at the default 12)
+MAX_SHELL_CUTOFF_FACTOR = 40.0
+
+
 @dataclass(frozen=True)
 class OptimizeOptions:
     lambda_init: float = 50.0
@@ -43,6 +48,20 @@ class OptimizeOptions:
     shell_cutoff_factor: float = 12.0  # shells out to this multiple of d
     relaxed_bulk: bool = True  # re-optimize lam along the compression curve
     fd_step_rel: float = 1e-2  # finite-difference step, relative to d*
+
+    def __post_init__(self) -> None:
+        for name in ("lambda_init", "d_init", "shell_cutoff_factor", "fd_step_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("param_tol", "energy_tol"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if self.shell_cutoff_factor > MAX_SHELL_CUTOFF_FACTOR:
+            raise ValueError(f"shell_cutoff_factor must be <= "
+                             f"{MAX_SHELL_CUTOFF_FACTOR:g}, got {self.shell_cutoff_factor!r}")
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,25 @@ Nothing here is clever: Monte Carlo for the six-dimensional pair integrals,
 adaptive quadrature for radial transforms and nested Coulomb integrals, and
 direct samplers for density moments.  These are the instruments the analytic
 results in `model`, `energy`, `observables`, and `selfgrav` are pinned
-against; the test suite runs them routinely, and the CLI `verify` command
-exposes the same checks to users.
+against; the test suite runs them routinely, and `verify_checks` gathers
+them into the battery that the CLI `verify` command reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import minimize_scalar
 
-from .model import OrbitalParams, TwoYukawaParams, two_yukawa
+from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
+                    pair_energy, two_yukawa, two_yukawa_fourier)
+from .observables import com_statistics
+from .selfgrav import (C_KIN, boson_energy, boson_solve, fermion_solve,
+                       fermion_tf_energy)
 
 #: radius used to evaluate lim_{r->0} r*f(r) for kernels as singular as 1/r
 _TINY_R = 1e-280
@@ -215,11 +220,8 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams, s: float,
     def integrand(t: float) -> float:
         k = lam * t / (1.0 - t)
         jac = lam / (1.0 - t) ** 2
-        ks2 = (k * pot.sigma) ** 2
-        vk = -4.0 * math.pi * pot.epsilon * pot.b * pot.sigma**3 * (
-            math.exp(pot.m) / (ks2 + pot.m**2) - math.exp(pot.n) / (ks2 + pot.n**2))
         nk = (1.0 + (k / lam) ** 2) ** -2
-        return k * k * vk * nk * nk * j0(k * s) * jac
+        return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(k * s) * jac
 
     import warnings
     with warnings.catch_warnings():
@@ -336,3 +338,121 @@ def density_power_integral_quadrature(rate: float, mass: float, power: float,
     if abs(err) > 1e-6 * abs(val):
         raise QuadratureError(f"density power integral error {err:.3e} too large")
     return val
+
+
+# ----------------------------------------------------------------------
+# the verify battery
+# ----------------------------------------------------------------------
+
+def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
+                  mc_samples: int) -> list[dict[str, Any]]:
+    """Every oracle cross-check as a row: check, value, reference, error,
+    tolerance, passed, plus keys some rows add (worst_k, unit).
+
+    The error is relative to the reference unless a row supplies its own
+    (worst-case deviations, Monte Carlo deviations in standard errors).
+    Deterministic for a fixed seed.
+    """
+    rng = np.random.default_rng(seed)
+    checks: list[dict[str, Any]] = []
+
+    def record(name: str, value: float, reference: float, tol: float,
+               error: float | None = None, **extra: Any) -> None:
+        if error is None:
+            error = abs(value - reference) / max(abs(reference), 1e-300)
+        checks.append({"check": name, "value": value, "reference": reference,
+                       "error": error, "tolerance": tol,
+                       "passed": bool(error <= tol), **extra})
+
+    # potential transform against direct sine quadrature
+    worst_k, worst = 0.0, 0.0
+    for k in rng.uniform(0.05, 60.0, 20):
+        got = radial_transform_check(lambda r: float(two_yukawa(r, pot)),
+                                     float(k), rtol=quad_rtol)
+        want = two_yukawa_fourier(float(k), pot)
+        rel = abs(got - want) / abs(want)
+        if rel > worst:
+            worst_k, worst = float(k), rel
+    record("two_yukawa_fourier vs sine quadrature (20 k)", worst, 0.0, 1e-9,
+           error=worst, worst_k=worst_k)
+
+    # density transform
+    lam0 = 91.33
+    p0 = OrbitalParams(lam0)
+    got = radial_transform_check(
+        lambda r: lam0**3 * math.exp(-lam0 * r) / (8.0 * math.pi), 10.0,
+        rtol=quad_rtol)
+    record("density_fourier vs sine quadrature (k=10)", got,
+           density_fourier(p0, 10.0), 1e-9)
+
+    # Plancherel: (1/2 pi^2) int k^2 n~^2 dk = int n^2 d^3r = lam^3/(64 pi)
+    plancherel, _ = integrate.quad(
+        lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
+        epsabs=1e-13, epsrel=1e-12, limit=400)
+    record("Plancherel norm of site density", plancherel / (2.0 * math.pi**2),
+           lam0**3 / (64.0 * math.pi), 1e-9)
+
+    # pair energy: closed form vs real-space quadrature and vs Fourier QAGS
+    worst = 0.0
+    for lam, s in ((91.33, 0.0), (91.33, 1.0981), (91.33, 2.1962), (50.0, 1.3),
+                   (14.7, 1.0981), (200.0, 0.9)):
+        cf = pair_energy(OrbitalParams(lam), pot, s)
+        ref = pair_energy_realspace_reference(OrbitalParams(lam), pot, s)
+        worst = max(worst, abs(cf - ref) / max(abs(ref), 1e-300))
+    record("pair_energy closed form vs real-space quadrature", worst, 0.0, 1e-9,
+           error=worst)
+
+    qval, qerr = pair_energy_quadrature(p0, pot, 0.0, rtol=quad_rtol)
+    w0 = pair_energy(p0, pot, 0.0)
+    record("same-site W vs Fourier quadrature", qval, w0,
+           max(1e-8, 3.0 * qerr / abs(w0)))
+
+    # Monte Carlo pair energies
+    for i, (lam, s) in enumerate(((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))):
+        est = mc_pair_energy(OrbitalParams(lam), pot, s, samples=mc_samples,
+                             seed=seed + 1 + i)
+        cf = pair_energy(OrbitalParams(lam), pot, s)
+        record(f"pair_energy MC lam={lam} s={s}", est.mean, cf, 3.0,
+               error=abs(est.mean - cf) / est.std_error, unit="standard errors")
+
+    # Coulomb and Thomas-Fermi coefficient pins
+    record("Coulomb self-energy of e^{-2r} cloud",
+           coulomb_self_energy_quadrature(2.0), 5.0 * 2.0 / 16.0, 1e-9)
+    got = density_power_integral_quadrature(3.0, 7.0, 5.0 / 3.0)
+    record("Thomas-Fermi kinetic coefficient", got,
+           C_KIN * 7.0 ** (5.0 / 3.0) * 3.0**2, 1e-9)
+
+    # momentum variance pin: per-axis <p^2> of e^{-beta r} orbital
+    beta = 45.665
+    est = mc_momentum_axis_variance(beta, samples=mc_samples, seed=seed + 17)
+    record("per-axis momentum variance (hbar beta)^2/3", est.mean,
+           beta**2 / 3.0, 4.0,
+           error=abs(est.mean - beta**2 / 3.0) / est.std_error,
+           unit="standard errors")
+
+    # uncertainty product identity
+    worst = 0.0
+    for _ in range(100):
+        lam = float(rng.uniform(0.5, 500.0))
+        n = int(rng.integers(1, 10**9))
+        worst = max(worst, abs(com_statistics(lam, n).product - 1.0 / math.sqrt(3.0)))
+    record("uncertainty product hbar/sqrt(3) (100 draws)", worst, 0.0, 1e-12,
+           error=worst)
+
+    # self-gravitating minima: closed forms vs scalar minimization.  A
+    # function-value minimizer cannot localize the argmin of a quadratic
+    # better than ~sqrt(eps) relative, so the tolerance is 1e-6, not 1e-12.
+    b_sol = boson_solve(1000, kappa=0.7, mu=1.3)
+    num = minimize_scalar(lambda b: boson_energy(b, 1000, kappa=0.7, mu=1.3),
+                          bounds=(0.5 * b_sol.beta_star, 2.0 * b_sol.beta_star),
+                          method="bounded", options={"xatol": 1e-12})
+    record("boson beta* closed form vs minimization", b_sol.beta_star,
+           float(num.x), 1e-6)
+    f_sol = fermion_solve(1000, kappa=0.7, mu=1.3)
+    num = minimize_scalar(lambda g: fermion_tf_energy(g, 1000, kappa=0.7, mu=1.3),
+                          bounds=(0.5 * f_sol.gamma_star, 2.0 * f_sol.gamma_star),
+                          method="bounded", options={"xatol": 1e-12})
+    record("fermion gamma* closed form vs minimization", f_sol.gamma_star,
+           float(num.x), 1e-6)
+
+    return checks

@@ -50,8 +50,16 @@ class UnitSystem:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        object.__setattr__(self, "coupling", self.hbar_SI**2 / (
-            self.mass_u * self.amu_SI * self.sigma_m**2 * self.epsilon_J))
+        try:
+            coupling = self.hbar_SI**2 / (
+                self.mass_u * self.amu_SI * self.sigma_m**2 * self.epsilon_J)
+        except (OverflowError, ZeroDivisionError):
+            coupling = math.nan
+        if not (math.isfinite(coupling) and coupling > 0.0):
+            raise ValueError("the scales give no positive finite kinetic coupling "
+                             f"(sigma_m={self.sigma_m!r}, mass_u={self.mass_u!r}, "
+                             f"epsilon_K={self.epsilon_K!r})")
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def epsilon_J(self) -> float:

@@ -2,11 +2,15 @@
 format guarantees (bit-exact JSON round trips, 17-digit CSV floats)."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from varsolid import OptimizeOptions, TwoYukawaParams, make_krypton_units
 from varsolid.cli import (EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK,
                           CliInputError, RunConfig, main)
 
@@ -31,6 +35,10 @@ def test_default_config_is_krypton():
     assert cfg.mass_u == pytest.approx(83.798)
     assert cfg.units().coupling == pytest.approx(2.6274373245919075e-4,
                                                  rel=1e-12)
+    # the defaults have one home, the library objects
+    assert cfg.potential() == TwoYukawaParams()
+    assert cfg.optimizer_options() == OptimizeOptions()
+    assert cfg.units() == make_krypton_units()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -40,13 +48,84 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(str(p))
 
 
+#: configs that were once accepted, or escaped as a raw traceback
+FAIL_OPEN_CONFIGS = ({"shell_cutoff_factor": math.inf}, {"relaxed_bulk": "no"},
+                     {"max_iter": 2.5}, {"b": math.nan})
+
+
 def test_config_rejects_bad_values(tmp_path):
     for field, value in (("b", -1.0), ("param_tol", 2.0), ("quad_rtol", 0.0),
-                         ("mc_samples", 10)):
+                         ("mc_samples", 10), ("shell_cutoff_factor", math.inf),
+                         ("shell_cutoff_factor", 41.0), ("relaxed_bulk", "no"),
+                         ("relaxed_bulk", 1), ("max_iter", 2.5),
+                         ("max_iter", True), ("b", math.nan), ("m", "2.69"),
+                         ("seed", None), ("n_list", [2.5]), ("n_list", 100),
+                         ("sigma_angstrom", 1e308), ("lambda_init", 10**400)):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({field: value}))
         with pytest.raises(CliInputError):
             RunConfig.from_file(str(p))
+
+
+def test_config_ints_widen_to_float_fields(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"lambda_init": 80, "max_iter": 300}))
+    cfg = RunConfig.from_file(str(p))
+    assert type(cfg.lambda_init) is float and cfg.lambda_init == 80.0
+    assert type(cfg.max_iter) is int and cfg.max_iter == 300
+
+
+@pytest.mark.parametrize("bad", FAIL_OPEN_CONFIGS)
+def test_fail_open_config_exits_1_with_no_output(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert run_cli("--config", str(cfg), "optimize") == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+def _has_annotated_types(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float":
+            ok = type(value) is float and math.isfinite(value)
+        elif f.type == "int":
+            ok = type(value) is int
+        elif f.type == "bool":
+            ok = type(value) is bool
+        else:
+            ok = type(value) is tuple and all(type(x) is int for x in value)
+        if not ok:
+            return False
+    return True
+
+
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)] + ["lambda_initial"]
+_JSON_VALUES = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([1e308, -1e308, math.nan, math.inf])
+                | st.text(max_size=5)
+                | st.lists(st.integers(-5, 10**7) | st.floats() | st.text(max_size=2),
+                           max_size=4))
+
+
+@given(raw=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=4))
+@example(raw=FAIL_OPEN_CONFIGS[0])
+@example(raw=FAIL_OPEN_CONFIGS[1])
+@example(raw=FAIL_OPEN_CONFIGS[2])
+@example(raw=FAIL_OPEN_CONFIGS[3])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_boundary_fuzz(tmp_path, raw):
+    # any JSON object gives a well-typed RunConfig or a CliInputError
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    try:
+        cfg = RunConfig.from_file(str(p))
+    except CliInputError:
+        return
+    assert _has_annotated_types(cfg), cfg
 
 
 def test_config_partial_override(tmp_path):
@@ -219,15 +298,40 @@ def test_superposition_rejects_overlapping_branches(tmp_path):
                    "--lambda", "50", "--N", "100") == EXIT_INPUT
 
 
-def test_verify_battery_passes(tmp_path):
-    out = tmp_path / "verify.json"
-    assert run_cli("--output", str(out), "verify") == EXIT_OK
-    payload = read_json(out)
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    """One `verify --csv` run (about a second), shared by the tests below."""
+    tmp = tmp_path_factory.mktemp("verify")
+    out, table = tmp / "verify.json", tmp / "verify.csv"
+    code = run_cli("--output", str(out), "verify", "--csv", str(table))
+    return code, read_json(out), table
+
+
+def test_verify_battery_passes(verify_run):
+    code, payload, _ = verify_run
+    assert code == EXIT_OK
     assert payload["all_passed"] is True
     assert len(payload["checks"]) >= 14
     for check in payload["checks"]:
         assert check["passed"], check["check"]
         assert check["error"] <= check["tolerance"]
+
+
+def test_verify_csv_has_the_documented_columns(verify_run):
+    # the CSV header once came from the first row, so the `unit` key of a
+    # later row aborted the write with exit 1
+    code, payload, table = verify_run
+    assert code == EXIT_OK
+    with open(table, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    assert header == ["check", "value", "reference", "error", "tolerance",
+                      "passed"]
+    assert len(rows) == len(payload["checks"])
+    for row, check in zip(rows, payload["checks"]):
+        assert row[0] == check["check"]
+        assert float(row[3]) == check["error"]
 
 
 def test_optimize_payload_fields(tmp_path):

@@ -116,6 +116,11 @@ def test_enumerate_shells_rejects_bad_arguments():
         enumerate_shells(LatticeKind.FCC, 0.0, 1.0)
     with pytest.raises(ValueError):
         enumerate_shells(LatticeKind.FCC, 1.0, 0.5)
+    # an infinite cutoff once reached math.floor as an OverflowError
+    for d, max_distance in ((1.0, math.inf), (1.0, math.nan), (math.inf, 2.0),
+                            (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            enumerate_shells(LatticeKind.FCC, d, max_distance)
 
 
 def test_cluster_n1_is_origin():

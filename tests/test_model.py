@@ -147,6 +147,10 @@ def test_two_yukawa_params_validation():
         TwoYukawaParams(m=5.0, n=2.0)  # needs n > m
     with pytest.raises(ValueError):
         TwoYukawaParams(b=-1.0)
+    for field in ("b", "m", "n", "epsilon", "sigma"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TwoYukawaParams(**{field: value})
 
 
 def test_fourier_at_zero_is_volume_integral():

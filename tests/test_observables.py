@@ -55,6 +55,10 @@ def test_com_statistics_rejects_bad_input():
         com_statistics(0.0, 10)
     with pytest.raises(ValueError):
         com_statistics(5.0, 0)
+    # com_statistics(nan, 10) once returned NaNs, (5, inf) a NaN product
+    for lam, n in ((math.nan, 10), (math.inf, 10), (5.0, math.inf), (5.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            com_statistics(lam, n)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, UnitSystem, bulk_modulus,
                       enumerate_shells, minimize_solid, minimum_certificate,
                       solve_solid)
-from varsolid.optimize import frozen_energy_curve, relaxed_energy_curve
+from varsolid.optimize import (MAX_SHELL_CUTOFF_FACTOR, frozen_energy_curve,
+                               relaxed_energy_curve)
 
 #: the default-start optimum (lambda*, d*, U, B) in natural units
 RECORDED_OPTIMUM = {"lambda_star": 91.195498437583, "d_star": 1.0977610864951037,
@@ -173,3 +174,21 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
     u0 = u(solid.lambda_star, solid.d_star)
     assert u(solid.lambda_star, solid.d_star * 1.01) > u0
     assert u(solid.lambda_star, solid.d_star * 0.99) > u0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_init", math.nan), ("lambda_init", -1.0), ("d_init", math.inf),
+    ("d_init", 0.0), ("shell_cutoff_factor", math.inf),
+    ("shell_cutoff_factor", MAX_SHELL_CUTOFF_FACTOR * 1.01),
+    ("fd_step_rel", 0.0), ("fd_step_rel", math.nan), ("param_tol", 0.0),
+    ("param_tol", 1.0), ("energy_tol", math.nan), ("energy_tol", -1e-13),
+    ("max_iter", 0),
+])
+def test_optimize_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizeOptions(**{field: value})
+
+
+def test_optimize_options_accept_the_cutoff_ceiling():
+    assert OptimizeOptions(shell_cutoff_factor=MAX_SHELL_CUTOFF_FACTOR) \
+        .shell_cutoff_factor == MAX_SHELL_CUTOFF_FACTOR

@@ -80,6 +80,11 @@ def test_coupling_scaling_laws(sigma, eps, mass):
     dict(sigma_m=0.0, epsilon_K=170.0, mass_u=83.798),
     dict(sigma_m=3.6e-10, epsilon_K=-1.0, mass_u=83.798),
     dict(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=0.0),
+    dict(sigma_m=3.6e-10, epsilon_K=math.inf, mass_u=83.798),
+    # scales whose kinetic coupling is not a positive finite number
+    dict(sigma_m=1e298, epsilon_K=170.0, mass_u=83.798),  # sigma^2 overflows
+    dict(sigma_m=1e-310, epsilon_K=170.0, mass_u=83.798),  # sigma^2 underflows
+    dict(sigma_m=1.0, epsilon_K=1e308, mass_u=1e308),  # coupling -> 0
 ])
 def test_nonpositive_parameters_rejected(bad):
     with pytest.raises(ValueError):
