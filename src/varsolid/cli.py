@@ -32,8 +32,8 @@ from . import energy as energy_mod
 from .model import OrbitalParams, TwoYukawaParams
 from .observables import (SuperpositionSpec, branch_overlap, com_statistics,
                           free_spread, galilean_boost, superposition_spread)
-from .optimize import (ConvergenceError, OptimizeOptions, SolidSolution,
-                       _unit_shells, solve_solid)
+from .optimize import (SEARCH_BOX, ConvergenceError, OptimizeOptions,
+                       SolidSolution, _unit_shells, in_search_box, solve_solid)
 from .oracle import QuadratureError, verify_checks
 from .selfgrav import boson_solve, fermion_solve
 from .units import (KRYPTON_EPSILON_K, KRYPTON_MASS_U, KRYPTON_SIGMA_M,
@@ -308,8 +308,11 @@ def _cmd_superposition(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_selfgrav(args: argparse.Namespace, cfg: RunConfig) -> int:
-    n_list = cfg.n_list if args.n_list is None else tuple(
-        int(float(x)) for x in args.n_list.split(","))
+    try:
+        n_list = cfg.n_list if args.n_list is None else tuple(
+            int(float(x)) for x in args.n_list.split(","))
+    except (ValueError, OverflowError) as exc:  # not a number, NaN or infinite
+        raise CliInputError(f"--N-list needs finite numbers: {exc}") from exc
     if any(n < 2 for n in n_list):
         raise CliInputError("every N must be >= 2")
     rows: list[dict[str, Any]] = []
@@ -342,8 +345,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         lo, hi, num = float(lo_s), float(hi_s), int(num_s)
     except ValueError as exc:
         raise CliInputError(f"--range must be lo:hi:num, got {args.range!r}") from exc
-    if not (math.isfinite(hi) and 0 < lo < hi and num >= 2):
-        raise CliInputError("need finite 0 < lo < hi and num >= 2")
+    if not (in_search_box(args.param, lo, hi) and lo < hi and num >= 2):
+        raise CliInputError(f"need lo < hi in {SEARCH_BOX[args.param]} and num >= 2")
     units = cfg.units()
     pot = cfg.potential()
     unit_shells = _unit_shells(cfg.shell_cutoff_factor)

@@ -40,11 +40,7 @@ def kinetic_per_particle(p: OrbitalParams, units: UnitSystem) -> float:
 
     For phi ~ e^{-lam r/2} the gradient is radial with |grad phi| =
     (lam/2) phi, so int |grad phi|^2 = lam^2/4 and T = (hbar^2/2mu)(lam^2/4).
-    Requires the infinite-cutoff orbital: a finite cutoff introduces a
-    derivative kink at r = a that this closed form does not include.
     """
-    if not p.has_infinite_cutoff:
-        raise ValueError("kinetic closed form requires an infinite orbital cutoff")
     return units.coupling * p.lam**2 / 8.0
 
 

@@ -53,17 +53,21 @@ mapped over the elements, not np.exp: np.exp differs from math.exp by one
 ulp on about 5% of arguments, enough to move the solid's optimum by ~1e-7
 relative.
 
-Conditioning: the partial-fraction coefficients blow up like D^{-4} when
-lam approaches a potential exponent.  Within a +-5% relative window around
-alpha the evaluation switches to arbitrary-precision arithmetic with digits
+One closed form in two precisions: the partial-fraction coefficients blow
+up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
+relative window around alpha the same expression runs on an object array
+of mpmath mpf separations, with mp.exp, mp.expm1 and mp.pi and with digits
 scaled to the gap, so the result stays correct to full double precision
-through exact degeneracy.  Outside the physical region this matters; the
-solid's optimum (lam ~ 91) never comes near it.
+through exact degeneracy; the solid's optimum (lam ~ 91) never comes near
+it.  A scalar times or plus an array keeps the array on the left (s * lam):
+an mpf on the left makes mpmath convert the whole array through its string
+form.  IEEE * and + commute, so the float results keep every bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -72,23 +76,19 @@ import numpy as np
 #: relative |lam - alpha|/alpha below which pair_energy uses mpmath
 DEGENERACY_WINDOW = 0.05
 
+#: largest potential exponent n whose weight e^n is a finite double (~709.78)
+MAX_EXPONENT = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class OrbitalParams:
-    """Exponential site orbital: decay rate lam (1/sigma), cutoff radius a."""
+    """Exponential site orbital with decay rate lam (1/sigma), untruncated."""
 
     lam: float
-    cutoff_a: float = math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not self.cutoff_a > 0.0:
-            raise ValueError(f"cutoff_a must be positive, got {self.cutoff_a}")
-
-    @property
-    def has_infinite_cutoff(self) -> bool:
-        return math.isinf(self.cutoff_a)
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,26 @@ class TwoYukawaParams:
         for name in ("b", "m", "n", "epsilon", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.n > self.m > 0.0):
-            raise ValueError(f"need n > m > 0, got m={self.m}, n={self.n}")
+        if not (MAX_EXPONENT >= self.n > self.m > 0.0):  # e^n must be a finite double
+            raise ValueError(f"need {MAX_EXPONENT:.6g} >= n > m > 0 (e^n finite), "
+                             f"got m={self.m}, n={self.n}")
         if self.b <= 0.0 or self.epsilon <= 0.0 or self.sigma <= 0.0:
             raise ValueError("b, epsilon, sigma must all be positive")
 
 
-def orbital_norm_constant(p: OrbitalParams) -> float:
+def orbital_norm_constant(lam: float, cutoff_a: float = math.inf) -> float:
     """D^2 normalizing phi = D e^{-lam r/2} inside radius a.
 
     int_0^a 4 pi r^2 e^{-lam r} dr = (8 pi / lam^3) [1 - e^{-la}(1 + la + (la)^2/2)]
     with la = lam a; the bracket -> 1 as a -> inf.
     """
-    lam = p.lam
-    if p.has_infinite_cutoff:
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not cutoff_a > 0.0:
+        raise ValueError(f"cutoff_a must be positive, got {cutoff_a}")
+    if math.isinf(cutoff_a):
         return lam**3 / (8.0 * math.pi)
-    la = lam * p.cutoff_a
+    la = lam * cutoff_a
     bracket = -math.expm1(-la) - math.exp(-la) * (la + 0.5 * la * la)
     return lam**3 / (8.0 * math.pi * bracket)
 
@@ -132,11 +136,8 @@ def orbital_norm_constant(p: OrbitalParams) -> float:
 def density_fourier(p: OrbitalParams, k):
     """n~(k) = (1 + (k/lam)^2)^{-2}, the transform of lam^3 e^{-lam r}/(8 pi).
 
-    Analytic branch, infinite cutoff only; n~(0) = 1 by normalization and
-    n~ decreases monotonically to 0.
+    n~(0) = 1 by normalization and n~ decreases monotonically to 0.
     """
-    if not p.has_infinite_cutoff:
-        raise ValueError("density_fourier requires an infinite orbital cutoff")
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
         raise ValueError("wavenumber must be >= 0")
@@ -169,27 +170,33 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
     return float(out) if out.ndim == 0 else out
 
 
-def _map(fn, x: np.ndarray) -> np.ndarray:
+def _map(fn):
     """fn (math.exp or math.expm1) over every element of a 1-D float array."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _pair_energy_float(lam: float, pot: TwoYukawaParams, s: np.ndarray) -> np.ndarray:
-    """Float closed form (module docstring) over a 1-D array of separations.
+#: (exp, expm1, pi) of the float branch and of the mpmath window branch
+_FLOAT_OPS = (_map(math.exp), _map(math.expm1), math.pi)
+_MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi)
 
-    Each Yukawa piece is pot-weighted I(alpha; lam, s), e^{-alpha r}/r smeared
-    over two site densities.  The partial-fraction coefficients are scalars
-    of lam; e^{-lam s} and the polynomials in lam s are shared by both
-    pieces.  Accurate while |alpha - lam| is not too small.
+
+def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, ops) -> np.ndarray:
+    """The closed form (module docstring) over a 1-D array s of separations.
+
+    `pieces` holds the two Yukawa terms as (weight e^m or e^n, exponent
+    alpha).  Floats and a float64 array run with _FLOAT_OPS; mpf lam and
+    alpha (promoted before any arithmetic, or alpha^2 - lam^2 cancels in
+    double) and an object array of mpf run with _MP_OPS.
     """
+    exp, expm1, pi = ops
     zero = s == 0.0
     s_div = np.where(zero, 1.0, s)
-    x = lam * s
-    els = _map(math.exp, -lam * s)
+    x = s * lam
+    els = exp(s * -lam)
     poly3 = 1.0 + x
-    poly4 = 3.0 + 3.0 * lam * s + x * x
+    poly4 = 3.0 + s * (3.0 * lam) + x * x
 
-    def smeared(alpha: float) -> np.ndarray:
+    def smeared(alpha):
         d = (alpha - lam) * (alpha + lam)
         lam8 = lam**8
         a_ = lam8 / d**4
@@ -197,65 +204,18 @@ def _pair_energy_float(lam: float, pot: TwoYukawaParams, s: np.ndarray) -> np.nd
         b3 = -lam8 / d**2
         b4 = lam8 / d
         if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
-            tail = els * _map(math.expm1, -(alpha - lam) * s)
+            tail = els * expm1(s * -(alpha - lam))
         else:
-            tail = -_map(math.exp, -alpha * s) * _map(math.expm1, -(lam - alpha) * s)
+            tail = -exp(s * -alpha) * expm1(s * -(lam - alpha))
         core = np.where(zero, lam - alpha, tail / s_div)
-        return (a_ * core / (4.0 * math.pi)
-                + els * (b2 / (8.0 * math.pi * lam)
-                         + b3 * poly3 / (32.0 * math.pi * lam**3)
-                         + b4 * poly4 / (192.0 * math.pi * lam**5)))
+        return (core * a_ / (4.0 * pi)
+                + els * (poly3 * b3 / (32.0 * pi * lam**3)
+                         + b2 / (8.0 * pi * lam)
+                         + poly4 * b4 / (192.0 * pi * lam**5)))
 
-    pref = -4.0 * math.pi * pot.epsilon * pot.b * pot.sigma
-    return pref * (math.exp(pot.m) * smeared(pot.m / pot.sigma)
-                   - math.exp(pot.n) * smeared(pot.n / pot.sigma))
-
-
-def _smeared_yukawa_mp(alpha, lam, s):
-    """I(alpha; lam, s), the smeared Yukawa kernel of `_pair_energy_float`,
-    in mpf arithmetic at the caller's working precision.
-
-    Every input is promoted to mpf *before* any arithmetic: squaring alpha
-    in double first would poison the near-cancelling alpha^2 - lam^2.
-    """
-    alpha, lam, s = mp.mpf(alpha), mp.mpf(lam), mp.mpf(s)
-    pi = mp.pi
-    d = (alpha - lam) * (alpha + lam)
-    lam8 = lam**8
-    a_ = lam8 / d**4
-    b2 = lam8 / d**3
-    b3 = -lam8 / d**2
-    b4 = lam8 / d
-    if s == 0:
-        core = lam - alpha
-    else:
-        core = -mp.exp(-alpha * s) * mp.expm1(-(lam - alpha) * s) / s
-    els = mp.exp(-lam * s)
-    x = lam * s
-    return (a_ * core / (4 * pi)
-            + els * (b2 / (8 * pi * lam)
-                     + b3 * (1 + x) / (32 * pi * lam**3)
-                     + b4 * (3 + 3 * lam * s + x * x) / (192 * pi * lam**5)))
-
-
-def _pair_energy_mp(lam: float, s: float, pot: TwoYukawaParams, gap: float) -> float:
-    """High-precision branch for lam within DEGENERACY_WINDOW of m or n.
-
-    Working digits grow with the lost-cancellation estimate ~ gap^{-3};
-    4 digits per lost decade is a wide margin.  Exact coincidence is nudged
-    by 1e-30 relative, far below anything visible in double precision.
-    """
-    digits = 30 + 4 * max(0, math.ceil(-math.log10(max(gap, 1e-30))))
-    with mp.workdps(digits):
-        lam_ = mp.mpf(lam)
-        am = mp.mpf(pot.m) / mp.mpf(pot.sigma)
-        an = mp.mpf(pot.n) / mp.mpf(pot.sigma)
-        if lam_ == am or lam_ == an:
-            lam_ = lam_ * (1 + mp.mpf(10) ** -30)
-        val = (-4 * mp.pi * mp.mpf(pot.epsilon) * mp.mpf(pot.b) * mp.mpf(pot.sigma)
-               * (mp.exp(mp.mpf(pot.m)) * _smeared_yukawa_mp(am, lam_, s)
-                  - mp.exp(mp.mpf(pot.n)) * _smeared_yukawa_mp(an, lam_, s)))
-        return float(val)
+    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
+    return ((smeared(alpha_m) * weight_m - smeared(alpha_n) * weight_n)
+            * (-4.0 * pi * pot.epsilon * pot.b * pot.sigma))
 
 
 def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
@@ -268,12 +228,10 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
 
     `s` is a number or an array of separations.  A number gives a Python
     float; an array gives an array of its shape, each entry bitwise equal to
-    the call with that entry alone (inside DEGENERACY_WINDOW each entry
-    runs the mpmath branch on its own).  Every entry must be finite and
-    >= 0.
+    the call with that entry alone (inside DEGENERACY_WINDOW too, where
+    the array runs in mpmath as one object array).  Every entry must be
+    finite and >= 0.
     """
-    if not p.has_infinite_cutoff:
-        raise ValueError("pair_energy requires an infinite orbital cutoff")
     arr = np.asarray(s, dtype=float)
     flat = arr.reshape(-1)
     bad = ~(np.isfinite(flat) & (flat >= 0.0))
@@ -284,7 +242,18 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
     alpha_n = pot.n / pot.sigma
     gap = min(abs(lam - alpha_m) / alpha_m, abs(lam - alpha_n) / alpha_n)
     if gap < DEGENERACY_WINDOW:
-        out = np.array([_pair_energy_mp(lam, x, pot, gap) for x in flat.tolist()])
+        # 4 digits per decade lost to cancellation (~ gap^-3); an exact
+        # coincidence is nudged by 1e-30 relative, invisible in a double
+        digits = 30 + 4 * max(0, math.ceil(-math.log10(max(gap, 1e-30))))
+        with mp.workdps(digits):
+            lam_mp = mp.mpf(lam)
+            am, an = mp.mpf(pot.m) / pot.sigma, mp.mpf(pot.n) / pot.sigma
+            if lam_mp == am or lam_mp == an:
+                lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
+            pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
+            s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
+            out = _closed_form(lam_mp, pot, pieces, s_mp, _MP_OPS).astype(float)
     else:
-        out = _pair_energy_float(lam, pot, flat)
+        pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
+        out = _closed_form(lam, pot, pieces, flat, _FLOAT_OPS)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

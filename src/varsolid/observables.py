@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import Cluster
-from .model import OrbitalParams, orbital_norm_constant
+from .model import orbital_norm_constant
 from .units import UnitSystem
 
 _ZERO3 = (0.0, 0.0, 0.0)
@@ -190,8 +190,7 @@ def orbital_overlap(lam: float, separation: float,
         return 0.0
     z = 0.5 * lam * separation
     bare = math.exp(-z) * (1.0 + z + z * z / 3.0)
-    ratio = (orbital_norm_constant(OrbitalParams(lam, cutoff_a))
-             / orbital_norm_constant(OrbitalParams(lam)))
+    ratio = orbital_norm_constant(lam, cutoff_a) / orbital_norm_constant(lam)
     return bare * ratio
 
 

@@ -37,6 +37,16 @@ class ConvergenceError(RuntimeError):
 #: cube (about 1.6M sites at 40, against 133 shells at the default 12)
 MAX_SHELL_CUTOFF_FACTOR = 40.0
 
+#: open intervals of lam (1/sigma) and d (sigma) that the objective searches;
+#: it is +inf outside them, and a start or a sweep must lie inside
+SEARCH_BOX = {"lambda": (1e-2, 1e6), "d": (0.3, 20.0)}
+
+
+def in_search_box(name: str, *values: float) -> bool:
+    """True iff every value lies inside SEARCH_BOX[name] ("lambda" or "d")."""
+    lo, hi = SEARCH_BOX[name]
+    return all(lo < value < hi for value in values)
+
 
 @dataclass(frozen=True)
 class OptimizeOptions:
@@ -50,7 +60,10 @@ class OptimizeOptions:
     fd_step_rel: float = 1e-2  # finite-difference step, relative to d*
 
     def __post_init__(self) -> None:
-        for name in ("lambda_init", "d_init", "shell_cutoff_factor", "fd_step_rel"):
+        for name, box in (("lambda_init", "lambda"), ("d_init", "d")):
+            if not in_search_box(box, value := getattr(self, name)):
+                raise ValueError(f"{name} must lie in {SEARCH_BOX[box]}, got {value!r}")
+        for name in ("shell_cutoff_factor", "fd_step_rel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -97,7 +110,7 @@ def _unit_shells(cutoff_factor: float) -> LatticeShells:
 def _objective(pot: TwoYukawaParams, units: UnitSystem,
                unit_shells: LatticeShells) -> Callable[[float, float], float]:
     def u_of(lam: float, d: float) -> float:
-        if not (1e-2 < lam < 1e6) or not (0.3 < d < 20.0):
+        if not (in_search_box("lambda", lam) and in_search_box("d", d)):
             return math.inf
         breakdown = energy_per_particle(OrbitalParams(lam), pot,
                                         unit_shells.scaled(d), units)
@@ -199,6 +212,9 @@ def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams, units: UnitSystem,
     """
     injected = energy_fn is not None
     if energy_fn is None:
+        h = opts.fd_step_rel
+        if not in_search_box("d", sol.d_star * (1.0 - 2.0 * h), sol.d_star * (1.0 + 2.0 * h)):
+            raise ValueError(f"fd_step_rel={h!r}: the stencil d*(1 +- 2h) leaves the d box")
         curve = relaxed_energy_curve if opts.relaxed_bulk else frozen_energy_curve
         energy_fn = curve(sol, pot, units, opts)
     cache: dict[float, float] = {}

@@ -207,8 +207,6 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams, s: float,
     and the returned estimate grows to dominate the value itself — that
     regime is exactly why the production path uses the closed form instead.
     """
-    if not p.has_infinite_cutoff:
-        raise ValueError("pair energy requires an infinite orbital cutoff")
     lam = p.lam
 
     def j0(x: float) -> float:
@@ -248,8 +246,6 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     oscillation, no cancellation amplification near degenerate exponents —
     this is the strongest independent check on the closed form.
     """
-    if not p.has_infinite_cutoff:
-        raise ValueError("pair energy requires an infinite orbital cutoff")
     lam = p.lam
     eps, b, sig, m_, n_ = pot.epsilon, pot.b, pot.sigma, pot.m, pot.n
 

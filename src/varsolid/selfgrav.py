@@ -31,6 +31,8 @@ the test suite before being trusted.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +63,20 @@ class FermionSolution:
     N: int
 
 
+def _fails_closed(solve):
+    """`solve`, raising ValueError for a solution outside the double range."""
+    @functools.wraps(solve)
+    def checked(N, *args, **kwargs):
+        try:
+            sol = solve(N, *args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:  # x**2 overflow, 1/underflow
+            raise ValueError(f"the N={N} solution leaves the double range: {exc}") from exc
+        if not all(math.isfinite(v) for v in dataclasses.astuple(sol)):
+            raise ValueError(f"the N={N} solution leaves the double range: {sol}")
+        return sol
+    return checked
+
+
 def boson_energy(beta: float, N: int, kappa: float = 1.0, mu: float = 1.0,
                  hbar: float = 1.0) -> float:
     """<E> = N hbar^2 beta^2/(2 mu) - 5 kappa N(N-1) beta/16.
@@ -75,13 +91,14 @@ def boson_energy(beta: float, N: int, kappa: float = 1.0, mu: float = 1.0,
     return N * hbar**2 * beta**2 / (2.0 * mu) - 5.0 * kappa * N * (N - 1) * beta / 16.0
 
 
+@_fails_closed
 def boson_solve(N: int, kappa: float = 1.0, mu: float = 1.0,
                 hbar: float = 1.0) -> BosonSolution:
     """Variational optimum for N >= 2 self-gravitating bosons."""
     if N < 2:
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
-    if kappa <= 0.0 or mu <= 0.0 or hbar <= 0.0:
-        raise ValueError("kappa, mu, hbar must all be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (kappa, mu, hbar)):
+        raise ValueError("kappa, mu, hbar must all be positive and finite")
     beta_star = 5.0 * kappa * mu * (N - 1) / (16.0 * hbar**2)
     g = 16.0 * hbar**2 / (5.0 * kappa * mu)
     chi = g * g / (N * float(N - 1) ** 2)
@@ -107,6 +124,7 @@ def fermion_tf_energy(gamma: float, N: int, q: int = 2, kappa: float = 1.0,
     return a_kin * N ** (5.0 / 3.0) * gamma**2 - 5.0 / 32.0 * kappa * N**2 * gamma
 
 
+@_fails_closed
 def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
                   e_coeff: float = 5.0, hbar: float = 1.0) -> FermionSolution:
     """Thomas-Fermi optimum: gamma* = f kappa mu N^{1/3}/hbar^2.
@@ -119,8 +137,8 @@ def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
     if q < 1:
         raise ValueError(f"occupation must be >= 1, got {q}")
-    if kappa <= 0.0 or mu <= 0.0 or e_coeff <= 0.0 or hbar <= 0.0:
-        raise ValueError("kappa, mu, e_coeff, hbar must all be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (kappa, mu, e_coeff, hbar)):
+        raise ValueError("kappa, mu, e_coeff, hbar must all be positive and finite")
     f = 5.0 * q ** (2.0 / 3.0) / (64.0 * e_coeff * C_KIN)
     gamma_star = f * kappa * mu * N ** (1.0 / 3.0) / hbar**2
     chi = 4.0 / (gamma_star**2 * N)

@@ -50,7 +50,8 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 #: configs that were once accepted, or escaped as a raw traceback
 FAIL_OPEN_CONFIGS = ({"shell_cutoff_factor": math.inf}, {"relaxed_bulk": "no"},
-                     {"max_iter": 2.5}, {"b": math.nan})
+                     {"max_iter": 2.5}, {"b": math.nan}, {"m": 800, "n": 900},
+                     {"lambda_init": 1e300})
 
 
 def test_config_rejects_bad_values(tmp_path):
@@ -79,10 +80,11 @@ def test_config_ints_widen_to_float_fields(tmp_path):
 def test_fail_open_config_exits_1_with_no_output(tmp_path, capsys, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bad))
-    assert run_cli("--config", str(cfg), "optimize") == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("input error:")
+    for command in (("optimize",), ("sweep", "--param", "d", "--range", "1:2:2")):
+        assert run_cli("--config", str(cfg), *command) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error:")
 
 
 def _has_annotated_types(cfg):
@@ -178,6 +180,8 @@ def test_successful_observables_exits_0(tmp_path, capsys):
     ("selfgrav", "--kind", "boson", "--kappa", "nan", "--N-list", "2,3"),
     ("sweep", "--param", "lambda", "--range", "1:inf:3"),
     ("selfgrav", "--kind", "fermion", "--kappa", "-1"),
+    ("sweep", "--param", "lambda", "--range", "1:1e300:3"),
+    ("sweep", "--param", "d", "--range", "0.2:2:3"),
 ])
 def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys):
     # no NaN/Infinity reaches stdout and no ValueError escapes as a traceback
@@ -350,3 +354,63 @@ def test_optimize_payload_fields(tmp_path):
         "d_angstrom": 3.992, "u_cal_per_mole": -2666.0,
         "bulk_modulus_kbar": 34.3}
     assert payload["same_site_W_over_potential"] > 1e6
+
+
+# ----------------------------------------------------------------------
+# whole-CLI fuzz
+# ----------------------------------------------------------------------
+
+#: edge values: zero, negative, huge finite, non-finite, and wrong types
+_EDGE_JSON = st.sampled_from([0, -1, -2.5, 1e300, -1e300, math.nan, math.inf,
+                              -math.inf, "x", None, True, [1]])
+_EDGE_ARG = (st.sampled_from(["0", "-1", "-2.5", "1e300", "nan", "inf", "-inf",
+                              "x", ""])
+             | st.sampled_from(["1", "2", "3", "91.33", "1e6"]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _argv_strategy():
+    sweep_range = st.tuples(_EDGE_ARG | st.sampled_from(["1", "2.6", "14.0"]),
+                            _EDGE_ARG | st.sampled_from(["1.2", "2.8", "15.4"]),
+                            st.integers(-1, 5)).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}")
+    optimize = st.just(["optimize"])
+    sweep = st.tuples(st.sampled_from(["lambda", "d", "x"]), sweep_range).map(
+        lambda t: ["sweep", "--param", t[0], "--range", t[1]])
+    observables = st.tuples(_EDGE_ARG, _EDGE_ARG,
+                            st.none() | _EDGE_ARG,
+                            st.none() | st.lists(_EDGE_ARG, min_size=3, max_size=3)).map(
+        lambda t: (["observables", "--lambda", t[0], "--N", t[1]]
+                   + ([] if t[2] is None else ["--time", t[2]])
+                   + ([] if t[3] is None else ["--boost", ",".join(t[3])])))
+    selfgrav = st.tuples(st.sampled_from(["boson", "fermion"]),
+                         st.lists(_EDGE_ARG, min_size=1, max_size=3),
+                         _EDGE_ARG, _EDGE_ARG, _EDGE_ARG, _EDGE_ARG).map(
+        lambda t: ["selfgrav", "--kind", t[0], "--N-list", ",".join(t[1]),
+                   "--kappa", t[2], "--mu", t[3], "--q", t[4], "--e-coeff", t[5]])
+    return optimize | sweep | observables | selfgrav
+
+
+@given(argv=_argv_strategy(),
+       raw=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _EDGE_JSON, max_size=2))
+@example(argv=["optimize"], raw={"m": 800, "n": 900})
+@example(argv=["sweep", "--param", "d", "--range", "1:2:2"], raw={"m": 800, "n": 900})
+@example(argv=["optimize"], raw={"lambda_init": 1e300})
+@example(argv=["sweep", "--param", "d", "--range", "1:2:2"], raw={"lambda_init": 1e300})
+@example(argv=["sweep", "--param", "lambda", "--range", "1:1e300:3"], raw={})
+@example(argv=["sweep", "--param", "lambda", "--range", "14.0:15.4:5"], raw={})
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_main_fuzz(tmp_path, capsys, argv, raw):
+    # whatever the argv and config: a documented exit code, no exception,
+    # and stdout either empty or strict JSON
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = main(["--config", str(cfg), *argv])
+    out, _ = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if out:
+        json.loads(out, parse_constant=_reject_constant)

@@ -49,11 +49,6 @@ def test_kinetic_against_gradient_quadrature(krypton_units):
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_kinetic_rejects_finite_cutoff(krypton_units):
-    with pytest.raises(ValueError):
-        kinetic_per_particle(OrbitalParams(5.0, cutoff_a=1.0), krypton_units)
-
-
 def test_breakdown_is_consistent(potential, krypton_units):
     p = OrbitalParams(LAM_KR)
     shells = shells_at(D_KR)

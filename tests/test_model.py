@@ -41,19 +41,18 @@ UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances()
 # ----------------------------------------------------------------------
 
 def test_norm_constant_closed_values():
-    assert orbital_norm_constant(OrbitalParams(2.0)) == pytest.approx(
-        1.0 / math.pi, rel=1e-14)
-    assert orbital_norm_constant(OrbitalParams(1.0)) == pytest.approx(
+    assert orbital_norm_constant(2.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert orbital_norm_constant(1.0) == pytest.approx(
         1.0 / (8.0 * math.pi), rel=1e-14)
     # finite cutoff converges to the infinite-cutoff value
-    assert orbital_norm_constant(OrbitalParams(1.0, cutoff_a=200.0)) == \
+    assert orbital_norm_constant(1.0, cutoff_a=200.0) == \
         pytest.approx(1.0 / (8.0 * math.pi), rel=1e-13)
 
 
 @pytest.mark.parametrize("lam,a", [(1.0, 2.0), (5.0, 0.7), (91.33, 0.1),
                                    (3.0, math.inf)])
 def test_norm_constant_against_quadrature(lam, a):
-    d2 = orbital_norm_constant(OrbitalParams(lam, cutoff_a=a))
+    d2 = orbital_norm_constant(lam, cutoff_a=a)
     hi = min(a, 300.0 / lam)
     val, _ = integrate.quad(lambda r: d2 * math.exp(-lam * r) * 4 * math.pi * r * r,
                             0.0, hi, epsrel=1e-12)
@@ -83,16 +82,11 @@ def test_density_fourier_bounded_and_decreasing(lam, k):
     assert density_fourier(p, k + 1.0) < val
 
 
-def test_density_fourier_rejects_finite_cutoff():
-    with pytest.raises(ValueError):
-        density_fourier(OrbitalParams(5.0, cutoff_a=1.0), 1.0)
-
-
 def test_orbital_params_validation():
     with pytest.raises(ValueError):
         OrbitalParams(0.0)
     with pytest.raises(ValueError):
-        OrbitalParams(5.0, cutoff_a=-1.0)
+        orbital_norm_constant(5.0, cutoff_a=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +141,10 @@ def test_two_yukawa_params_validation():
         TwoYukawaParams(m=5.0, n=2.0)  # needs n > m
     with pytest.raises(ValueError):
         TwoYukawaParams(b=-1.0)
+    for m, n in ((800.0, 900.0), (2.69, 710.0)):  # e^n overflows a double
+        with pytest.raises(ValueError, match="e\\^n"):
+            TwoYukawaParams(m=m, n=n)
+    assert TwoYukawaParams(m=700.0, n=709.0).n == 709.0
     for field in ("b", "m", "n", "epsilon", "sigma"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -280,9 +278,7 @@ def test_pair_energy_small_lambda_far_separation_does_not_overflow(lam, s):
         assert cf == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
-def test_pair_energy_rejects_finite_cutoff_and_negative_s():
-    with pytest.raises(ValueError):
-        pair_energy(OrbitalParams(5.0, cutoff_a=1.0), POT, 1.0)
+def test_pair_energy_rejects_negative_s():
     with pytest.raises(ValueError):
         pair_energy(OrbitalParams(5.0), POT, -0.1)
 
@@ -358,6 +354,43 @@ def test_pair_energy_array_inside_window_matches_reference(lam):
         ref = pair_energy_realspace_reference(p, POT, x)
         assert value == pytest.approx(ref, rel=1e-9)
         assert value == pair_energy(p, POT, x)
+
+
+#: in-window pair energies (lam, s, float.hex) of the former per-separation
+#: mpmath kernel: exact coincidence with both exponents, a 1e-12 gap, s = 0,
+#: and lam on either side of each exponent
+WINDOW_VALUES = [
+    (2.69, 1.1, "0x1.324bd632e7bb4p+13"),
+    (14.7, 1.1, "0x1.a967afc19c03dp+6"),
+    (2.6900000000026902, 1.1, "0x1.324bd632e97b1p+13"),
+    (14.6999999999853, 1.1, "0x1.a967afc1ab9cap+6"),
+    (2.69, 0.0, "0x1.a2881d944f4fep+14"),
+    (14.7, 0.0, "0x1.57e8a815a493ap+21"),
+    (2.6900000000026902, 0.0, "0x1.a2881d94549a5p+14"),
+    (2.7707, 1.5556349186104048, "0x1.24242f9a77b63p+12"),
+    (14.258999999999999, 0.5, "0x1.a2a8ea4f6dc84p+16"),
+    (2.5824, 3.0, "0x1.33255f433558bp+8"),
+    (15.288, 2.0, "-0x1.3d7664ebe58bcp-4"),
+]
+
+
+@pytest.mark.parametrize("lam,s,want", WINDOW_VALUES)
+def test_pair_energy_window_values_are_recorded_bitwise(lam, s, want):
+    assert _in_window(lam)
+    assert pair_energy(OrbitalParams(lam), POT, s).hex() == want
+    assert pair_energy(OrbitalParams(lam), POT, np.array([s]))[0].hex() == want
+
+
+def test_pair_energy_window_shell_array_is_recorded_bitwise():
+    # the 133 shells at d = 1.1 with lam 1% above n, one object-array call
+    lam = 14.70 * 1.01
+    got = pair_energy(OrbitalParams(lam), POT, UNIT_SHELLS * 1.1)
+    assert got.shape == (133,)
+    assert math.fsum(got.tolist()).hex() == "0x1.85c40fd284e2fp+6"
+    assert got[0].hex() == "0x1.86a626211eaabp+6"
+    assert got[-1].hex() == "-0x1.1a8f897ad5146p-50"
+    assert got.tolist() == [pair_energy(OrbitalParams(lam), POT, x)
+                            for x in (UNIT_SHELLS * 1.1).tolist()]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])

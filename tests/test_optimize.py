@@ -178,7 +178,9 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
 
 @pytest.mark.parametrize("field, value", [
     ("lambda_init", math.nan), ("lambda_init", -1.0), ("d_init", math.inf),
-    ("d_init", 0.0), ("shell_cutoff_factor", math.inf),
+    ("d_init", 0.0), ("lambda_init", 1e300), ("lambda_init", 1e6),
+    ("lambda_init", 1e-2), ("d_init", 0.3), ("d_init", 20.0),
+    ("shell_cutoff_factor", math.inf),
     ("shell_cutoff_factor", MAX_SHELL_CUTOFF_FACTOR * 1.01),
     ("fd_step_rel", 0.0), ("fd_step_rel", math.nan), ("param_tol", 0.0),
     ("param_tol", 1.0), ("energy_tol", math.nan), ("energy_tol", -1e-13),
