@@ -65,7 +65,7 @@ class RunConfig:
     (`TwoYukawaParams`, `units.KRYPTON_*`, `OptimizeOptions`), and those
     objects validate their fields.  Every field must match its annotation:
     a float field takes a finite int or float (stored as float, never a
-    bool), an int field an int, a bool field a bool.
+    bool), an int field an int.
     """
 
     b: float = TwoYukawaParams.b
@@ -76,12 +76,9 @@ class RunConfig:
     mass_u: float = KRYPTON_MASS_U
     lambda_init: float = OptimizeOptions.lambda_init
     d_init: float = OptimizeOptions.d_init
-    param_tol: float = OptimizeOptions.param_tol
     max_iter: int = OptimizeOptions.max_iter
     shell_cutoff_factor: float = OptimizeOptions.shell_cutoff_factor
     quad_rtol: float = 1e-10
-    relaxed_bulk: bool = OptimizeOptions.relaxed_bulk
-    fd_step_rel: float = OptimizeOptions.fd_step_rel
     n_list: tuple[int, ...] = (100, 10_000, 1_000_000)
     seed: int = 20260815
     mc_samples: int = 200_000
@@ -137,7 +134,7 @@ class RunConfig:
 
 
 _KINDS = {"float": "a finite number", "int": "an integer",
-          "bool": "true or false", "tuple[int, ...]": "a list of integers"}
+          "tuple[int, ...]": "a list of integers"}
 
 
 def _is_int(value: Any) -> bool:
@@ -156,8 +153,6 @@ def _typed(name: str, annotation: str, value: Any) -> Any:
         if math.isfinite(value):
             return value
     elif annotation == "int" and _is_int(value):
-        return value
-    elif annotation == "bool" and isinstance(value, bool):
         return value
     elif annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
             and all(_is_int(x) for x in value):

@@ -47,8 +47,13 @@ def com_statistics(lam: float, N: float) -> ComStatistics:
         raise ValueError(f"lam must be positive and finite, got {lam}")
     if not (math.isfinite(N) and N >= 1):
         raise ValueError(f"particle count must be finite and >= 1, got {N}")
-    chi = 4.0 / (lam * lam * N)
-    omega = lam * lam * N / 12.0
+    lam2_n = lam * lam * N
+    chi = 4.0 / lam2_n if lam2_n > 0.0 else math.inf
+    if not (math.isfinite(lam2_n) and math.isfinite(chi)):
+        raise ValueError(f"lam={lam!r} and N={N!r} give lam^2 N = {lam2_n!r}, "
+                         "outside the range where lam^2 N and 4/(lam^2 N) "
+                         "are positive finite doubles")
+    omega = lam2_n / 12.0
     return ComStatistics(chi=chi, omega=omega,
                          product=math.sqrt(chi * omega), N=N)
 
@@ -90,6 +95,9 @@ def galilean_boost(stats: ComStatistics, v, units: UnitSystem) -> ComStatistics:
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
     mean_p = stats.N * v / math.sqrt(units.coupling)
+    if not np.all(np.isfinite(mean_p)):
+        raise ValueError(f"velocity {v.tolist()} at N={stats.N!r} gives a "
+                         "non-finite mean momentum")
     return replace(stats, mean_P=tuple(float(x) for x in mean_p))
 
 
@@ -102,7 +110,10 @@ def free_spread(stats: ComStatistics, t: float, units: UnitSystem) -> float:
     """
     if t < 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
-    return stats.chi + units.coupling * stats.omega * t * t / (stats.N * stats.N)
+    spread = stats.chi + units.coupling * stats.omega * t * t / (stats.N * stats.N)
+    if not math.isfinite(spread):
+        raise ValueError(f"time {t!r} at N={stats.N!r} gives a non-finite spread")
+    return spread
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Minimize the solid's energy over (lam, d); cohesive energy and bulk modulus.
 
 The landscape is smooth with a single physical basin, but lam ~ 91 and
-d ~ 1.1 live on very different scales, so the simplex runs over (ln lam, d).
-The bulk modulus is the curvature of the *relaxed* energy-volume curve
-(lam re-optimized at every compressed/stretched spacing), B = v d^2u/dv^2
-with v = d^3/sqrt(2) per particle on FCC.
+d ~ 1.1 live on very different scales, so the simplex runs over (ln lam, d)
+to the fixed tolerances PARAM_TOL and ENERGY_TOL.  An optimum on the edge of
+SEARCH_BOX is rejected, not returned.  The bulk modulus is the curvature of
+the *relaxed* energy-volume curve (lam re-optimized at every
+compressed/stretched spacing), B = v d^2u/dv^2 with v = d^3/sqrt(2) per
+particle on FCC, from 5-point stencils with steps FD_STEP_REL and half that.
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ MAX_SHELL_CUTOFF_FACTOR = 40.0
 #: it is +inf outside them, and a start or a sweep must lie inside
 SEARCH_BOX = {"lambda": (1e-2, 1e6), "d": (0.3, 20.0)}
 
+#: an optimum this close (relative) to a SEARCH_BOX edge is a wall, not a minimum
+BOX_EDGE_REL = 1e-4
+
+#: Nelder-Mead stopping tolerances: absolute on (ln lam, d), so ~1e-7
+#: relative on both, and absolute on the energy
+PARAM_TOL = 1e-7
+ENERGY_TOL = 1e-13
+
+#: bulk-modulus stencil step, relative to d*
+FD_STEP_REL = 1e-2
+
 
 def in_search_box(name: str, *values: float) -> bool:
     """True iff every value lies inside SEARCH_BOX[name] ("lambda" or "d")."""
@@ -48,33 +61,27 @@ def in_search_box(name: str, *values: float) -> bool:
     return all(lo < value < hi for value in values)
 
 
+def _on_box_edge(name: str, value: float) -> bool:
+    lo, hi = SEARCH_BOX[name]
+    return value <= lo * (1.0 + BOX_EDGE_REL) or value >= hi * (1.0 - BOX_EDGE_REL)
+
+
 @dataclass(frozen=True)
 class OptimizeOptions:
     lambda_init: float = 50.0
     d_init: float = 1.1
-    param_tol: float = 1e-7  # absolute on (ln lam, d); ~1e-7 relative on both
-    energy_tol: float = 1e-13
     max_iter: int = 600
     shell_cutoff_factor: float = 12.0  # shells out to this multiple of d
-    relaxed_bulk: bool = True  # re-optimize lam along the compression curve
-    fd_step_rel: float = 1e-2  # finite-difference step, relative to d*
 
     def __post_init__(self) -> None:
         for name, box in (("lambda_init", "lambda"), ("d_init", "d")):
             if not in_search_box(box, value := getattr(self, name)):
                 raise ValueError(f"{name} must lie in {SEARCH_BOX[box]}, got {value!r}")
-        for name in ("shell_cutoff_factor", "fd_step_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("param_tol", "energy_tol"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
+        if not 0.0 < self.shell_cutoff_factor <= MAX_SHELL_CUTOFF_FACTOR:
+            raise ValueError(f"shell_cutoff_factor must lie in (0, {MAX_SHELL_CUTOFF_FACTOR:g}], "
+                             f"got {self.shell_cutoff_factor!r}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.shell_cutoff_factor > MAX_SHELL_CUTOFF_FACTOR:
-            raise ValueError(f"shell_cutoff_factor must be <= "
-                             f"{MAX_SHELL_CUTOFF_FACTOR:g}, got {self.shell_cutoff_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,6 @@ class BulkModulusResult:
     value_kbar: float
     richardson_rel_diff: float  # |B(h) - B(h/2)| / |B(h/2)|
     reduced_confidence: bool  # True if the two step sizes disagree > 1%
-    h_rel: float
-    relaxed: bool
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,8 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
     """Nelder-Mead over (ln lam, d) from the configured starting point.
 
     Deterministic: fixed start, no restarts.  Raises ConvergenceError if the
-    simplex stalls or the converged point is not a bound solid.
+    simplex stalls, stops on a SEARCH_BOX edge, or the converged point is
+    not a bound solid.
     """
     unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
@@ -131,13 +137,18 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
     res = minimize(lambda x: u_of(math.exp(x[0]), x[1]),
                    x0=[math.log(opts.lambda_init), opts.d_init],
                    method="Nelder-Mead",
-                   options={"xatol": opts.param_tol, "fatol": opts.energy_tol,
+                   options={"xatol": PARAM_TOL, "fatol": ENERGY_TOL,
                             "maxiter": opts.max_iter, "maxfev": 4 * opts.max_iter})
     lam_star, d_star = math.exp(res.x[0]), float(res.x[1])
     u_min = float(res.fun)
     if not res.success:
         raise ConvergenceError(f"simplex did not converge: {res.message}",
                                best_lambda=lam_star, best_d=d_star, best_u=u_min)
+    if _on_box_edge("lambda", lam_star) or _on_box_edge("d", d_star):
+        raise ConvergenceError(
+            f"the minimum lies on the edge of the search box {SEARCH_BOX}: "
+            f"lam={lam_star:.6g}, d={d_star:.6g}",
+            best_lambda=lam_star, best_d=d_star, best_u=u_min)
     if not (u_min < 0.0 and d_star > 0.5):
         raise ConvergenceError(
             f"converged to an unbound or collapsed point: lam={lam_star:.6g}, "
@@ -177,15 +188,6 @@ def relaxed_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
     return u_relaxed
 
 
-def frozen_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
-                        units: UnitSystem,
-                        opts: OptimizeOptions = OptimizeOptions()) -> Callable[[float], float]:
-    """u(d) at fixed lam = lam* (config switch for comparison runs)."""
-    unit_shells = _unit_shells(opts.shell_cutoff_factor)
-    u_of = _objective(pot, units, unit_shells)
-    return lambda d: u_of(sol.lambda_star, d)
-
-
 def _curvature_wrt_volume(u_of_d: Callable[[float], float], d0: float,
                           h_rel: float) -> float:
     """d^2u/dv^2 at d0 via 5-point stencils in d and the chain rule.
@@ -203,37 +205,23 @@ def _curvature_wrt_volume(u_of_d: Callable[[float], float], d0: float,
 
 
 def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams, units: UnitSystem,
-                 opts: OptimizeOptions = OptimizeOptions(),
-                 energy_fn: Callable[[float], float] | None = None) -> BulkModulusResult:
-    """B = v d^2u/dv^2 at the optimum, Richardson-checked with half the step.
-
-    `energy_fn` overrides the energy-volume curve (used by tests to inject
-    analytic curves); by default the relaxed or frozen curve per options.
-    """
-    injected = energy_fn is not None
-    if energy_fn is None:
-        h = opts.fd_step_rel
-        if not in_search_box("d", sol.d_star * (1.0 - 2.0 * h), sol.d_star * (1.0 + 2.0 * h)):
-            raise ValueError(f"fd_step_rel={h!r}: the stencil d*(1 +- 2h) leaves the d box")
-        curve = relaxed_energy_curve if opts.relaxed_bulk else frozen_energy_curve
-        energy_fn = curve(sol, pot, units, opts)
-    cache: dict[float, float] = {}
-
-    def u_cached(d: float) -> float:
-        if d not in cache:
-            cache[d] = energy_fn(d)
-        return cache[d]
-
+                 opts: OptimizeOptions = OptimizeOptions()) -> BulkModulusResult:
+    """B = v d^2u/dv^2 at the optimum on the relaxed curve, Richardson-checked
+    with half the step."""
+    if not in_search_box("d", sol.d_star * (1.0 - 2.0 * FD_STEP_REL),
+                         sol.d_star * (1.0 + 2.0 * FD_STEP_REL)):
+        raise ValueError(f"d*={sol.d_star!r}: the bulk stencil "
+                         f"d*(1 +- {2.0 * FD_STEP_REL:g}) leaves the d box")
+    # the two stencils share d* and d*(1 +- h)
+    u_cached = functools.lru_cache(maxsize=None)(relaxed_energy_curve(sol, pot, units, opts))
     v0 = sol.d_star**3 / math.sqrt(2.0)
-    b_h = v0 * _curvature_wrt_volume(u_cached, sol.d_star, opts.fd_step_rel)
-    b_h2 = v0 * _curvature_wrt_volume(u_cached, sol.d_star, opts.fd_step_rel / 2.0)
+    b_h = v0 * _curvature_wrt_volume(u_cached, sol.d_star, FD_STEP_REL)
+    b_h2 = v0 * _curvature_wrt_volume(u_cached, sol.d_star, FD_STEP_REL / 2.0)
     rel = abs(b_h - b_h2) / abs(b_h2) if b_h2 != 0.0 else math.inf
     return BulkModulusResult(value=b_h2,
                              value_kbar=units.pressure_to_kbar(b_h2),
                              richardson_rel_diff=rel,
-                             reduced_confidence=rel > 0.01,
-                             h_rel=opts.fd_step_rel,
-                             relaxed=opts.relaxed_bulk and not injected)
+                             reduced_confidence=rel > 0.01)
 
 
 def solve_solid(pot: TwoYukawaParams, units: UnitSystem,
@@ -245,14 +233,12 @@ def solve_solid(pot: TwoYukawaParams, units: UnitSystem,
 
 def minimum_certificate(sol: SolidSolution, pot: TwoYukawaParams,
                         units: UnitSystem,
-                        opts: OptimizeOptions = OptimizeOptions(),
-                        perturbation: float = 0.01) -> bool:
-    """True iff +-perturbation moves in lam* and d* never lower the energy."""
+                        opts: OptimizeOptions = OptimizeOptions()) -> bool:
+    """True iff +-1% moves in lam* and d* never lower the energy."""
     unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
     u0 = u_of(sol.lambda_star, sol.d_star)
-    for flam, fd in ((1 + perturbation, 1.0), (1 - perturbation, 1.0),
-                     (1.0, 1 + perturbation), (1.0, 1 - perturbation)):
+    for flam, fd in ((1.01, 1.0), (0.99, 1.0), (1.0, 1.01), (1.0, 0.99)):
         if u_of(sol.lambda_star * flam, sol.d_star * fd) < u0:
             return False
     return True

@@ -31,28 +31,23 @@ KRYPTON_MASS_U = 83.798  # standard atomic weight
 class UnitSystem:
     """Length/energy/mass scales plus the derived kinetic coupling.
 
-    ``coupling`` is computed in ``__post_init__`` from the other fields and
-    must never be supplied by hand.
+    The SI constants are the module's own; ``coupling`` is computed in
+    ``__post_init__`` from the three scales and cannot be supplied by hand.
     """
 
     sigma_m: float
     epsilon_K: float
     mass_u: float
-    hbar_SI: float = HBAR_SI
-    kB_SI: float = KB_SI
-    amu_SI: float = AMU_SI
-    avogadro: float = AVOGADRO
     coupling: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("sigma_m", "epsilon_K", "mass_u", "hbar_SI", "kB_SI",
-                     "amu_SI", "avogadro"):
+        for name in ("sigma_m", "epsilon_K", "mass_u"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         try:
-            coupling = self.hbar_SI**2 / (
-                self.mass_u * self.amu_SI * self.sigma_m**2 * self.epsilon_J)
+            coupling = HBAR_SI**2 / (
+                self.mass_u * AMU_SI * self.sigma_m**2 * self.epsilon_J)
         except (OverflowError, ZeroDivisionError):
             coupling = math.nan
         if not (math.isfinite(coupling) and coupling > 0.0):
@@ -64,11 +59,11 @@ class UnitSystem:
     @property
     def epsilon_J(self) -> float:
         """Well depth in joules."""
-        return self.kB_SI * self.epsilon_K
+        return KB_SI * self.epsilon_K
 
     @property
     def mass_kg(self) -> float:
-        return self.mass_u * self.amu_SI
+        return self.mass_u * AMU_SI
 
     @property
     def sigma_angstrom(self) -> float:
@@ -76,10 +71,10 @@ class UnitSystem:
 
     def energy_to_cal_per_mole(self, u: float) -> float:
         """Per-particle energy in epsilon units -> cal/mole."""
-        return u * self.epsilon_J * self.avogadro / CAL_TO_J
+        return u * self.epsilon_J * AVOGADRO / CAL_TO_J
 
     def cal_per_mole_to_energy(self, u_cal: float) -> float:
-        return u_cal * CAL_TO_J / (self.epsilon_J * self.avogadro)
+        return u_cal * CAL_TO_J / (self.epsilon_J * AVOGADRO)
 
     def pressure_to_kbar(self, p: float) -> float:
         """Pressure in epsilon/sigma^3 units -> kbar (1 kbar = 1e8 Pa)."""

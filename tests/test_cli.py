@@ -55,10 +55,9 @@ FAIL_OPEN_CONFIGS = ({"shell_cutoff_factor": math.inf}, {"relaxed_bulk": "no"},
 
 
 def test_config_rejects_bad_values(tmp_path):
-    for field, value in (("b", -1.0), ("param_tol", 2.0), ("quad_rtol", 0.0),
+    for field, value in (("b", -1.0), ("quad_rtol", 0.0),
                          ("mc_samples", 10), ("shell_cutoff_factor", math.inf),
-                         ("shell_cutoff_factor", 41.0), ("relaxed_bulk", "no"),
-                         ("relaxed_bulk", 1), ("max_iter", 2.5),
+                         ("shell_cutoff_factor", 41.0), ("max_iter", 2.5),
                          ("max_iter", True), ("b", math.nan), ("m", "2.69"),
                          ("seed", None), ("n_list", [2.5]), ("n_list", 100),
                          ("sigma_angstrom", 1e308), ("lambda_init", 10**400)):
@@ -66,6 +65,21 @@ def test_config_rejects_bad_values(tmp_path):
         p.write_text(json.dumps({field: value}))
         with pytest.raises(CliInputError):
             RunConfig.from_file(str(p))
+
+
+@pytest.mark.parametrize("key, value", [("relaxed_bulk", True),
+                                        ("fd_step_rel", 0.01),
+                                        ("param_tol", 1e-7)])
+def test_removed_config_keys_exit_1(tmp_path, capsys, key, value):
+    # the solver tolerances and the stencil step are constants now, and the
+    # bulk modulus is always the relaxed one: even the old defaults are refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli("--config", str(cfg), "optimize") == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: unknown config keys")
+    assert key in err
 
 
 def test_config_ints_widen_to_float_fields(tmp_path):
@@ -94,8 +108,6 @@ def _has_annotated_types(cfg):
             ok = type(value) is float and math.isfinite(value)
         elif f.type == "int":
             ok = type(value) is int
-        elif f.type == "bool":
-            ok = type(value) is bool
         else:
             ok = type(value) is tuple and all(type(x) is int for x in value)
         if not ok:
@@ -182,6 +194,15 @@ def test_successful_observables_exits_0(tmp_path, capsys):
     ("selfgrav", "--kind", "fermion", "--kappa", "-1"),
     ("sweep", "--param", "lambda", "--range", "1:1e300:3"),
     ("sweep", "--param", "d", "--range", "0.2:2:3"),
+    # lam^2 N underflows to 0 (once a ZeroDivisionError traceback) or
+    # overflows to infinity (once caught only by the JSON writer)
+    ("observables", "--lambda", "1e-200", "--N", "3"),
+    ("observables", "--lambda", "1e300", "--N", "3"),
+    # a boost or a time whose result is not finite
+    ("observables", "--lambda", "1e6", "--N", "3", "--boost", "nan,1,1"),
+    ("observables", "--lambda", "1", "--N", "1e300", "--boost", "1e300,0,0"),
+    ("observables", "--lambda", "1", "--N", "1e300", "--time", "1e300"),
+    ("observables", "--lambda", "1", "--N", "3", "--time", "inf"),
 ])
 def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys):
     # no NaN/Infinity reaches stdout and no ValueError escapes as a traceback
@@ -196,6 +217,18 @@ def test_unbound_system_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"mass_u": 8.3798e-11, "max_iter": 150}))
     assert run_cli("--config", str(cfg), "optimize") == EXIT_CONVERGENCE
     assert "convergence failure" in capsys.readouterr().err
+
+
+def test_minimum_on_the_box_edge_exits_2(tmp_path, capsys):
+    # b = 1e300 drives lam* to the 1e6 wall; it was once reported as the
+    # optimum, and its energy overflowed in the unit conversions
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 1e300}))
+    assert run_cli("--config", str(cfg), "optimize") == EXIT_CONVERGENCE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("convergence failure: the minimum lies on the edge "
+                          "of the search box")
 
 
 def test_small_lambda_config_fails_closed(tmp_path, capsys):
@@ -291,6 +324,19 @@ def test_superposition_command(tmp_path):
                                                           rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", ["1e-200", "1e300"])
+def test_superposition_rejects_lambda_out_of_range(tmp_path, capsys, lam):
+    # shares com_statistics with `observables`, so lam^2 N fails closed here too
+    branches = tmp_path / "branches.json"
+    branches.write_text(json.dumps({"displacements": [[0.0, 0.0, 0.0]],
+                                    "weights": [1.0], "cutoff_a": 1.0}))
+    assert run_cli("superposition", "--branches", str(branches),
+                   "--lambda", lam, "--N", "3") == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: lam=")
+
+
 def test_superposition_rejects_overlapping_branches(tmp_path):
     branches = tmp_path / "branches.json"
     branches.write_text(json.dumps({
@@ -339,12 +385,10 @@ def test_verify_csv_has_the_documented_columns(verify_run):
 
 
 def test_optimize_payload_fields(tmp_path):
-    # uses a loosened tolerance so the CLI-level run stays fast; numerical
-    # quality of the optimum itself is covered in test_optimize/test_acceptance
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"param_tol": 1e-5}))
+    # the numerical quality of the optimum itself is covered in
+    # test_optimize and test_acceptance
     out = tmp_path / "opt.json"
-    code = run_cli("--config", str(cfg), "--output", str(out), "optimize")
+    code = run_cli("--output", str(out), "optimize")
     assert code == EXIT_OK
     payload = read_json(out)
     assert payload["d_star_angstrom"] == pytest.approx(3.953, rel=0.005)
@@ -360,11 +404,11 @@ def test_optimize_payload_fields(tmp_path):
 # whole-CLI fuzz
 # ----------------------------------------------------------------------
 
-#: edge values: zero, negative, huge finite, non-finite, and wrong types
-_EDGE_JSON = st.sampled_from([0, -1, -2.5, 1e300, -1e300, math.nan, math.inf,
-                              -math.inf, "x", None, True, [1]])
-_EDGE_ARG = (st.sampled_from(["0", "-1", "-2.5", "1e300", "nan", "inf", "-inf",
-                              "x", ""])
+#: edge values: zero, tiny, negative, huge finite, non-finite, and wrong types
+_EDGE_JSON = st.sampled_from([0, 1e-300, -1, -2.5, 1e300, -1e300, math.nan,
+                              math.inf, -math.inf, "x", None, True, [1]])
+_EDGE_ARG = (st.sampled_from(["0", "1e-300", "-1", "-2.5", "1e300", "nan",
+                              "inf", "-inf", "x", ""])
              | st.sampled_from(["1", "2", "3", "91.33", "1e6"]))
 
 
@@ -401,6 +445,8 @@ def _argv_strategy():
 @example(argv=["sweep", "--param", "d", "--range", "1:2:2"], raw={"lambda_init": 1e300})
 @example(argv=["sweep", "--param", "lambda", "--range", "1:1e300:3"], raw={})
 @example(argv=["sweep", "--param", "lambda", "--range", "14.0:15.4:5"], raw={})
+@example(argv=["observables", "--lambda", "1e-200", "--N", "3"], raw={})
+@example(argv=["optimize"], raw={"b": 1e300})
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_main_fuzz(tmp_path, capsys, argv, raw):

@@ -59,6 +59,11 @@ def test_com_statistics_rejects_bad_input():
     for lam, n in ((math.nan, 10), (math.inf, 10), (5.0, math.inf), (5.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             com_statistics(lam, n)
+    # finite inputs whose lam^2 N underflows to 0 (once a ZeroDivisionError)
+    # or overflows (once an infinite omega and a NaN product)
+    for lam, n in ((1e-200, 3), (1e300, 3), (1e-160, 1.0)):
+        with pytest.raises(ValueError, match="lam=.*N="):
+            com_statistics(lam, n)
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +157,17 @@ def test_free_spread_monotone_and_convex(t1, dt):
 def test_free_spread_rejects_negative_time(krypton_units):
     with pytest.raises(ValueError):
         free_spread(com_statistics(10.0, 10), -1.0, krypton_units)
+
+
+def test_boost_and_spread_reject_non_finite_results(krypton_units):
+    # each once returned inf or NaN, caught only by the CLI's JSON writer
+    with pytest.raises(ValueError, match="mean momentum"):
+        galilean_boost(com_statistics(1e6, 3), [math.nan, 1.0, 1.0], krypton_units)
+    with pytest.raises(ValueError, match="mean momentum"):
+        galilean_boost(com_statistics(1.0, 1e300), [1e300, 0.0, 0.0], krypton_units)
+    for t in (1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="spread"):
+            free_spread(com_statistics(1.0, 1e300), t, krypton_units)
 
 
 # ----------------------------------------------------------------------

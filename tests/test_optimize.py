@@ -1,6 +1,5 @@
 """Two-parameter minimization of the solid and the bulk modulus."""
 
-import dataclasses
 import math
 
 import pytest
@@ -9,7 +8,8 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, UnitSystem, bulk_modulus,
                       enumerate_shells, minimize_solid, minimum_certificate,
                       solve_solid)
-from varsolid.optimize import (MAX_SHELL_CUTOFF_FACTOR, frozen_energy_curve,
+from varsolid.optimize import (FD_STEP_REL, MAX_SHELL_CUTOFF_FACTOR, SEARCH_BOX,
+                               _curvature_wrt_volume, _objective, _unit_shells,
                                relaxed_energy_curve)
 
 #: the default-start optimum (lambda*, d*, U, B) in natural units
@@ -99,39 +99,44 @@ def test_bulk_modulus_matches_reference(solid, krypton_units):
     assert solid.bulk.richardson_rel_diff < 0.01
     assert not solid.bulk.reduced_confidence
     assert solid.bulk.value > 0.0
-    assert solid.bulk.relaxed
     assert solid.bulk.value_kbar == pytest.approx(
         krypton_units.pressure_to_kbar(solid.bulk.value), rel=1e-14)
 
 
-def test_bulk_modulus_quadratic_injection(solid, potential, krypton_units):
-    # u(v) = (v - v0)^2 gives B = v d2u/dv2 = 2 v0 at the stationary volume
+def _frozen_curve(solid, potential, krypton_units):
+    """u(d) at fixed lam = lam*, the curve the relaxed one must lie under."""
+    u_of = _objective(potential, krypton_units,
+                      _unit_shells(OptimizeOptions().shell_cutoff_factor))
+    return lambda d: u_of(solid.lambda_star, d)
+
+
+def test_bulk_modulus_quadratic_injection(solid):
+    # u(v) = (v - v0)^2 gives B = v d2u/dv2 = 2 v0 at the stationary volume,
+    # through the stencil and step that bulk_modulus reports
     v0 = solid.d_star**3 / SQ2
 
     def u_of_d(d):
         return (d**3 / SQ2 - v0) ** 2
 
-    res = bulk_modulus(solid, potential, krypton_units, OptimizeOptions(),
-                       energy_fn=u_of_d)
-    assert res.value == pytest.approx(2.0 * v0, rel=1e-6)
-    assert not res.relaxed  # injected curves bypass the lambda relaxation
+    b = v0 * _curvature_wrt_volume(u_of_d, solid.d_star, FD_STEP_REL / 2.0)
+    assert b == pytest.approx(2.0 * v0, rel=1e-6)
 
 
 def test_frozen_curvature_exceeds_relaxed(solid, potential, krypton_units):
     # relaxing lambda along the compression curve can only flatten it
-    opts = OptimizeOptions()
-    frozen = bulk_modulus(solid, potential, krypton_units,
-                          dataclasses.replace(opts, relaxed_bulk=False))
-    relaxed = bulk_modulus(solid, potential, krypton_units, opts)
-    assert not frozen.relaxed and relaxed.relaxed
-    assert frozen.value >= relaxed.value > 0.0
+    v0 = solid.d_star**3 / SQ2
+    frozen = v0 * _curvature_wrt_volume(
+        _frozen_curve(solid, potential, krypton_units), solid.d_star,
+        FD_STEP_REL / 2.0)
+    relaxed = bulk_modulus(solid, potential, krypton_units, OptimizeOptions())
+    assert relaxed.value == solid.bulk.value
+    assert frozen >= relaxed.value > 0.0
 
 
 def test_energy_curves_agree_at_the_optimum(solid, potential, krypton_units):
     u_rel = relaxed_energy_curve(solid, potential, krypton_units,
                                  OptimizeOptions())
-    u_frz = frozen_energy_curve(solid, potential, krypton_units,
-                                OptimizeOptions())
+    u_frz = _frozen_curve(solid, potential, krypton_units)
     assert u_rel(solid.d_star) == pytest.approx(solid.u_min, abs=1e-9)
     assert u_frz(solid.d_star) == pytest.approx(solid.u_min, abs=1e-11)
     # slightly off the optimum, the relaxed curve lies at or below the frozen
@@ -182,8 +187,6 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
     ("lambda_init", 1e-2), ("d_init", 0.3), ("d_init", 20.0),
     ("shell_cutoff_factor", math.inf),
     ("shell_cutoff_factor", MAX_SHELL_CUTOFF_FACTOR * 1.01),
-    ("fd_step_rel", 0.0), ("fd_step_rel", math.nan), ("param_tol", 0.0),
-    ("param_tol", 1.0), ("energy_tol", math.nan), ("energy_tol", -1e-13),
     ("max_iter", 0),
 ])
 def test_optimize_options_reject_bad_values(field, value):
@@ -194,3 +197,21 @@ def test_optimize_options_reject_bad_values(field, value):
 def test_optimize_options_accept_the_cutoff_ceiling():
     assert OptimizeOptions(shell_cutoff_factor=MAX_SHELL_CUTOFF_FACTOR) \
         .shell_cutoff_factor == MAX_SHELL_CUTOFF_FACTOR
+
+
+@pytest.mark.parametrize("field", ["param_tol", "energy_tol", "fd_step_rel",
+                                   "relaxed_bulk"])
+def test_optimize_options_have_no_tolerance_switches(field):
+    # the tolerances and the stencil step are module constants, and the
+    # bulk modulus always runs the relaxed curve
+    with pytest.raises(TypeError):
+        OptimizeOptions(**{field: 1.0})
+
+
+def test_minimum_on_the_search_box_edge_raises(krypton_units):
+    # with b = 1e300 the simplex walks lam to the 1e6 wall and stops there
+    # as if converged; that is not a minimum
+    with pytest.raises(ConvergenceError, match="edge of the search box") as info:
+        minimize_solid(TwoYukawaParams(b=1e300), krypton_units)
+    assert info.value.best_lambda == pytest.approx(SEARCH_BOX["lambda"][1],
+                                                   rel=1e-4)

@@ -96,3 +96,11 @@ def test_natural_hbar_is_sqrt_coupling():
     # conversion between the two is sqrt(Lambda), used by the boost code.
     u = make_krypton_units()
     assert math.sqrt(u.coupling) == pytest.approx(0.016209371747825108, rel=1e-12)
+
+
+@pytest.mark.parametrize("constant", ["hbar_SI", "kB_SI", "amu_SI", "avogadro"])
+def test_si_constants_are_not_fields(constant):
+    # the CODATA values live in varsolid.units alone; only the scales vary
+    with pytest.raises(TypeError):
+        UnitSystem(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=83.798,
+                   **{constant: 1.0})
