@@ -219,6 +219,7 @@ def _solution_payload(sol: SolidSolution, cfg: RunConfig,
             "bulk_modulus_kbar": sol.bulk.value_kbar,
             "bulk_richardson_rel_diff": sol.bulk.richardson_rel_diff,
             "bulk_reduced_confidence": sol.bulk.reduced_confidence,
+            "bulk_n_evaluations": sol.bulk.n_evaluations,
         })
     return payload
 
@@ -286,7 +287,7 @@ def _cmd_superposition(args: argparse.Namespace, cfg: RunConfig) -> int:
         spec = SuperpositionSpec(displacements=np.array(raw["displacements"]),
                                  weights=np.array(weights),
                                  cutoff_a=float(raw["cutoff_a"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise CliInputError(f"bad superposition spec: {exc}") from exc
     spread = superposition_spread(spec, args.lam, args.N)
     payload = {

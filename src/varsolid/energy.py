@@ -23,11 +23,16 @@ from .units import UnitSystem
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Kinetic, potential, and total energy per particle (epsilon)."""
+    """Kinetic, potential, and total energy per particle (epsilon).
+
+    lam_derivatives holds d total/d lam and d2 total/d lam2 up to the order
+    asked of energy_per_particle; it is empty at order 0.
+    """
 
     kinetic: float
     potential_total: float
     total: float
+    lam_derivatives: tuple[float, ...] = ()
 
 
 class SameSiteW(NamedTuple):
@@ -45,16 +50,26 @@ def kinetic_per_particle(p: OrbitalParams, units: UnitSystem) -> float:
 
 
 def energy_per_particle(p: OrbitalParams, pot: TwoYukawaParams,
-                        shells: LatticeShells, units: UnitSystem) -> EnergyBreakdown:
-    """Average energy per particle for orbital p on the given shell structure."""
+                        shells: LatticeShells, units: UnitSystem,
+                        order: int = 0) -> EnergyBreakdown:
+    """Average energy per particle for orbital p on the given shell structure.
+
+    order 1 or 2 also sums the lam-derivative rows of the same pair_energy
+    call and adds the kinetic derivatives Lambda lam/4 and Lambda/4.
+    """
     if shells.distances().size == 0:
         raise ValueError("shell list is empty")
     kinetic = kinetic_per_particle(p, units)
-    energies = pair_energy(p, pot, shells.distances())
-    potential_total = math.fsum((0.5 * shells.counts() * energies).tolist())
+    weighted = 0.5 * shells.counts() * pair_energy(p, pot, shells.distances(), order)
+    potential_total, *potential_derivatives = map(
+        math.fsum, weighted.reshape(order + 1, -1).tolist())
+    kinetic_derivatives = (units.coupling * p.lam / 4.0, units.coupling / 4.0)
     return EnergyBreakdown(kinetic=kinetic,
                            potential_total=potential_total,
-                           total=kinetic + potential_total)
+                           total=kinetic + potential_total,
+                           lam_derivatives=tuple(
+                               k + v for k, v in zip(kinetic_derivatives,
+                                                     potential_derivatives)))
 
 
 def same_site_W(p: OrbitalParams, pot: TwoYukawaParams,

@@ -51,7 +51,12 @@ x**2 calls libm pow, which differs from the correctly rounded x*x on about
 0.1% of arguments), and the exponentials are math.exp and math.expm1
 mapped over the elements, not np.exp: np.exp differs from math.exp by one
 ulp on about 5% of arguments, enough to move the solid's optimum by ~1e-7
-relative.
+relative.  Two maps are skipped, bitwise: an array whose every argument lies
+at or below a saturation floor is the constant the map would give, 0.0 for
+exp at EXP_FLOOR = -746 and -1.0 for expm1 at EXPM1_FLOOR = -40.  At the
+solid's optimum (lam ~ 91, every s >= d ~ 1.1) both expm1 maps are wholly
+saturated, two of the five maps of a call.  Likewise the masks that put
+core's s -> 0 limit at s = 0 run only when some separation is that small.
 
 One closed form in two precisions: the partial-fraction coefficients blow
 up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
@@ -62,6 +67,22 @@ through exact degeneracy; the solid's optimum (lam ~ 91) never comes near
 it.  A scalar times or plus an array keeps the array on the left (s * lam):
 an mpf on the left makes mpmath convert the whole array through its string
 form.  IEEE * and + commute, so the float results keep every bit.
+
+Derivatives in lam: pair_energy(..., order=1 or 2) returns the rows
+(value, d/dlam, d2/dlam2) of one call, and the optimizer's Newton step in
+lam uses them.  Every lam-dependent coefficient is a term lam^p D^-k with
+D = alpha^2 - lam^2, whose derivatives follow from its log-derivative
+p/lam + 2k lam/D; the arrays need only core' = e^{-lam s} (1 at s = 0),
+core'' = -s e^{-lam s} and (e^{-lam s})' = -s e^{-lam s}.  The rows are
+written once (_lam_rows) and run in both precisions, with 4 + order digits
+per decade of closeness in the mpmath window.  The value row is the order 0
+expression, bitwise in the float branch; in the window it runs at those
+extra digits, and rounds to the same double unless it lies within ~1e-30
+relative of a rounding boundary.  The derivative rows have no bitwise
+contract, and they sum the two Yukawa pieces' scalar coefficients before
+any array work, so an order 2 call costs about 1.5 value calls.  In the
+float branch their cancellation grows like gap^-(3 + order) towards the
+window, where it reaches a few 1e-9 relative for the second derivative.
 """
 
 from __future__ import annotations
@@ -170,55 +191,162 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
     return float(out) if out.ndim == 0 else out
 
 
-def _map(fn):
-    """fn (math.exp or math.expm1) over every element of a 1-D float array."""
-    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+#: arguments at or below which math.exp and math.expm1 are exactly 0.0 and
+#: -1.0: e^-746 is below half the smallest subnormal (~4.9e-324), and e^-40
+#: below half an ulp of 1 (~5.6e-17)
+EXP_FLOOR = -746.0
+EXPM1_FLOOR = -40.0
+
+
+def _map(fn, floor: float, saturated: float):
+    """fn (math.exp or math.expm1) over every element of a 1-D float array.
+
+    An array wholly at or below `floor` is `saturated` in every entry,
+    which is what the map would give, without running it.
+    """
+    def apply(x: np.ndarray) -> np.ndarray:
+        # shell distances ascend, so x[0] is the largest argument there
+        # and usually settles the test without the reduction
+        if x.size and x[0] <= floor and x.max() <= floor:
+            return np.full(x.size, saturated)
+        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+    return apply
 
 
 #: (exp, expm1, pi) of the float branch and of the mpmath window branch
-_FLOAT_OPS = (_map(math.exp), _map(math.expm1), math.pi)
+_FLOAT_OPS = (_map(math.exp, EXP_FLOOR, 0.0), _map(math.expm1, EXPM1_FLOOR, -1.0),
+              math.pi)
 _MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi)
 
 
-def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, ops) -> np.ndarray:
+#: the lam-dependent scalars of one Yukawa piece, each lam^p D^-k/(c pi) as
+#: (c, p, k): the coefficient of core, then those of 1, poly3 and poly4 in
+#: the e^{-lam s} bracket (b2/(8 pi lam), b3/(32 pi lam^3), b4/(192 pi lam^5))
+_TERMS = ((4.0, 8, 4), (8.0, 7, 3), (-32.0, 5, 2), (192.0, 3, 1))
+
+
+def _lam_jets(scale, lam, alpha) -> list:
+    """(f, df/dlam, d2f/dlam2) of each f = scale lam^p D^-k / c of _TERMS.
+
+    With D = alpha^2 - lam^2 the log-derivative is g = f'/f = p/lam +
+    2k lam/D and f'' = f (g^2 + g'), g' = -p/lam^2 + 2k (alpha^2 + lam^2)/D^2.
+    Both are put over one denominator, where the lam^2 terms that cancel
+    for lam >> alpha (p = 2k) drop out exactly.
+    """
+    a2, l2 = alpha * alpha, lam * lam
+    d = (alpha - lam) * (alpha + lam)
+    lam_d, l2_d2 = lam * d, l2 * d * d
+    jets = []
+    for c, p, k in _TERMS:
+        f = lam**p / d**k * (scale / c)
+        g = (p * a2 + (2 * k - p) * l2) / lam_d
+        dg = (((2 * p + 2 * k) * l2 - p * a2) * a2 + (2 * k - p) * l2 * l2) / l2_d2
+        jets.append((f, f * g, f * (g * g + dg)))
+    return jets
+
+
+def _horner(s: np.ndarray, coefs) -> np.ndarray:
+    """sum_i coefs[i] s^i, in place, the array on the left of every operation."""
+    acc = s * coefs[-1]
+    for c in coefs[-2:0:-1]:
+        acc += c
+        acc *= s
+    acc += coefs[0]
+    return acc
+
+
+def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, ops,
+                 order: int = 0) -> np.ndarray:
     """The closed form (module docstring) over a 1-D array s of separations.
 
     `pieces` holds the two Yukawa terms as (weight e^m or e^n, exponent
     alpha).  Floats and a float64 array run with _FLOAT_OPS; mpf lam and
     alpha (promoted before any arithmetic, or alpha^2 - lam^2 cancels in
-    double) and an object array of mpf run with _MP_OPS.
+    double) and an object array of mpf run with _MP_OPS.  order 0 gives the
+    values; order 1 or 2 stacks the lam-derivative rows under them.
     """
     exp, expm1, pi = ops
-    zero = s == 0.0
-    s_div = np.where(zero, 1.0, s)
+    # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
+    # relative precision and core is its s -> 0 limit lam - alpha; the masks
+    # run only when some s is that small
+    tiny = sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
+    has_tiny = s.size > 0 and s.min() < tiny
     x = s * lam
     els = exp(s * -lam)
     poly3 = 1.0 + x
     poly4 = 3.0 + s * (3.0 * lam) + x * x
 
-    def smeared(alpha):
+    def core(alpha):
+        """(e^{-alpha s} - e^{-lam s})/s, and lam - alpha at s = 0."""
+        if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
+            tail = els * expm1(s * -(alpha - lam))
+        else:
+            tail = -exp(s * -alpha) * expm1(s * -(lam - alpha))
+        if not has_tiny:
+            return tail / s
+        limit = s * abs(lam - alpha) < sys.float_info.min
+        return np.where(limit, lam - alpha, tail / np.where(limit, 1.0, s))
+
+    def smeared(alpha, core_a):
         d = (alpha - lam) * (alpha + lam)
         lam8 = lam**8
         a_ = lam8 / d**4
         b2 = lam8 / d**3
         b3 = -lam8 / d**2
         b4 = lam8 / d
-        if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
-            tail = els * expm1(s * -(alpha - lam))
-        else:
-            tail = -exp(s * -alpha) * expm1(s * -(lam - alpha))
-        core = np.where(zero, lam - alpha, tail / s_div)
-        return (core * a_ / (4.0 * pi)
+        return (core_a * a_ / (4.0 * pi)
                 + els * (poly3 * b3 / (32.0 * pi * lam**3)
                          + b2 / (8.0 * pi * lam)
                          + poly4 * b4 / (192.0 * pi * lam**5)))
 
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
-    return ((smeared(alpha_m) * weight_m - smeared(alpha_n) * weight_n)
-            * (-4.0 * pi * pot.epsilon * pot.b * pot.sigma))
+    core_m, core_n = core(alpha_m), core(alpha_n)
+    scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
+    value = ((smeared(alpha_m, core_m) * weight_m - smeared(alpha_n, core_n) * weight_n)
+             * scale)
+    if order == 0:
+        return value
+    return np.stack([value, *_lam_rows(order, lam, pieces, scale, pi, s, els,
+                                       (core_m, core_n))])
 
 
-def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
+def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
+    """d/dlam and d2/dlam2 of the closed form, from its shared arrays.
+
+    Per piece the closed form is h core + e^{-lam s} P(s), with a scalar h
+    and P(s) = p0 + p1 s + p2 s^2, all from the _TERMS scalars.  The two
+    pieces' scalars are summed first, so each row is two core terms plus
+    e^{-lam s} times one polynomial in s.  With core' = e^{-lam s},
+    core'' = -s e^{-lam s} and (e^{-lam s})' = -s e^{-lam s}:
+
+        row 1 = sum h' core + e^{-lam s} (P' - s P + H)
+        row 2 = sum h'' core + e^{-lam s} (P'' - 2 s P' + s^2 P + 2 H' - s H),
+
+    where H = sum h and a prime acts on the coefficients of P at fixed s.
+    """
+    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
+    hm, *gm = _lam_jets(scale * weight_m / pi, lam, alpha_m)
+    hn, *gn = _lam_jets(-scale * weight_n / pi, lam, alpha_n)
+    g2, g3, g4 = ([u + v for u, v in zip(jm, jn)] for jm, jn in zip(gm, gn))
+    # with poly3 = 1 + lam s and poly4 = 3 + 3 lam s + lam^2 s^2:
+    # p0 = g2 + q, p1 = lam q and p2 = lam^2 g4, where q = g3 + 3 g4
+    q = [u + 3.0 * v for u, v in zip(g3, g4)]
+    p0 = [u + v for u, v in zip(g2, q)]
+    p1 = [lam * q[0], q[0] + lam * q[1], 2.0 * q[1] + lam * q[2]]
+    p2 = [lam * lam * g4[0], 2.0 * lam * g4[0] + lam * lam * g4[1],
+          2.0 * g4[0] + 4.0 * lam * g4[1] + lam * lam * g4[2]]
+    h0, h1 = hm[0] + hn[0], hm[1] + hn[1]
+    rows = [cores[0] * hm[1] + cores[1] * hn[1]
+            + els * _horner(s, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0]))]
+    if order == 2:
+        rows.append(cores[0] * hm[2] + cores[1] * hn[2]
+                    + els * _horner(s, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
+                                        p2[2] - 2.0 * p1[1] + p0[0],
+                                        p1[0] - 2.0 * p2[1], p2[0])))
+    return rows
+
+
+def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
     """Interaction energy of two exponential site densities at separation s.
 
     Exact closed form of the convolution-theorem integral
@@ -231,7 +359,13 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
     the call with that entry alone (inside DEGENERACY_WINDOW too, where
     the array runs in mpmath as one object array).  Every entry must be
     finite and >= 0.
+
+    order 1 or 2 returns the rows (value, d/dlam, d2/dlam2)[:order + 1] as
+    one array of shape (order + 1, *shape of s); its value row is the order
+    0 result (module docstring).
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     arr = np.asarray(s, dtype=float)
     flat = arr.reshape(-1)
     bad = ~(np.isfinite(flat) & (flat >= 0.0))
@@ -242,18 +376,21 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s):
     alpha_n = pot.n / pot.sigma
     gap = min(abs(lam - alpha_m) / alpha_m, abs(lam - alpha_n) / alpha_n)
     if gap < DEGENERACY_WINDOW:
-        # 4 digits per decade lost to cancellation (~ gap^-3); an exact
-        # coincidence is nudged by 1e-30 relative, invisible in a double
-        digits = 30 + 4 * max(0, math.ceil(-math.log10(max(gap, 1e-30))))
-        with mp.workdps(digits):
+        # 4 digits per decade lost to cancellation (~ gap^-3), one more per
+        # derivative order; an exact coincidence is nudged by 1e-30
+        # relative, invisible in a double
+        decades = max(0, math.ceil(-math.log10(max(gap, 1e-30))))
+        with mp.workdps(30 + (4 + order) * decades):
             lam_mp = mp.mpf(lam)
             am, an = mp.mpf(pot.m) / pot.sigma, mp.mpf(pot.n) / pot.sigma
             if lam_mp == am or lam_mp == an:
                 lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
             s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
-            out = _closed_form(lam_mp, pot, pieces, s_mp, _MP_OPS).astype(float)
+            out = _closed_form(lam_mp, pot, pieces, s_mp, _MP_OPS, order).astype(float)
     else:
         pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
-        out = _closed_form(lam, pot, pieces, flat, _FLOAT_OPS)
+        out = _closed_form(lam, pot, pieces, flat, _FLOAT_OPS, order)
+    if order:
+        return out.reshape((order + 1, *arr.shape))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -26,6 +26,11 @@ from .units import UnitSystem
 
 _ZERO3 = (0.0, 0.0, 0.0)
 
+#: largest |displacement component| (sigma) a superposition accepts: the
+#: squared branch separations (<= 12 MAX_DISPLACEMENT^2) and the mixture
+#: variance (<= 4 MAX_DISPLACEMENT^2) stay finite doubles
+MAX_DISPLACEMENT = 1e150
+
 
 @dataclass(frozen=True)
 class ComStatistics:
@@ -94,7 +99,8 @@ def galilean_boost(stats: ComStatistics, v, units: UnitSystem) -> ComStatistics:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError("velocity must be a 3-vector")
-    mean_p = stats.N * v / math.sqrt(units.coupling)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        mean_p = stats.N * v / math.sqrt(units.coupling)
     if not np.all(np.isfinite(mean_p)):
         raise ValueError(f"velocity {v.tolist()} at N={stats.N!r} gives a "
                          "non-finite mean momentum")
@@ -137,10 +143,14 @@ class SuperpositionSpec:
         object.__setattr__(self, "weights", weights)
         if disp.shape != (len(weights), 3):
             raise ValueError("need one 3-vector displacement per weight")
+        if not np.all(np.abs(disp) <= MAX_DISPLACEMENT):  # NaN fails too
+            raise ValueError(f"displacements must be finite with every component "
+                             f"at most {MAX_DISPLACEMENT:g} sigma in size, got "
+                             f"{disp.tolist()}")
         if not self.cutoff_a > 0.0:
             raise ValueError(f"cutoff_a must be positive, got {self.cutoff_a}")
         norm = float(np.sum(np.abs(weights) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"branch weights are not normalized: sum|c|^2 = {norm!r}")
         if len(weights) > 1:
             if math.isinf(self.cutoff_a):

@@ -7,6 +7,16 @@ SEARCH_BOX is rejected, not returned.  The bulk modulus is the curvature of
 the *relaxed* energy-volume curve (lam re-optimized at every
 compressed/stretched spacing), B = v d^2u/dv^2 with v = d^3/sqrt(2) per
 particle on FCC, from 5-point stencils with steps FD_STEP_REL and half that.
+
+The re-optimization of lam at a fixed spacing is a safeguarded Newton
+iteration in t = ln lam (Nocedal & Wright, Numerical Optimization, ch. 3)
+on the exact derivatives u_t = lam u_lam and u_tt = lam u_lam + lam^2
+u_lamlam, which one order-2 energy evaluation gives with the value.  Steps
+are capped at NEWTON_MAX_STEP, and one that lowers neither the energy nor
+the slope |u_t| is halved; the iteration stops once a step is at most
+NEWTON_STEP_TOL, and fails closed (ConvergenceError) when lam leaves
+SEARCH_BOX, when an evaluation is not finite, when no descent step exists,
+or after NEWTON_MAX_STEPS evaluations.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .energy import energy_per_particle
 from .lattice import LatticeKind, LatticeShells, enumerate_shells
@@ -25,14 +35,20 @@ from .units import UnitSystem
 
 
 class ConvergenceError(RuntimeError):
-    """Minimization failed; carries the best point seen so far."""
+    """Minimization failed; carries the best point seen so far.
+
+    A failed re-optimization of lam at a fixed spacing also carries u_t,
+    du/d ln lam at best_lambda.
+    """
 
     def __init__(self, message: str, best_lambda: float | None = None,
-                 best_d: float | None = None, best_u: float | None = None):
+                 best_d: float | None = None, best_u: float | None = None,
+                 u_t: float | None = None):
         super().__init__(message)
         self.best_lambda = best_lambda
         self.best_d = best_d
         self.best_u = best_u
+        self.u_t = u_t
 
 
 #: largest shell_cutoff_factor accepted; the enumeration box grows like its
@@ -53,6 +69,13 @@ ENERGY_TOL = 1e-13
 
 #: bulk-modulus stencil step, relative to d*
 FD_STEP_REL = 1e-2
+
+#: Newton on ln lam at a fixed spacing: converged once a step is at most
+#: NEWTON_STEP_TOL, no step longer than NEWTON_MAX_STEP (a factor e^0.5 in
+#: lam), and at most NEWTON_MAX_STEPS energy evaluations
+NEWTON_STEP_TOL = 1e-9
+NEWTON_MAX_STEP = 0.5
+NEWTON_MAX_STEPS = 30
 
 
 def in_search_box(name: str, *values: float) -> bool:
@@ -90,6 +113,7 @@ class BulkModulusResult:
     value_kbar: float
     richardson_rel_diff: float  # |B(h) - B(h/2)| / |B(h/2)|
     reduced_confidence: bool  # True if the two step sizes disagree > 1%
+    n_evaluations: int  # energy evaluations of the relaxed curve
 
 
 @dataclass(frozen=True)
@@ -168,24 +192,109 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
         final_simplex_size=size)
 
 
+class _RelaxedCurve:
+    """u(d) with lam re-optimized at each spacing d, memoized by d.
+
+    Each spacing starts from a linear extrapolation in d of ln lam over the
+    two nearest spacings already solved; d* is seeded with ln lam*.
+    n_evaluations counts the energy evaluations made so far.
+    """
+
+    def __init__(self, rows: Callable[[float, float], tuple[float, float, float]],
+                 d_star: float, lam_star: float) -> None:
+        self._rows = rows
+        self._t = {d_star: math.log(lam_star)}  # relaxed ln lam by spacing
+        self._u: dict[float, float] = {}
+        self.n_evaluations = 0
+
+    def __call__(self, d: float) -> float:
+        if not in_search_box("d", d):
+            raise ValueError(f"d must lie in {SEARCH_BOX['d']}, got {d!r}")
+        if d not in self._u:
+            self._u[d] = self._relax(d, self._warm_start(d))
+        return self._u[d]
+
+    def _warm_start(self, d: float) -> float:
+        near = sorted(self._t, key=lambda solved: abs(solved - d))[:2]
+        if len(near) == 1:
+            return self._t[near[0]]
+        (d1, t1), (d2, t2) = ((x, self._t[x]) for x in near)
+        return t1 + (t2 - t1) * (d - d1) / (d2 - d1)
+
+    def _relax(self, d: float, t_trial: float) -> float:
+        """Safeguarded Newton in t = ln lam from t_trial; the relaxed u(d),
+        the lowest u evaluated.
+
+        A trial point is kept if it lowers u or the slope |u_t|.  Near the
+        minimum a Newton step moves u by less than its rounding, and the
+        slope is what still measures progress; a trial that does neither
+        halves the step.
+        """
+        best = None  # (t, u, u_t, u_tt) of the last accepted point
+        lowest = math.inf  # the lowest u evaluated
+        limit = NEWTON_MAX_STEP
+        for _ in range(NEWTON_MAX_STEPS):
+            lam = math.exp(t_trial)
+            if not in_search_box("lambda", lam):
+                raise self._failure(f"lam={lam:.6g} left the search box "
+                                    f"{SEARCH_BOX['lambda']}", d, best, lam)
+            u, u_lam, u_lamlam = self._rows(lam, d)
+            self.n_evaluations += 1
+            if not all(map(math.isfinite, (u, u_lam, u_lamlam))):
+                raise self._failure(f"non-finite energy or derivative at "
+                                    f"lam={lam:.6g}", d, best, lam)
+            lowest = min(lowest, u)
+            u_t = lam * u_lam
+            if best is None or u <= best[1] or abs(u_t) < abs(best[2]):
+                best = (t_trial, u, u_t, u_t + lam * lam * u_lamlam)
+                limit = NEWTON_MAX_STEP
+            else:  # backtrack: halve the step from the accepted point
+                limit = abs(t_trial - best[0]) / 2.0
+            t, u, u_t, u_tt = best
+            if u_tt > 0.0:
+                step = -u_t / u_tt
+            elif u_t != 0.0:  # not convex here: a capped step downhill
+                step = -math.copysign(limit, u_t)
+            else:
+                raise self._failure("no descent step exists (u_t = 0, "
+                                    f"u_tt = {u_tt:.6g})", d, best, lam)
+            step = max(-limit, min(limit, step))
+            if abs(step) <= NEWTON_STEP_TOL:
+                self._t[d] = t
+                return lowest
+            t_trial = t + step
+        raise self._failure(f"no convergence in {NEWTON_MAX_STEPS} energy "
+                            "evaluations", d, best, lam)
+
+    @staticmethod
+    def _failure(reason: str, d: float, best, lam: float) -> ConvergenceError:
+        """The error for spacing d, with the last accepted point (or, before
+        any, the lam tried) and its slope u_t."""
+        message = f"lam re-optimization failed at d={d:.6g}: {reason}"
+        if best is None:
+            return ConvergenceError(message, best_lambda=lam, best_d=d)
+        t, u, u_t, _ = best
+        return ConvergenceError(
+            f"{message}; last accepted lam={math.exp(t):.6g} with u_t={u_t:.6g}",
+            best_lambda=math.exp(t), best_d=d, best_u=u, u_t=u_t)
+
+
 def relaxed_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
                          units: UnitSystem,
-                         opts: OptimizeOptions = OptimizeOptions()) -> Callable[[float], float]:
-    """u(d) with lam re-optimized (bounded Brent in ln lam) at each spacing."""
+                         opts: OptimizeOptions = OptimizeOptions()) -> _RelaxedCurve:
+    """u(d) with lam re-optimized (Newton in ln lam) at each spacing.
+
+    The result is callable and memoized by d; its n_evaluations counts the
+    energy evaluations it has made.
+    """
     unit_shells = _unit_shells(opts.shell_cutoff_factor)
-    u_of = _objective(pot, units, unit_shells)
-    center = math.log(sol.lambda_star)
 
-    def u_relaxed(d: float) -> float:
-        inner = minimize_scalar(lambda t: u_of(math.exp(t), d),
-                                bounds=(center - 0.7, center + 0.7),
-                                method="bounded",
-                                options={"xatol": 1e-11})
-        if not inner.success:
-            raise ConvergenceError(f"lam re-optimization failed at d={d:.6g}")
-        return float(inner.fun)
+    def rows(lam: float, d: float) -> tuple[float, float, float]:
+        breakdown = energy_per_particle(OrbitalParams(lam), pot,
+                                        unit_shells.scaled(d), units, order=2)
+        return (breakdown.total, *breakdown.lam_derivatives)
 
-    return u_relaxed
+    return _RelaxedCurve(rows, sol.d_star, sol.lambda_star)
 
 
 def _curvature_wrt_volume(u_of_d: Callable[[float], float], d0: float,
@@ -212,16 +321,17 @@ def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams, units: UnitSystem,
                          sol.d_star * (1.0 + 2.0 * FD_STEP_REL)):
         raise ValueError(f"d*={sol.d_star!r}: the bulk stencil "
                          f"d*(1 +- {2.0 * FD_STEP_REL:g}) leaves the d box")
-    # the two stencils share d* and d*(1 +- h)
-    u_cached = functools.lru_cache(maxsize=None)(relaxed_energy_curve(sol, pot, units, opts))
+    # the two stencils share d* and d*(1 +- h); the curve memoizes them
+    curve = relaxed_energy_curve(sol, pot, units, opts)
     v0 = sol.d_star**3 / math.sqrt(2.0)
-    b_h = v0 * _curvature_wrt_volume(u_cached, sol.d_star, FD_STEP_REL)
-    b_h2 = v0 * _curvature_wrt_volume(u_cached, sol.d_star, FD_STEP_REL / 2.0)
+    b_h = v0 * _curvature_wrt_volume(curve, sol.d_star, FD_STEP_REL)
+    b_h2 = v0 * _curvature_wrt_volume(curve, sol.d_star, FD_STEP_REL / 2.0)
     rel = abs(b_h - b_h2) / abs(b_h2) if b_h2 != 0.0 else math.inf
     return BulkModulusResult(value=b_h2,
                              value_kbar=units.pressure_to_kbar(b_h2),
                              richardson_rel_diff=rel,
-                             reduced_confidence=rel > 0.01)
+                             reduced_confidence=rel > 0.01,
+                             n_evaluations=curve.n_evaluations)
 
 
 def solve_solid(pot: TwoYukawaParams, units: UnitSystem,

@@ -48,6 +48,27 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(str(p))
 
 
+#: a branch file whose displacements once overflowed the mixture variance,
+#: caught only by the JSON writer
+HUGE_BRANCHES = {"displacements": [[0, 0, 0], [1e300, 0, 0]],
+                 "weights": [0.7071067811865476, 0.7071067811865476],
+                 "cutoff_a": 1.0}
+#: a weight [re] without its imaginary part; once a raw IndexError
+SHORT_WEIGHT_BRANCHES = {"displacements": [[0, 0, 0]], "weights": [[1]], "cutoff_a": 1.0}
+
+
+def _with_branch_files(argv, tmp_path):
+    """argv with every dict written to a branch file and replaced by its path."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"branches{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 #: configs that were once accepted, or escaped as a raw traceback
 FAIL_OPEN_CONFIGS = ({"shell_cutoff_factor": math.inf}, {"relaxed_bulk": "no"},
                      {"max_iter": 2.5}, {"b": math.nan}, {"m": 800, "n": 900},
@@ -203,10 +224,13 @@ def test_successful_observables_exits_0(tmp_path, capsys):
     ("observables", "--lambda", "1", "--N", "1e300", "--boost", "1e300,0,0"),
     ("observables", "--lambda", "1", "--N", "1e300", "--time", "1e300"),
     ("observables", "--lambda", "1", "--N", "3", "--time", "inf"),
+    # displacements whose squares overflow
+    ("superposition", "--branches", HUGE_BRANCHES, "--lambda", "50", "--N", "100"),
+    ("superposition", "--branches", SHORT_WEIGHT_BRANCHES, "--lambda", "50", "--N", "100"),
 ])
-def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys):
+def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys, tmp_path):
     # no NaN/Infinity reaches stdout and no ValueError escapes as a traceback
-    assert run_cli(*argv) == EXIT_INPUT
+    assert run_cli(*_with_branch_files(argv, tmp_path)) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error:")
@@ -337,6 +361,19 @@ def test_superposition_rejects_lambda_out_of_range(tmp_path, capsys, lam):
     assert err.startswith("input error: lam=")
 
 
+def test_superposition_names_huge_displacements(tmp_path, capsys, recwarn):
+    # once an overflow in the mixture variance, with numpy warnings, caught
+    # only by the JSON writer
+    argv = _with_branch_files(["superposition", "--branches", HUGE_BRANCHES,
+                               "--lambda", "50", "--N", "100"], tmp_path)
+    assert run_cli(*argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: bad superposition spec: displacements "
+                          "must be finite")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_superposition_rejects_overlapping_branches(tmp_path):
     branches = tmp_path / "branches.json"
     branches.write_text(json.dumps({
@@ -398,6 +435,7 @@ def test_optimize_payload_fields(tmp_path):
         "d_angstrom": 3.992, "u_cal_per_mole": -2666.0,
         "bulk_modulus_kbar": 34.3}
     assert payload["same_site_W_over_potential"] > 1e6
+    assert 0 < payload["bulk_n_evaluations"] <= 24
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +472,16 @@ def _argv_strategy():
                          _EDGE_ARG, _EDGE_ARG, _EDGE_ARG, _EDGE_ARG).map(
         lambda t: ["selfgrav", "--kind", t[0], "--N-list", ",".join(t[1]),
                    "--kappa", t[2], "--mu", t[3], "--q", t[4], "--e-coeff", t[5]])
-    return optimize | sweep | observables | selfgrav
+    branches = st.fixed_dictionaries({
+        "displacements": st.lists(st.lists(_EDGE_JSON | st.sampled_from([0.0, 2.5, 1e150]),
+                                           min_size=3, max_size=3),
+                                  min_size=1, max_size=3),
+        "weights": st.lists(_EDGE_JSON | st.sampled_from([0.7071067811865476, 1.0]),
+                            min_size=1, max_size=3),
+        "cutoff_a": _EDGE_JSON | st.just(1.0)})
+    superposition = st.tuples(branches, _EDGE_ARG, _EDGE_ARG).map(
+        lambda t: ["superposition", "--branches", t[0], "--lambda", t[1], "--N", t[2]])
+    return optimize | sweep | observables | selfgrav | superposition
 
 
 @given(argv=_argv_strategy(),
@@ -447,15 +494,19 @@ def _argv_strategy():
 @example(argv=["sweep", "--param", "lambda", "--range", "14.0:15.4:5"], raw={})
 @example(argv=["observables", "--lambda", "1e-200", "--N", "3"], raw={})
 @example(argv=["optimize"], raw={"b": 1e300})
+@example(argv=["superposition", "--branches", HUGE_BRANCHES, "--lambda", "50", "--N", "100"],
+         raw={})
+@example(argv=["superposition", "--branches", SHORT_WEIGHT_BRANCHES, "--lambda", "0", "--N", "0"],
+         raw={})
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_main_fuzz(tmp_path, capsys, argv, raw):
-    # whatever the argv and config: a documented exit code, no exception,
-    # and stdout either empty or strict JSON
+    # whatever the argv, config and branch file: a documented exit code, no
+    # exception, and stdout either empty or strict JSON
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     capsys.readouterr()
-    code = main(["--config", str(cfg), *argv])
+    code = main(["--config", str(cfg), *_with_branch_files(argv, tmp_path)])
     out, _ = capsys.readouterr()
     assert code in (0, 1, 2, 3)
     if out:

@@ -171,3 +171,44 @@ def test_empty_shells_rejected(potential, krypton_units):
                           distances_r=(), counts_c=())
     with pytest.raises(ValueError):
         energy_per_particle(OrbitalParams(5.0), potential, empty, krypton_units)
+
+
+@pytest.mark.parametrize("lam, d", [(LAM_KR, D_KR), (38.0, 1.3), (5.0, 1.1),
+                                    (2.69 * 1.02, 1.1)])
+def test_lam_derivatives_match_central_differences(lam, d, potential,
+                                                   krypton_units):
+    shells = shells_at(d)
+
+    def total(x):
+        return energy_per_particle(OrbitalParams(x), potential, shells,
+                                   krypton_units).total
+
+    bd = energy_per_particle(OrbitalParams(lam), potential, shells,
+                             krypton_units, order=2)
+    assert bd.total == total(lam)
+    h = 1e-3 * lam
+    u = [total(lam + k * h) for k in (-2, -1, 0, 1, 2)]
+    d1 = (u[0] - 8 * u[1] + 8 * u[3] - u[4]) / (12 * h)
+    d2 = (-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4]) / (12 * h * h)
+    assert bd.lam_derivatives == pytest.approx((d1, d2), rel=1e-6, abs=1e-9)
+    assert energy_per_particle(OrbitalParams(lam), potential, shells,
+                               krypton_units, order=1).lam_derivatives == \
+        bd.lam_derivatives[:1]
+    assert energy_per_particle(OrbitalParams(lam), potential, shells,
+                               krypton_units).lam_derivatives == ()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_one_pair_energy_call_at_every_order(order, potential, krypton_units,
+                                             monkeypatch):
+    from varsolid import energy
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pair_energy(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "pair_energy", counted)
+    energy_per_particle(OrbitalParams(LAM_KR), potential, UNIT_SHELLS.scaled(D_KR),
+                        krypton_units, order=order)
+    assert len(calls) == 1

@@ -14,6 +14,7 @@ extended precision.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,8 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, density_fourier, enumerate_shells,
                       orbital_norm_constant, pair_energy, two_yukawa,
                       two_yukawa_fourier)
+from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXP_FLOOR, EXPM1_FLOOR,
+                            _closed_form)
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check)
@@ -398,3 +401,114 @@ def test_pair_energy_window_shell_array_is_recorded_bitwise():
 def test_pair_energy_array_rejects_non_finite_or_negative(lam, bad):
     with pytest.raises(ValueError):
         pair_energy(OrbitalParams(lam), POT, np.array([1.0, bad, 2.0]))
+
+
+# ----------------------------------------------------------------------
+# lam-derivative rows
+# ----------------------------------------------------------------------
+
+def _gap(lam):
+    return min(abs(lam - POT.m) / POT.m, abs(lam - POT.n) / POT.n)
+
+
+def _mp_lam_rows(lam, s):
+    """(E, dE/dlam, d2E/dlam2) at one separation: mp.diff of the mpmath
+    closed form at 60 digits, plus 6 per decade of closeness to an exponent
+    (an exact coincidence is nudged as pair_energy nudges it)."""
+    decades = max(0, math.ceil(-math.log10(max(_gap(lam), 1e-30))))
+    with mp.workdps(60 + 6 * decades):
+        am, an = mp.mpf(POT.m) / POT.sigma, mp.mpf(POT.n) / POT.sigma
+        pieces = ((mp.exp(POT.m), am), (mp.exp(POT.n), an))
+        s_mp = np.array([mp.mpf(s)], dtype=object)
+        lam_mp = mp.mpf(lam)
+        if lam_mp in (am, an):
+            lam_mp *= 1 + mp.mpf(10) ** -30
+        return [float(mp.diff(lambda x: _closed_form(x, POT, pieces, s_mp, _MP_OPS)[0],
+                              lam_mp, n)) for n in (0, 1, 2)]
+
+
+def _assert_rows_match_mp_diff(lam, s, rel):
+    got = pair_energy(OrbitalParams(lam), POT, s, order=2)
+    assert got.shape == (3,)
+    want = _mp_lam_rows(lam, s)
+    for k in (0, 1, 2):
+        # a row may pass through 0 in s; |E|/lam^k is its natural size there
+        scale = abs(want[k]) + abs(want[0]) / lam**k
+        assert abs(got[k] - want[k]) <= rel(k) * scale, (k, got[k], want[k])
+
+
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
+       s=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=30, deadline=None)
+@example(lam=14.70 * (1.0 + DEGENERACY_WINDOW), s=0.0)  # the window edge
+@example(lam=2.69 * (1.0 - DEGENERACY_WINDOW), s=1.1)
+@example(lam=91.2, s=0.0)
+@example(lam=1.0, s=5e-324)  # s |lam - alpha| subnormal: core takes its s -> 0 limit
+def test_float_branch_lam_rows_match_mp_diff(lam, s):
+    # the float closed form loses ~gap^-3 to cancellation near an exponent,
+    # one more power per derivative
+    _assert_rows_match_mp_diff(lam, s, lambda k: 1e-12 * max(1.0, 1.0 / _gap(lam)) ** (3 + k))
+
+
+@given(alpha=st.sampled_from([2.69, 14.70]),
+       rel_gap=st.floats(min_value=-0.999 * DEGENERACY_WINDOW,
+                         max_value=0.999 * DEGENERACY_WINDOW),
+       s=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=15, deadline=None)
+@example(alpha=14.70, rel_gap=0.0, s=1.1)  # exact coincidence
+@example(alpha=2.69, rel_gap=1e-9, s=0.0)
+def test_window_branch_lam_rows_match_mp_diff(alpha, rel_gap, s):
+    lam = alpha * (1.0 + rel_gap)
+    assert _in_window(lam)
+    _assert_rows_match_mp_diff(lam, s, lambda k: 1e-12)
+
+
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
+       d=st.floats(min_value=0.3, max_value=3.0))
+@settings(max_examples=30, deadline=None)
+def test_value_row_is_bitwise_the_order_0_result(lam, d):
+    s = np.concatenate(([0.0], UNIT_SHELLS * d))
+    p = OrbitalParams(lam)
+    want = pair_energy(p, POT, s).tolist()
+    for order in (1, 2):
+        rows = pair_energy(p, POT, s, order=order)
+        assert rows.shape == (order + 1, s.size)
+        assert rows[0].tolist() == want
+
+
+@pytest.mark.parametrize("lam", [2.69, 2.69 * 1.03, 14.70 * 0.97])
+def test_window_value_row_is_bitwise_the_order_0_result(lam):
+    p = OrbitalParams(lam)
+    s = np.array([0.0, 1.1, 1.1 * math.sqrt(2.0)])
+    assert pair_energy(p, POT, s, order=2)[0].tolist() == pair_energy(p, POT, s).tolist()
+
+
+def test_lam_rows_keep_the_shape_of_s():
+    p = OrbitalParams(LAM_KR)
+    assert pair_energy(p, POT, 1.1, order=1).shape == (2,)
+    grid = np.array([[0.0, 0.9], [1.1, 2.0]])
+    rows = pair_energy(p, POT, grid, order=2)
+    assert rows.shape == (3, 2, 2)
+    assert rows[:, 1, 0].tolist() == pair_energy(p, POT, 1.1, order=2).tolist()
+    for bad in (-1, 3, 1.5):
+        with pytest.raises(ValueError, match="order"):
+            pair_energy(p, POT, 1.1, order=bad)
+
+
+def test_saturation_floors_of_exp_and_expm1():
+    # the float branch returns 0.0 and -1.0 without mapping an array wholly
+    # at or below these floors; that is what the maps give on them
+    for x in np.concatenate((np.linspace(EXP_FLOOR, 20 * EXP_FLOOR, 4001),
+                             [EXP_FLOOR, -math.inf])).tolist():
+        assert math.exp(x) == 0.0, x
+    for x in np.concatenate((np.linspace(EXPM1_FLOOR, 40 * EXPM1_FLOOR, 4001),
+                             [EXPM1_FLOOR, -math.inf])).tolist():
+        assert math.expm1(x) == -1.0, x
+    exp, expm1, _ = _FLOAT_OPS
+    below = np.array([EXP_FLOOR, 2 * EXP_FLOOR])
+    assert exp(below).tolist() == [0.0, 0.0]
+    assert expm1(np.array([EXPM1_FLOOR, -1e3])).tolist() == [-1.0, -1.0]
+    # one argument above the floor maps the whole array
+    mixed = np.array([EXPM1_FLOOR, -1.0])
+    assert expm1(mixed).tolist() == [-1.0, math.expm1(-1.0)]
+    assert exp(np.array([])).size == 0

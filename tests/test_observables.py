@@ -11,8 +11,10 @@ from varsolid import (LatticeKind, SuperpositionSpec, branch_overlap,
                       build_cluster, com_statistics, free_spread,
                       galilean_boost, orbital_overlap, superposition_spread,
                       verify_com_on_cluster)
+from varsolid.observables import MAX_DISPLACEMENT
 
 HBAR_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
+SQRT_HALF = math.sqrt(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +235,30 @@ def test_unnormalized_weights_rejected():
     with pytest.raises(ValueError):
         SuperpositionSpec(displacements=np.zeros((2, 3)) + [[0, 0, 0], [9, 0, 0]],
                           weights=np.array([1.0, 1.0]), cutoff_a=1.0)
+
+
+@pytest.mark.parametrize("far", [1e300, -1e151, math.inf, math.nan])
+def test_huge_or_non_finite_displacements_rejected(far):
+    # their squares once overflowed the mixture variance to infinity
+    with pytest.raises(ValueError, match="displacements must be finite"):
+        SuperpositionSpec(displacements=np.array([[0.0, 0.0, 0.0], [far, 0.0, 0.0]]),
+                          weights=np.array([SQRT_HALF, SQRT_HALF]), cutoff_a=1.0)
+
+
+def test_largest_displacement_gives_finite_spreads():
+    spec = SuperpositionSpec(
+        displacements=np.array([[-MAX_DISPLACEMENT] * 3, [MAX_DISPLACEMENT] * 3]),
+        weights=np.array([SQRT_HALF, SQRT_HALF]), cutoff_a=1.0)
+    assert math.isfinite(spec.min_separation())
+    var = superposition_spread(spec, 50.0, 100.0)
+    assert np.all(np.isfinite(var))
+    assert var[0] == pytest.approx(MAX_DISPLACEMENT**2, rel=1e-12)
+
+
+def test_non_finite_weights_rejected():
+    with pytest.raises(ValueError, match="normalized"):
+        SuperpositionSpec(displacements=np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0]]),
+                          weights=np.array([math.nan, SQRT_HALF]), cutoff_a=1.0)
 
 
 def test_overlapping_branches_rejected():

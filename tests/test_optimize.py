@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
@@ -11,6 +12,10 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
 from varsolid.optimize import (FD_STEP_REL, MAX_SHELL_CUTOFF_FACTOR, SEARCH_BOX,
                                _curvature_wrt_volume, _objective, _unit_shells,
                                relaxed_energy_curve)
+
+#: a mass 12 orders of magnitude lighter than Krypton's: the kinetic term
+#: wins, and no bound solid exists
+LIGHT_UNITS = UnitSystem(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=8.3798e-11)
 
 #: the default-start optimum (lambda*, d*, U, B) in natural units
 RECORDED_OPTIMUM = {"lambda_star": 91.195498437583, "d_star": 1.0977610864951037,
@@ -154,9 +159,8 @@ def test_iteration_cap_raises_with_best_point(potential, krypton_units):
 def test_unbound_problem_raises(potential):
     # a mass 12 orders of magnitude lighter makes the kinetic term dominate:
     # no bound solid exists and the minimizer must say so, not return junk
-    light = UnitSystem(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=8.3798e-11)
     with pytest.raises(ConvergenceError):
-        minimize_solid(potential, light, OptimizeOptions(max_iter=200))
+        minimize_solid(potential, LIGHT_UNITS, OptimizeOptions(max_iter=200))
 
 
 def test_perturbed_start_reaches_same_optimum(potential, krypton_units, solid):
@@ -215,3 +219,77 @@ def test_minimum_on_the_search_box_edge_raises(krypton_units):
         minimize_solid(TwoYukawaParams(b=1e300), krypton_units)
     assert info.value.best_lambda == pytest.approx(SEARCH_BOX["lambda"][1],
                                                    rel=1e-4)
+
+
+def _scan_ln_lambda(potential, units, d, lo, hi, num):
+    """(ln lam, u) on an even grid of ln lam at spacing d."""
+    u_of = _objective(potential, units, _unit_shells(OptimizeOptions().shell_cutoff_factor))
+    ts = np.linspace(lo, hi, num)
+    return ts, np.array([u_of(math.exp(t), d) for t in ts.tolist()])
+
+
+def test_relaxed_curve_finds_the_minimum_beyond_the_old_bracket(solid, potential,
+                                                                krypton_units):
+    # at d = 1.3 the relaxed lam lies ~0.87 below ln lam*; a bounded search
+    # over ln lam* +- 0.7 returned its edge, -4.86680, as if converged
+    t_star = math.log(solid.lambda_star)
+    ts, us = _scan_ln_lambda(potential, krypton_units, 1.3, t_star - 3.0, t_star + 1.0, 801)
+    i = int(np.argmin(us))
+    assert 0 < i < len(ts) - 1
+    u = relaxed_energy_curve(solid, potential, krypton_units)(1.3)
+    assert u <= us[i]
+    # the grid step is 0.005 in ln lam, so the scan misses the minimum by
+    # at most u_tt (0.0025)^2 / 2 with u_tt ~ 2
+    assert u >= us[i] - 1e-5
+    assert u == pytest.approx(-4.87733, abs=1e-5)
+    edge = _objective(potential, krypton_units, _unit_shells(12.0))(
+        math.exp(t_star - 0.7), 1.3)
+    assert u < edge - 0.01
+
+
+def test_spacing_without_an_interior_minimum_raises(solid, potential):
+    # with LIGHT_UNITS the energy at d = 1.1 falls all the way to the
+    # lower lam wall, so no relaxed energy exists there
+    lo, hi = (math.log(x) for x in SEARCH_BOX["lambda"])
+    ts, us = _scan_ln_lambda(potential, LIGHT_UNITS, 1.1, lo + 1e-6, hi - 1e-6, 401)
+    assert int(np.argmin(us)) == 0
+    curve = relaxed_energy_curve(solid, potential, LIGHT_UNITS)
+    with pytest.raises(ConvergenceError, match="d=1.1") as info:
+        curve(1.1)
+    assert info.value.best_d == 1.1
+    assert info.value.u_t is not None and info.value.u_t > 0.0
+    assert SEARCH_BOX["lambda"][0] < info.value.best_lambda < solid.lambda_star
+    assert curve.n_evaluations <= 30
+
+
+def test_relaxed_curve_is_memoized_and_counts_evaluations(solid, potential,
+                                                         krypton_units):
+    curve = relaxed_energy_curve(solid, potential, krypton_units)
+    assert curve.n_evaluations == 0
+    u = curve(solid.d_star * 1.01)
+    n = curve.n_evaluations
+    assert 1 <= n <= 6
+    assert curve(solid.d_star * 1.01) == u
+    assert curve.n_evaluations == n
+    with pytest.raises(ValueError, match="d must lie"):
+        curve(SEARCH_BOX["d"][1])
+
+
+def test_bulk_evaluation_count_is_the_energy_calls_it_made(solid, potential,
+                                                          krypton_units,
+                                                          monkeypatch):
+    from varsolid import optimize
+    calls = []
+    energy_per_particle = optimize.energy_per_particle
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return energy_per_particle(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "energy_per_particle", counted)
+    bulk = bulk_modulus(solid, potential, krypton_units)
+    # 7 distinct stencil spacings, a few Newton steps each
+    assert bulk.n_evaluations == len(calls) <= 24
+    assert set(calls) == {2}
+    assert bulk.value == solid.bulk.value
+    assert solid.bulk.n_evaluations == bulk.n_evaluations
