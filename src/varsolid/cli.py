@@ -63,9 +63,11 @@ class RunConfig:
 
     Potential, unit and optimizer defaults are the library's own
     (`TwoYukawaParams`, `units.KRYPTON_*`, `OptimizeOptions`), and those
-    objects validate their fields.  Every field must match its annotation:
-    a float field takes a finite int or float (stored as float, never a
-    bool), an int field an int.
+    objects validate their fields.  Every field is a float and takes a
+    finite int or float (stored as float), never a bool.  The values no run
+    varies are constants, not fields: the Nelder-Mead cap
+    `optimize.MAX_ITER`, the verify battery's `oracle.VERIFY_SEED` and
+    `oracle.VERIFY_MC_SAMPLES`; the selfgrav N list is its `--N-list` flag.
     """
 
     b: float = TwoYukawaParams.b
@@ -76,29 +78,17 @@ class RunConfig:
     mass_u: float = KRYPTON_MASS_U
     lambda_init: float = OptimizeOptions.lambda_init
     d_init: float = OptimizeOptions.d_init
-    max_iter: int = OptimizeOptions.max_iter
     shell_cutoff_factor: float = OptimizeOptions.shell_cutoff_factor
-    quad_rtol: float = 1e-10
-    n_list: tuple[int, ...] = (100, 10_000, 1_000_000)
-    seed: int = 20260815
-    mc_samples: int = 200_000
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            object.__setattr__(self, f.name, _typed(f.name, f.type,
-                                                    getattr(self, f.name)))
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name)))
         try:
             self.units()
             self.potential()
             self.optimizer_options()
         except ValueError as exc:
             raise CliInputError(f"config: {exc}") from exc
-        if not 0.0 < self.quad_rtol < 1.0:
-            raise CliInputError("config field quad_rtol must lie in (0, 1)")
-        if self.mc_samples < 1000 or self.seed < 0:
-            raise CliInputError("mc_samples must be >= 1000 and seed >= 0")
-        if any(n < 2 for n in self.n_list):
-            raise CliInputError("every entry of n_list must be >= 2")
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -133,31 +123,17 @@ class RunConfig:
                                   if f.name in mine})
 
 
-_KINDS = {"float": "a finite number", "int": "an integer",
-          "tuple[int, ...]": "a list of integers"}
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _typed(name: str, annotation: str, value: Any) -> Any:
-    """`value` checked against a RunConfig annotation (a string, since
-    annotations are postponed); float fields store ints as floats and
-    n_list stores a list as a tuple."""
-    if annotation == "float" and (_is_int(value) or isinstance(value, float)):
+def _typed(name: str, value: Any) -> float:
+    """`value` of the RunConfig field `name` as a finite float; an int is
+    widened, and a bool is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             value = float(value)
         except OverflowError:  # an int beyond the float range
             value = math.inf
         if math.isfinite(value):
             return value
-    elif annotation == "int" and _is_int(value):
-        return value
-    elif annotation == "tuple[int, ...]" and isinstance(value, (list, tuple)) \
-            and all(_is_int(x) for x in value):
-        return tuple(value)
-    raise CliInputError(f"config field {name} must be {_KINDS[annotation]}, "
+    raise CliInputError(f"config field {name} must be a finite number, "
                         f"got {type(value).__name__}")
 
 
@@ -305,8 +281,7 @@ def _cmd_superposition(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_selfgrav(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
-        n_list = cfg.n_list if args.n_list is None else tuple(
-            int(float(x)) for x in args.n_list.split(","))
+        n_list = tuple(int(float(x)) for x in args.n_list.split(","))
     except (ValueError, OverflowError) as exc:  # not a number, NaN or infinite
         raise CliInputError(f"--N-list needs finite numbers: {exc}") from exc
     if any(n < 2 for n in n_list):
@@ -363,8 +338,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    checks = verify_checks(cfg.potential(), cfg.seed, cfg.quad_rtol,
-                           cfg.mc_samples)
+    checks = verify_checks(cfg.potential())
     all_passed = all(c["passed"] for c in checks)
     payload = {"all_passed": all_passed, "checks": checks}
     _write_json(payload, args.output)
@@ -414,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sg = sub.add_parser("selfgrav", help="self-gravitating scaling tables")
     p_sg.add_argument("--kind", required=True, choices=("boson", "fermion"))
     p_sg.add_argument("--N-list", "--n-list", dest="n_list",
-                      help="comma-separated N values")
+                      default="100,10000,1000000",
+                      help="comma-separated N values (default: %(default)s)")
     p_sg.add_argument("--kappa", type=float, default=1.0)
     p_sg.add_argument("--mu", type=float, default=1.0)
     p_sg.add_argument("--q", type=int, default=2)

@@ -75,8 +75,8 @@ class LatticeShells:
         Coordination counts are spacing-independent; distances rescale
         linearly.  Used by the optimizer to avoid re-enumerating while d moves.
         """
-        if new_d <= 0.0:
-            raise ValueError(f"spacing must be positive, got {new_d}")
+        if not (math.isfinite(new_d) and new_d > 0.0):
+            raise ValueError(f"spacing must be positive and finite, got {new_d}")
         distances = self.distances_r * (new_d / self.spacing_d)
         distances.flags.writeable = False
         return LatticeShells(self.kind, new_d, distances, self.counts_c)
@@ -134,8 +134,8 @@ def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:
     """
     if kind is not LatticeKind.FCC:
         raise ValueError(f"unsupported lattice kind: {kind}")
-    if d <= 0.0:
-        raise ValueError(f"spacing must be positive, got {d}")
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"spacing must be positive and finite, got {d}")
     if N < 1:
         raise ValueError(f"cluster size must be >= 1, got {N}")
 

@@ -225,8 +225,8 @@ _MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi)
 _TERMS = ((4.0, 8, 4), (8.0, 7, 3), (-32.0, 5, 2), (192.0, 3, 1))
 
 
-def _lam_jets(scale, lam, alpha) -> list:
-    """(f, df/dlam, d2f/dlam2) of each f = scale lam^p D^-k / c of _TERMS.
+def _lam_jets(weight, lam, alpha) -> list:
+    """(f, df/dlam, d2f/dlam2) of each f = weight lam^p D^-k / c of _TERMS.
 
     With D = alpha^2 - lam^2 the log-derivative is g = f'/f = p/lam +
     2k lam/D and f'' = f (g^2 + g'), g' = -p/lam^2 + 2k (alpha^2 + lam^2)/D^2.
@@ -238,7 +238,7 @@ def _lam_jets(scale, lam, alpha) -> list:
     lam_d, l2_d2 = lam * d, l2 * d * d
     jets = []
     for c, p, k in _TERMS:
-        f = lam**p / d**k * (scale / c)
+        f = lam**p / d**k * (weight / c)
         g = (p * a2 + (2 * k - p) * l2) / lam_d
         dg = (((2 * p + 2 * k) * l2 - p * a2) * a2 + (2 * k - p) * l2 * l2) / l2_d2
         jets.append((f, f * g, f * (g * g + dg)))
@@ -323,10 +323,12 @@ def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
         row 2 = sum h'' core + e^{-lam s} (P'' - 2 s P' + s^2 P + 2 H' - s H),
 
     where H = sum h and a prime acts on the coefficients of P at fixed s.
+    The scalars leave out `scale`, which multiplies each row last: folded
+    into them first, a large b overflows them while the rows stay finite.
     """
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
-    hm, *gm = _lam_jets(scale * weight_m / pi, lam, alpha_m)
-    hn, *gn = _lam_jets(-scale * weight_n / pi, lam, alpha_n)
+    hm, *gm = _lam_jets(weight_m / pi, lam, alpha_m)
+    hn, *gn = _lam_jets(-weight_n / pi, lam, alpha_n)
     g2, g3, g4 = ([u + v for u, v in zip(jm, jn)] for jm, jn in zip(gm, gn))
     # with poly3 = 1 + lam s and poly4 = 3 + 3 lam s + lam^2 s^2:
     # p0 = g2 + q, p1 = lam q and p2 = lam^2 g4, where q = g3 + 3 g4
@@ -343,7 +345,7 @@ def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
                     + els * _horner(s, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
                                         p2[2] - 2.0 * p1[1] + p0[0],
                                         p1[0] - 2.0 * p2[1], p2[0])))
-    return rows
+    return [row * scale for row in rows]
 
 
 def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):

@@ -205,8 +205,8 @@ def orbital_overlap(lam: float, separation: float,
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if separation < 0.0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0.0):
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if separation >= 2.0 * cutoff_a:
         return 0.0
     z = 0.5 * lam * separation

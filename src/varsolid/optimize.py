@@ -2,11 +2,12 @@
 
 The landscape is smooth with a single physical basin, but lam ~ 91 and
 d ~ 1.1 live on very different scales, so the simplex runs over (ln lam, d)
-to the fixed tolerances PARAM_TOL and ENERGY_TOL.  An optimum on the edge of
-SEARCH_BOX is rejected, not returned.  The bulk modulus is the curvature of
-the *relaxed* energy-volume curve (lam re-optimized at every
-compressed/stretched spacing), B = v d^2u/dv^2 with v = d^3/sqrt(2) per
-particle on FCC, from 5-point stencils with steps FD_STEP_REL and half that.
+to the fixed tolerances PARAM_TOL and ENERGY_TOL in at most MAX_ITER
+iterations.  An optimum on the edge of SEARCH_BOX is rejected, not
+returned.  The bulk modulus is the curvature of the *relaxed* energy-volume
+curve (lam re-optimized at every compressed/stretched spacing),
+B = v d^2u/dv^2 with v = d^3/sqrt(2) per particle on FCC, from 5-point
+stencils with steps FD_STEP_REL and half that.
 
 The re-optimization of lam at a fixed spacing is a safeguarded Newton
 iteration in t = ln lam (Nocedal & Wright, Numerical Optimization, ch. 3)
@@ -67,6 +68,9 @@ BOX_EDGE_REL = 1e-4
 PARAM_TOL = 1e-7
 ENERGY_TOL = 1e-13
 
+#: Nelder-Mead iteration cap; energy evaluations are capped at 4 * MAX_ITER
+MAX_ITER = 600
+
 #: bulk-modulus stencil step, relative to d*
 FD_STEP_REL = 1e-2
 
@@ -93,7 +97,6 @@ def _on_box_edge(name: str, value: float) -> bool:
 class OptimizeOptions:
     lambda_init: float = 50.0
     d_init: float = 1.1
-    max_iter: int = 600
     shell_cutoff_factor: float = 12.0  # shells out to this multiple of d
 
     def __post_init__(self) -> None:
@@ -103,8 +106,6 @@ class OptimizeOptions:
         if not 0.0 < self.shell_cutoff_factor <= MAX_SHELL_CUTOFF_FACTOR:
             raise ValueError(f"shell_cutoff_factor must lie in (0, {MAX_SHELL_CUTOFF_FACTOR:g}], "
                              f"got {self.shell_cutoff_factor!r}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
                    x0=[math.log(opts.lambda_init), opts.d_init],
                    method="Nelder-Mead",
                    options={"xatol": PARAM_TOL, "fatol": ENERGY_TOL,
-                            "maxiter": opts.max_iter, "maxfev": 4 * opts.max_iter})
+                            "maxiter": MAX_ITER, "maxfev": 4 * MAX_ITER})
     lam_star, d_star = math.exp(res.x[0]), float(res.x[1])
     u_min = float(res.fun)
     if not res.success:

@@ -27,6 +27,11 @@ from .selfgrav import (C_KIN, boson_energy, boson_solve, fermion_solve,
 #: radius used to evaluate lim_{r->0} r*f(r) for kernels as singular as 1/r
 _TINY_R = 1e-280
 
+#: seed of every random draw in verify_checks, and the samples of each of
+#: its Monte Carlo checks
+VERIFY_SEED = 20260815
+VERIFY_MC_SAMPLES = 200_000
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach its requested tolerance."""
@@ -156,18 +161,18 @@ def _decay_cutoff(rf: Callable[[float], float]) -> float:
     return 400.0
 
 
-def radial_transform_check(f: Callable[[float], float], k: float,
-                           rtol: float = 1e-10) -> float:
+def radial_transform_check(f: Callable[[float], float], k: float) -> float:
     """(4 pi / k) int_0^inf r sin(kr) f(r) dr for a radial function f.
 
     The 3-D Fourier transform of f(|r|) at wavenumber k; the k = 0 branch is
     the plain volume integral.  Oscillation is handled by the sine-weighted
     Clenshaw-Curtis rule on a finite interval chosen past the decay of f, so
-    the requested *relative* tolerance is honored.  f may diverge at the
-    origin as fast as 1/r.
+    the relative tolerance 1e-10 is honored.  f may diverge at the origin as
+    fast as 1/r.
     """
     if k < 0.0:
         raise ValueError(f"wavenumber must be >= 0, got {k}")
+    rtol = 1e-10
     rf = _times_r(f)
     try:
         hi = _decay_cutoff(rf)
@@ -196,8 +201,8 @@ def radial_transform_check(f: Callable[[float], float], k: float,
     return scale * val
 
 
-def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams, s: float,
-                           rtol: float = 1e-10) -> tuple[float, float]:
+def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
+                           s: float) -> tuple[float, float]:
     """Fourier-space pair energy by mapped adaptive quadrature, with its
     error estimate.
 
@@ -225,12 +230,12 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams, s: float,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
-                                  epsrel=rtol, limit=2000)
+                                  epsrel=1e-10, limit=2000)
     return val / (2.0 * math.pi**2), err / (2.0 * math.pi**2)
 
 
 def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
-                                    s: float, rtol: float = 1e-12) -> float:
+                                    s: float) -> float:
     """Non-oscillatory real-space reference for the pair energy.
 
     Uses the bipolar reduction: with h the autocorrelation of the site
@@ -258,7 +263,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
         val, err = integrate.quad(
             lambda w: 4.0 * math.pi * w * w * h(w)
             * float(two_yukawa(max(w, _TINY_R), pot)),
-            0.0, hi, epsabs=1e-300, epsrel=rtol, limit=800,
+            0.0, hi, epsabs=1e-300, epsrel=1e-12, limit=800,
             points=[1.0 / lam, 10.0 / lam, min(sig, 0.5 * hi)])
         scale = 1.0
     else:
@@ -282,7 +287,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
             # is enforced by the explicit error guard below
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             val, err = integrate.quad(lambda w: w * h(w) * inner(w), 0.0, hi,
-                                      epsabs=1e-300, epsrel=rtol, limit=800,
+                                      epsabs=1e-300, epsrel=1e-12, limit=800,
                                       points=pts)
         scale = 2.0 * math.pi / s
     if abs(err) > 1e-6 * max(abs(val), 1e-300):
@@ -292,7 +297,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     return scale * val
 
 
-def coulomb_self_energy_quadrature(rate: float, rtol: float = 1e-11) -> float:
+def coulomb_self_energy_quadrature(rate: float) -> float:
     """int int rho rho'/|r-r'| for the unit-mass density rate^3 e^{-rate r}/(8 pi).
 
     Nested shell-theorem quadrature: the inner potential at radius r is
@@ -301,6 +306,7 @@ def coulomb_self_energy_quadrature(rate: float, rtol: float = 1e-11) -> float:
     """
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
+    rtol = 1e-11
 
     def rho(r: float) -> float:
         return rate**3 * math.exp(-rate * r) / (8.0 * math.pi)
@@ -320,8 +326,8 @@ def coulomb_self_energy_quadrature(rate: float, rtol: float = 1e-11) -> float:
     return val
 
 
-def density_power_integral_quadrature(rate: float, mass: float, power: float,
-                                      rtol: float = 1e-12) -> float:
+def density_power_integral_quadrature(rate: float, mass: float,
+                                      power: float) -> float:
     """int rho^power d^3r for rho = mass * rate^3 e^{-rate r}/(8 pi).
 
     Pins the Thomas-Fermi kinetic coefficient (power = 5/3).
@@ -330,7 +336,7 @@ def density_power_integral_quadrature(rate: float, mass: float, power: float,
         return mass * rate**3 * math.exp(-rate * r) / (8.0 * math.pi)
 
     val, err = integrate.quad(lambda r: 4.0 * math.pi * r * r * rho(r) ** power,
-                              0.0, np.inf, epsabs=1e-300, epsrel=rtol, limit=400)
+                              0.0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=400)
     if abs(err) > 1e-6 * abs(val):
         raise QuadratureError(f"density power integral error {err:.3e} too large")
     return val
@@ -340,16 +346,16 @@ def density_power_integral_quadrature(rate: float, mass: float, power: float,
 # the verify battery
 # ----------------------------------------------------------------------
 
-def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
-                  mc_samples: int) -> list[dict[str, Any]]:
+def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     """Every oracle cross-check as a row: check, value, reference, error,
     tolerance, passed, plus keys some rows add (worst_k, unit).
 
     The error is relative to the reference unless a row supplies its own
     (worst-case deviations, Monte Carlo deviations in standard errors).
-    Deterministic for a fixed seed.
+    Deterministic: the random draws come from VERIFY_SEED, and each Monte
+    Carlo check takes VERIFY_MC_SAMPLES samples.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     checks: list[dict[str, Any]] = []
 
     def record(name: str, value: float, reference: float, tol: float,
@@ -364,7 +370,7 @@ def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
     worst_k, worst = 0.0, 0.0
     for k in rng.uniform(0.05, 60.0, 20):
         got = radial_transform_check(lambda r: float(two_yukawa(r, pot)),
-                                     float(k), rtol=quad_rtol)
+                                     float(k))
         want = two_yukawa_fourier(float(k), pot)
         rel = abs(got - want) / abs(want)
         if rel > worst:
@@ -376,8 +382,7 @@ def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
     lam0 = 91.33
     p0 = OrbitalParams(lam0)
     got = radial_transform_check(
-        lambda r: lam0**3 * math.exp(-lam0 * r) / (8.0 * math.pi), 10.0,
-        rtol=quad_rtol)
+        lambda r: lam0**3 * math.exp(-lam0 * r) / (8.0 * math.pi), 10.0)
     record("density_fourier vs sine quadrature (k=10)", got,
            density_fourier(p0, 10.0), 1e-9)
 
@@ -398,15 +403,15 @@ def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
     record("pair_energy closed form vs real-space quadrature", worst, 0.0, 1e-9,
            error=worst)
 
-    qval, qerr = pair_energy_quadrature(p0, pot, 0.0, rtol=quad_rtol)
+    qval, qerr = pair_energy_quadrature(p0, pot, 0.0)
     w0 = pair_energy(p0, pot, 0.0)
     record("same-site W vs Fourier quadrature", qval, w0,
            max(1e-8, 3.0 * qerr / abs(w0)))
 
     # Monte Carlo pair energies
     for i, (lam, s) in enumerate(((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))):
-        est = mc_pair_energy(OrbitalParams(lam), pot, s, samples=mc_samples,
-                             seed=seed + 1 + i)
+        est = mc_pair_energy(OrbitalParams(lam), pot, s,
+                             samples=VERIFY_MC_SAMPLES, seed=VERIFY_SEED + 1 + i)
         cf = pair_energy(OrbitalParams(lam), pot, s)
         record(f"pair_energy MC lam={lam} s={s}", est.mean, cf, 3.0,
                error=abs(est.mean - cf) / est.std_error, unit="standard errors")
@@ -420,7 +425,8 @@ def verify_checks(pot: TwoYukawaParams, seed: int, quad_rtol: float,
 
     # momentum variance pin: per-axis <p^2> of e^{-beta r} orbital
     beta = 45.665
-    est = mc_momentum_axis_variance(beta, samples=mc_samples, seed=seed + 17)
+    est = mc_momentum_axis_variance(beta, samples=VERIFY_MC_SAMPLES,
+                                    seed=VERIFY_SEED + 17)
     record("per-axis momentum variance (hbar beta)^2/3", est.mean,
            beta**2 / 3.0, 4.0,
            error=abs(est.mean - beta**2 / 3.0) / est.std_error,

@@ -76,12 +76,11 @@ FAIL_OPEN_CONFIGS = ({"shell_cutoff_factor": math.inf}, {"relaxed_bulk": "no"},
 
 
 def test_config_rejects_bad_values(tmp_path):
-    for field, value in (("b", -1.0), ("quad_rtol", 0.0),
-                         ("mc_samples", 10), ("shell_cutoff_factor", math.inf),
-                         ("shell_cutoff_factor", 41.0), ("max_iter", 2.5),
-                         ("max_iter", True), ("b", math.nan), ("m", "2.69"),
-                         ("seed", None), ("n_list", [2.5]), ("n_list", 100),
-                         ("sigma_angstrom", 1e308), ("lambda_init", 10**400)):
+    for field, value in (("b", -1.0), ("shell_cutoff_factor", math.inf),
+                         ("shell_cutoff_factor", 41.0), ("d_init", True),
+                         ("b", math.nan), ("m", "2.69"), ("n", None),
+                         ("mass_u", [2.5]), ("sigma_angstrom", 1e308),
+                         ("lambda_init", 10**400)):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({field: value}))
         with pytest.raises(CliInputError):
@@ -90,10 +89,17 @@ def test_config_rejects_bad_values(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("relaxed_bulk", True),
                                         ("fd_step_rel", 0.01),
-                                        ("param_tol", 1e-7)])
+                                        ("param_tol", 1e-7),
+                                        ("quad_rtol", 1e-10),
+                                        ("mc_samples", 200_000),
+                                        ("seed", 20260815),
+                                        ("n_list", [100, 10_000, 1_000_000]),
+                                        ("max_iter", 600)])
 def test_removed_config_keys_exit_1(tmp_path, capsys, key, value):
-    # the solver tolerances and the stencil step are constants now, and the
-    # bulk modulus is always the relaxed one: even the old defaults are refused
+    # the solver tolerances, the iteration cap, the stencil step and the
+    # verify seed and budgets are constants now, the selfgrav N list is a
+    # flag, and the bulk modulus is always the relaxed one: even the old
+    # defaults are refused
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     assert run_cli("--config", str(cfg), "optimize") == EXIT_INPUT
@@ -105,10 +111,10 @@ def test_removed_config_keys_exit_1(tmp_path, capsys, key, value):
 
 def test_config_ints_widen_to_float_fields(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"lambda_init": 80, "max_iter": 300}))
+    p.write_text(json.dumps({"lambda_init": 80, "shell_cutoff_factor": 10}))
     cfg = RunConfig.from_file(str(p))
     assert type(cfg.lambda_init) is float and cfg.lambda_init == 80.0
-    assert type(cfg.max_iter) is int and cfg.max_iter == 300
+    assert type(cfg.shell_cutoff_factor) is float and cfg.shell_cutoff_factor == 10.0
 
 
 @pytest.mark.parametrize("bad", FAIL_OPEN_CONFIGS)
@@ -123,17 +129,9 @@ def test_fail_open_config_exits_1_with_no_output(tmp_path, capsys, bad):
 
 
 def _has_annotated_types(cfg):
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "float":
-            ok = type(value) is float and math.isfinite(value)
-        elif f.type == "int":
-            ok = type(value) is int
-        else:
-            ok = type(value) is tuple and all(type(x) is int for x in value)
-        if not ok:
-            return False
-    return True
+    # every RunConfig field is a float
+    return all(f.type == "float" and type(value := getattr(cfg, f.name)) is float
+               and math.isfinite(value) for f in dataclasses.fields(cfg))
 
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)] + ["lambda_initial"]
@@ -165,10 +163,10 @@ def test_config_boundary_fuzz(tmp_path, raw):
 
 def test_config_partial_override(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"lambda_init": 80.0, "n_list": [2, 5]}))
+    p.write_text(json.dumps({"lambda_init": 80.0, "d_init": 1.2}))
     cfg = RunConfig.from_file(str(p))
     assert cfg.lambda_init == 80.0
-    assert cfg.n_list == (2, 5)
+    assert cfg.d_init == 1.2
     assert cfg.b == 2.026  # defaults retained
 
 
@@ -238,7 +236,7 @@ def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys, tmp_p
 
 def test_unbound_system_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mass_u": 8.3798e-11, "max_iter": 150}))
+    cfg.write_text(json.dumps({"mass_u": 8.3798e-11}))
     assert run_cli("--config", str(cfg), "optimize") == EXIT_CONVERGENCE
     assert "convergence failure" in capsys.readouterr().err
 
@@ -317,6 +315,12 @@ def test_sweep_csv_has_full_precision(tmp_path):
         # 17 significant digits survive the round trip exactly
         assert float(got["u_epsilon"]) == want["u_epsilon"]
         assert float(got["d_sigma"]) == want["d_sigma"]
+
+
+def test_selfgrav_default_n_list(capsys):
+    assert run_cli("selfgrav", "--kind", "boson") == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["N"] for r in rows] == [100, 10_000, 1_000_000]
 
 
 def test_selfgrav_boson_chi_column_decreases(tmp_path):

@@ -121,6 +121,11 @@ def test_enumerate_shells_rejects_bad_arguments():
                             (math.nan, 2.0)):
         with pytest.raises(ValueError):
             enumerate_shells(LatticeKind.FCC, d, max_distance)
+    # a non-finite rescaling was once accepted and failed later in pair_energy
+    unit = enumerate_shells(LatticeKind.FCC, 1.0, 3.0)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {bad}"):
+            unit.scaled(bad)
 
 
 def test_cluster_n1_is_origin():
@@ -179,3 +184,8 @@ def test_cluster_deterministic_tie_breaking():
 def test_cluster_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         build_cluster(LatticeKind.FCC, 1.0, 0)
+    # a non-finite spacing once reached math.ceil as "cannot convert float
+    # NaN to integer"
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {bad}"):
+            build_cluster(LatticeKind.FCC, bad, 5)

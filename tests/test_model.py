@@ -483,6 +483,18 @@ def test_window_value_row_is_bitwise_the_order_0_result(lam):
     assert pair_energy(p, POT, s, order=2)[0].tolist() == pair_energy(p, POT, s).tolist()
 
 
+def test_lam_rows_stay_finite_for_a_huge_coupling():
+    # the rows scale with b; the scale -4 pi eps b sigma once went into the
+    # scalar jets before the array product, and at b = 1e300 they overflowed
+    # into NaN derivative rows under a finite value row
+    p = OrbitalParams(91.2)
+    s = np.array([0.0, 0.5, 1.0981, 2.0, 5.0])
+    huge = pair_energy(p, TwoYukawaParams(b=1e300), s, order=2)
+    assert np.isfinite(huge).all()
+    np.testing.assert_allclose(huge / (1e300 / POT.b), pair_energy(p, POT, s, order=2),
+                               rtol=1e-15, atol=0.0)
+
+
 def test_lam_rows_keep_the_shape_of_s():
     p = OrbitalParams(LAM_KR)
     assert pair_energy(p, POT, 1.1, order=1).shape == (2,)

@@ -283,6 +283,10 @@ def test_orbital_overlap_positive_below_contact():
     val = orbital_overlap(10.0, 1.2, cutoff_a=1.0)
     assert val > 0.0
     assert orbital_overlap(10.0, 2.0, cutoff_a=1.0) == 0.0
+    # a NaN separation once returned NaN
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=f"separation must be finite and >= 0, got {bad}"):
+            orbital_overlap(1.0, bad)
 
 
 def test_orbital_overlap_slater_value():

@@ -149,9 +149,12 @@ def test_energy_curves_agree_at_the_optimum(solid, potential, krypton_units):
     assert u_rel(d) <= u_frz(d) + 1e-12
 
 
-def test_iteration_cap_raises_with_best_point(potential, krypton_units):
+def test_iteration_cap_raises_with_best_point(potential, krypton_units,
+                                             monkeypatch):
+    from varsolid import optimize
+    monkeypatch.setattr(optimize, "MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as info:
-        minimize_solid(potential, krypton_units, OptimizeOptions(max_iter=3))
+        minimize_solid(potential, krypton_units, OptimizeOptions())
     assert info.value.best_u is not None
     assert info.value.best_lambda is not None
 
@@ -160,7 +163,7 @@ def test_unbound_problem_raises(potential):
     # a mass 12 orders of magnitude lighter makes the kinetic term dominate:
     # no bound solid exists and the minimizer must say so, not return junk
     with pytest.raises(ConvergenceError):
-        minimize_solid(potential, LIGHT_UNITS, OptimizeOptions(max_iter=200))
+        minimize_solid(potential, LIGHT_UNITS, OptimizeOptions())
 
 
 def test_perturbed_start_reaches_same_optimum(potential, krypton_units, solid):
@@ -191,7 +194,6 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
     ("lambda_init", 1e-2), ("d_init", 0.3), ("d_init", 20.0),
     ("shell_cutoff_factor", math.inf),
     ("shell_cutoff_factor", MAX_SHELL_CUTOFF_FACTOR * 1.01),
-    ("max_iter", 0),
 ])
 def test_optimize_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -204,10 +206,10 @@ def test_optimize_options_accept_the_cutoff_ceiling():
 
 
 @pytest.mark.parametrize("field", ["param_tol", "energy_tol", "fd_step_rel",
-                                   "relaxed_bulk"])
+                                   "relaxed_bulk", "max_iter"])
 def test_optimize_options_have_no_tolerance_switches(field):
-    # the tolerances and the stencil step are module constants, and the
-    # bulk modulus always runs the relaxed curve
+    # the tolerances, the iteration cap and the stencil step are module
+    # constants, and the bulk modulus always runs the relaxed curve
     with pytest.raises(TypeError):
         OptimizeOptions(**{field: 1.0})
 
