@@ -55,8 +55,11 @@ relative.  Two maps are skipped, bitwise: an array whose every argument lies
 at or below a saturation floor is the constant the map would give, 0.0 for
 exp at EXP_FLOOR = -746 and -1.0 for expm1 at EXPM1_FLOOR = -40.  At the
 solid's optimum (lam ~ 91, every s >= d ~ 1.1) both expm1 maps are wholly
-saturated, two of the five maps of a call.  Likewise the masks that put
-core's s -> 0 limit at s = 0 run only when some separation is that small.
+saturated, two of the five maps of a call, and core skips them outright:
+the smallest separation settles it, and -e^{-alpha s} * -1.0 is
+e^{-alpha s} bitwise.  Likewise the masks that put core's s -> 0 limit at
+s = 0 run only when some separation is that small.  pair_energy validates
+its separations with one min and one max, and hands the min on.
 
 One closed form in two precisions: the partial-fraction coefficients blow
 up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
@@ -160,7 +163,7 @@ def density_fourier(p: OrbitalParams, k):
     n~(0) = 1 by normalization and n~ decreases monotonically to 0.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
+    if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
     out = (1.0 + (k / p.lam) ** 2) ** -2
     return float(out) if out.ndim == 0 else out
@@ -169,7 +172,7 @@ def density_fourier(p: OrbitalParams, k):
 def two_yukawa(r, p: TwoYukawaParams = TwoYukawaParams()):
     """Two-Yukawa potential at separation r (> 0); accepts arrays."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):  # NaN fails it too
         raise ValueError("two_yukawa is defined for r > 0 only")
     x = r / p.sigma
     out = -p.epsilon * p.b * (np.exp(-p.m * (x - 1.0)) - np.exp(-p.n * (x - 1.0))) / x
@@ -183,7 +186,7 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
     each Yukawa piece (with its e^{+a} offset absorbing the r/sigma - 1 shift).
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k < 0.0):
+    if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
     ks2 = (k * p.sigma) ** 2
     out = -4.0 * np.pi * p.epsilon * p.b * p.sigma**3 * (
@@ -213,10 +216,11 @@ def _map(fn, floor: float, saturated: float):
     return apply
 
 
-#: (exp, expm1, pi) of the float branch and of the mpmath window branch
+#: (exp, expm1, pi, expm1's saturation floor) of the float branch and of
+#: the mpmath window branch, where no finite argument saturates expm1
 _FLOAT_OPS = (_map(math.exp, EXP_FLOOR, 0.0), _map(math.expm1, EXPM1_FLOOR, -1.0),
-              math.pi)
-_MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi)
+              math.pi, EXPM1_FLOOR)
+_MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi, -math.inf)
 
 
 #: the lam-dependent scalars of one Yukawa piece, each lam^p D^-k/(c pi) as
@@ -255,22 +259,23 @@ def _horner(s: np.ndarray, coefs) -> np.ndarray:
     return acc
 
 
-def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, ops,
+def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
                  order: int = 0) -> np.ndarray:
     """The closed form (module docstring) over a 1-D array s of separations.
 
-    `pieces` holds the two Yukawa terms as (weight e^m or e^n, exponent
-    alpha).  Floats and a float64 array run with _FLOAT_OPS; mpf lam and
-    alpha (promoted before any arithmetic, or alpha^2 - lam^2 cancels in
-    double) and an object array of mpf run with _MP_OPS.  order 0 gives the
-    values; order 1 or 2 stacks the lam-derivative rows under them.
+    `smin` is the smallest entry of s (inf if s is empty).  `pieces` holds
+    the two Yukawa terms as (weight e^m or e^n, exponent alpha).  Floats
+    and a float64 array run with _FLOAT_OPS; mpf lam and alpha (promoted
+    before any arithmetic, or alpha^2 - lam^2 cancels in double) and an
+    object array of mpf run with _MP_OPS.  order 0 gives the values; order
+    1 or 2 stacks the lam-derivative rows under them.
     """
-    exp, expm1, pi = ops
+    exp, expm1, pi, expm1_floor = ops
     # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
     # relative precision and core is its s -> 0 limit lam - alpha; the masks
     # run only when some s is that small
     tiny = sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
-    has_tiny = s.size > 0 and s.min() < tiny
+    has_tiny = smin < tiny
     x = s * lam
     els = exp(s * -lam)
     poly3 = 1.0 + x
@@ -280,6 +285,10 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, ops,
         """(e^{-alpha s} - e^{-lam s})/s, and lam - alpha at s = 0."""
         if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
             tail = els * expm1(s * -(alpha - lam))
+        elif smin * -(lam - alpha) <= expm1_floor:
+            # expm1's largest argument, at smin, is saturated: it is -1.0 at
+            # every s, and -e^{-alpha s} * -1.0 is e^{-alpha s} bitwise
+            tail = exp(s * -alpha)
         else:
             tail = -exp(s * -alpha) * expm1(s * -(lam - alpha))
         if not has_tiny:
@@ -370,8 +379,10 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     arr = np.asarray(s, dtype=float)
     flat = arr.reshape(-1)
-    bad = ~(np.isfinite(flat) & (flat >= 0.0))
-    if bad.any():
+    # NaN fails smin >= 0, and -inf or +inf fails it or isfinite(smax)
+    smin, smax = (float(flat.min()), float(flat.max())) if flat.size else (math.inf, 0.0)
+    if not (smin >= 0.0 and math.isfinite(smax)):
+        bad = ~(np.isfinite(flat) & (flat >= 0.0))
         raise ValueError(f"separation must be finite and >= 0, got {flat[bad][0]}")
     lam = p.lam
     alpha_m = pot.m / pot.sigma
@@ -389,10 +400,11 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
                 lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
             s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
-            out = _closed_form(lam_mp, pot, pieces, s_mp, _MP_OPS, order).astype(float)
+            out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS,
+                               order).astype(float)
     else:
         pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
-        out = _closed_form(lam, pot, pieces, flat, _FLOAT_OPS, order)
+        out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)
     if order:
         return out.reshape((order + 1, *arr.shape))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -3,8 +3,9 @@
 The landscape is smooth with a single physical basin, but lam ~ 91 and
 d ~ 1.1 live on very different scales, so the simplex runs over (ln lam, d)
 to the fixed tolerances PARAM_TOL and ENERGY_TOL in at most MAX_ITER
-iterations.  An optimum on the edge of SEARCH_BOX is rejected, not
-returned.  The bulk modulus is the curvature of the *relaxed* energy-volume
+iterations.  The simplex is _nelder_mead, a Nelder-Mead on Python floats
+that takes scipy's steps exactly, so this module imports no scipy.  An
+optimum on the edge of SEARCH_BOX is rejected, not returned.  The bulk modulus is the curvature of the *relaxed* energy-volume
 curve (lam re-optimized at every compressed/stretched spacing),
 B = v d^2u/dv^2 with v = d^3/sqrt(2) per particle on FCC, from 5-point
 stencils with steps FD_STEP_REL and half that.
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable
-
-from scipy.optimize import minimize
+from typing import Callable, NamedTuple
 
 from .energy import energy_per_particle
 from .lattice import LatticeKind, LatticeShells, enumerate_shells
@@ -148,6 +148,106 @@ def _objective(pot: TwoYukawaParams, units: UnitSystem,
     return u_of
 
 
+#: Nelder-Mead coefficients (scipy's rho, chi, psi and sigma), and the
+#: initial simplex's relative step, or its step from a zero coordinate
+REFLECTION, EXPANSION, CONTRACTION, SHRINKAGE = 1, 2, 0.5, 0.5
+SIMPLEX_STEP, SIMPLEX_ZERO_STEP = 0.05, 0.00025
+
+
+class _Spent(Exception):
+    """The simplex's energy-evaluation budget is used up."""
+
+
+class _Simplex(NamedTuple):
+    x: tuple  # the best vertex
+    fun: float  # its value, or NaN if any vertex's value is NaN
+    nit: int
+    nfev: int
+    vertices: list  # best first
+    values: list
+    cap: str | None  # "maxfev" or "maxiter" if one stopped it, else None
+
+
+def _nelder_mead(fun: Callable[[tuple], float], x0, xatol: float,
+                 fatol: float, maxiter: int, maxfev: int) -> _Simplex:
+    """Non-adaptive Nelder-Mead (Nelder & Mead, Comput. J. 7, 308, 1965) on
+    Python floats, step for step scipy.optimize.minimize(method="Nelder-Mead")
+    with the same options, so every iterate, count and exit is bitwise
+    scipy's.  Hence the scipy details: vertices sort stably with NaN last
+    (np.argsort), a NaN difference fails the xatol/fatol test (np.max),
+    nit counts from 1, and the budget is checked before each call.
+    """
+    x0 = tuple(map(float, x0))
+    n = len(x0)
+    nfev = 0
+
+    def f(x: tuple) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return fun(x)
+
+    def toward(xbar: tuple, worst: tuple, a: float, b: float) -> tuple:
+        """a xbar - b worst, rounded as scipy's array expressions round."""
+        return tuple(a * c - b * w for c, w in zip(xbar, worst))
+
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + SIMPLEX_STEP) * y[k] if y[k] != 0 else SIMPLEX_ZERO_STEP
+        sim.append(tuple(y))
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Spent:
+        pass
+    nit = 1
+    while True:
+        pairs = sorted(zip(fsim, sim), key=lambda p: (math.isnan(p[0]), p[0]))
+        fsim, sim = [p[0] for p in pairs], [p[1] for p in pairs]
+        if not (nfev < maxfev and nit < maxiter):
+            break
+        if (all(abs(c - b) <= xatol for v in sim[1:] for c, b in zip(v, sim[0]))
+                and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
+            break
+        try:
+            # the centroid of all but the worst, summed in order like np.add.reduce
+            xbar = tuple(functools.reduce(operator.add, c) / n for c in zip(*sim[:-1]))
+            xr = toward(xbar, sim[-1], 1 + REFLECTION, REFLECTION)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = toward(xbar, sim[-1], 1 + REFLECTION * EXPANSION,
+                            REFLECTION * EXPANSION)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = toward(xbar, sim[-1], 1 + CONTRACTION * REFLECTION,
+                                CONTRACTION * REFLECTION)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = toward(xbar, sim[-1], 1 - CONTRACTION, -CONTRACTION)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = tuple(b + SHRINKAGE * (c - b) for c, b in zip(sim[j], sim[0]))
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _Spent:
+            pass
+    cap = "maxfev" if nfev >= maxfev else "maxiter" if nit >= maxiter else None
+    best = math.nan if any(map(math.isnan, fsim)) else fsim[0]
+    return _Simplex(sim[0], best, nit, nfev, sim, fsim, cap)
+
+
 def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
                    opts: OptimizeOptions = OptimizeOptions()) -> SolidSolution:
     """Nelder-Mead over (ln lam, d) from the configured starting point.
@@ -159,15 +259,13 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
     unit_shells = _unit_shells(opts.shell_cutoff_factor)
     u_of = _objective(pot, units, unit_shells)
 
-    res = minimize(lambda x: u_of(math.exp(x[0]), x[1]),
-                   x0=[math.log(opts.lambda_init), opts.d_init],
-                   method="Nelder-Mead",
-                   options={"xatol": PARAM_TOL, "fatol": ENERGY_TOL,
-                            "maxiter": MAX_ITER, "maxfev": 4 * MAX_ITER})
-    lam_star, d_star = math.exp(res.x[0]), float(res.x[1])
-    u_min = float(res.fun)
-    if not res.success:
-        raise ConvergenceError(f"simplex did not converge: {res.message}",
+    res = _nelder_mead(lambda x: u_of(math.exp(x[0]), x[1]),
+                       (math.log(opts.lambda_init), opts.d_init),
+                       PARAM_TOL, ENERGY_TOL, MAX_ITER, 4 * MAX_ITER)
+    lam_star, d_star = math.exp(res.x[0]), res.x[1]
+    u_min = res.fun
+    if res.cap is not None:
+        raise ConvergenceError(f"simplex did not converge: hit its {res.cap} cap",
                                best_lambda=lam_star, best_d=d_star, best_u=u_min)
     if _on_box_edge("lambda", lam_star) or _on_box_edge("d", d_star):
         raise ConvergenceError(
@@ -180,16 +278,15 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
             f"d={d_star:.6g}, u={u_min:.6g}",
             best_lambda=lam_star, best_d=d_star, best_u=u_min)
 
-    vertices, _ = res.final_simplex
-    size = max(float(max(abs(v - res.x))) for v in vertices)
+    size = max(max(abs(c - b) for c, b in zip(v, res.x)) for v in res.vertices)
     return SolidSolution(
         lambda_star=lam_star,
         d_star=d_star,
         d_star_angstrom=d_star * units.sigma_angstrom,
         u_min=u_min,
         u_min_cal_per_mole=units.energy_to_cal_per_mole(u_min),
-        iterations=int(res.nit),
-        n_evaluations=int(res.nfev),
+        iterations=res.nit,
+        n_evaluations=res.nfev,
         final_simplex_size=size)
 
 

@@ -84,7 +84,7 @@ def boson_energy(beta: float, N: int, kappa: float = 1.0, mu: float = 1.0,
     The pair term comes from the Coulomb integral of two e^{-2 beta r}
     densities, -5 kappa beta/8 per pair, times N(N-1)/2 pairs.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:  # NaN fails it too
         raise ValueError(f"beta must be >= 0, got {beta}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -116,7 +116,7 @@ def fermion_tf_energy(gamma: float, N: int, q: int = 2, kappa: float = 1.0,
                       mu: float = 1.0, e_coeff: float = 5.0,
                       hbar: float = 1.0) -> float:
     """Thomas-Fermi energy of the exponential trial density at decay gamma."""
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # NaN fails it too
         raise ValueError(f"gamma must be positive, got {gamma}")
     if N < 1 or q < 1:
         raise ValueError(f"need N >= 1 and q >= 1, got N={N}, q={q}")

@@ -121,6 +121,24 @@ def test_two_yukawa_rejects_nonpositive_r():
         two_yukawa(0.0, POT)
     with pytest.raises(ValueError):
         two_yukawa(-1.0, POT)
+    with pytest.raises(ValueError):
+        two_yukawa(math.nan, POT)
+    with pytest.raises(ValueError):
+        two_yukawa(np.array([1.1, math.nan]), POT)
+    assert two_yukawa(math.inf, POT) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, [0.5, math.nan], [0.5, -0.1]])
+def test_fourier_transforms_reject_negative_or_nan_k(bad):
+    with pytest.raises(ValueError, match="wavenumber"):
+        density_fourier(OrbitalParams(7.3), bad)
+    with pytest.raises(ValueError, match="wavenumber"):
+        two_yukawa_fourier(bad, POT)
+
+
+def test_fourier_transforms_keep_the_infinite_k_limit():
+    assert density_fourier(OrbitalParams(7.3), math.inf) == 0.0
+    assert two_yukawa_fourier(math.inf, POT) == 0.0
 
 
 @given(eps=st.floats(min_value=0.1, max_value=10.0),
@@ -286,6 +304,14 @@ def test_pair_energy_rejects_negative_s():
         pair_energy(OrbitalParams(5.0), POT, -0.1)
 
 
+@pytest.mark.parametrize("lam", [LAM_KR, 2.69])  # the float and window branches
+def test_pair_energy_of_no_separations_is_empty(lam):
+    p = OrbitalParams(lam)
+    assert pair_energy(p, POT, np.array([])).shape == (0,)
+    for order in (1, 2):
+        assert pair_energy(p, POT, np.array([]), order=order).shape == (order + 1, 0)
+
+
 def test_pair_energy_generic_sigma_epsilon():
     # dimensional carry-through: scaling sigma and epsilon rescales the
     # result while (lam*sigma, s/sigma) are held fixed
@@ -423,7 +449,7 @@ def _mp_lam_rows(lam, s):
         lam_mp = mp.mpf(lam)
         if lam_mp in (am, an):
             lam_mp *= 1 + mp.mpf(10) ** -30
-        return [float(mp.diff(lambda x: _closed_form(x, POT, pieces, s_mp, _MP_OPS)[0],
+        return [float(mp.diff(lambda x: _closed_form(x, POT, pieces, s_mp, s, _MP_OPS)[0],
                               lam_mp, n)) for n in (0, 1, 2)]
 
 
@@ -516,7 +542,7 @@ def test_saturation_floors_of_exp_and_expm1():
     for x in np.concatenate((np.linspace(EXPM1_FLOOR, 40 * EXPM1_FLOOR, 4001),
                              [EXPM1_FLOOR, -math.inf])).tolist():
         assert math.expm1(x) == -1.0, x
-    exp, expm1, _ = _FLOAT_OPS
+    exp, expm1, *_ = _FLOAT_OPS
     below = np.array([EXP_FLOOR, 2 * EXP_FLOOR])
     assert exp(below).tolist() == [0.0, 0.0]
     assert expm1(np.array([EXPM1_FLOOR, -1e3])).tolist() == [-1.0, -1.0]

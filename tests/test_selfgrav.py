@@ -35,6 +35,12 @@ def test_boson_energy_trivial_points():
     assert boson_energy(2.0, 1) > 0.0
 
 
+def test_boson_energy_rejects_negative_or_nan_beta():
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            boson_energy(bad, 10)
+
+
 def test_boson_pair_potential_against_mc():
     # the -5 kappa N(N-1) beta/16 term is N(N-1)/2 pairs at -5 kappa beta/8
     # each; pin the per-pair value by direct 6-D Monte Carlo
@@ -177,6 +183,8 @@ def test_tf_energy_trivial_limits():
 def test_tf_energy_rejects_nonpositive_gamma():
     with pytest.raises(ValueError):
         fermion_tf_energy(0.0, 10)
+    with pytest.raises(ValueError):
+        fermion_tf_energy(math.nan, 10)
 
 
 def test_coulomb_coefficient_pinned_by_quadrature():
