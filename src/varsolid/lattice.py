@@ -136,8 +136,10 @@ def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:
         raise ValueError(f"unsupported lattice kind: {kind}")
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"spacing must be positive and finite, got {d}")
-    if N < 1:
-        raise ValueError(f"cluster size must be >= 1, got {N}")
+    # the growth loop below ends once N sites are inside, which a NaN or an
+    # infinite N never allows
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"cluster size must be an integer >= 1, got {N!r}")
 
     # FCC site density is sqrt(2)/d^3; start from the radius enclosing N
     # sites on average and grow until enough candidates are inside.

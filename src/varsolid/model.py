@@ -63,13 +63,16 @@ its separations with one min and one max, and hands the min on.
 
 One closed form in two precisions: the partial-fraction coefficients blow
 up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
-relative window around alpha the same expression runs on an object array
-of mpmath mpf separations, with mp.exp, mp.expm1 and mp.pi and with digits
-scaled to the gap, so the result stays correct to full double precision
-through exact degeneracy; the solid's optimum (lam ~ 91) never comes near
-it.  A scalar times or plus an array keeps the array on the left (s * lam):
-an mpf on the left makes mpmath convert the whole array through its string
-form.  IEEE * and + commute, so the float results keep every bit.
+relative window around alpha the closed form runs on an object array of
+mpmath mpf separations, with digits scaled to the gap, so the result stays
+correct to full double precision through exact degeneracy; the solid's
+optimum (lam ~ 91) never comes near it.  There exp is libmp's mpf_exp at
+working precision, the call mp.exp makes, and expm1 is mpf_exp with as
+many extra bits as the subtraction of 1 cancels, minus 1, rounded back:
+within an ulp of mp.expm1 at about the cost of one exp.  A scalar times or plus
+an array keeps the array on the left (s * lam): an mpf on the left makes
+mpmath convert the whole array through its string form.  IEEE * and +
+commute, so the float results keep every bit.
 
 Derivatives in lam: pair_energy(..., order=1 or 2) returns the rows
 (value, d/dlam, d2/dlam2) of one call, and the optimizer's Newton step in
@@ -77,15 +80,21 @@ lam uses them.  Every lam-dependent coefficient is a term lam^p D^-k with
 D = alpha^2 - lam^2, whose derivatives follow from its log-derivative
 p/lam + 2k lam/D; the arrays need only core' = e^{-lam s} (1 at s = 0),
 core'' = -s e^{-lam s} and (e^{-lam s})' = -s e^{-lam s}.  The rows are
-written once (_lam_rows) and run in both precisions, with 4 + order digits
-per decade of closeness in the mpmath window.  The value row is the order 0
-expression, bitwise in the float branch; in the window it runs at those
-extra digits, and rounds to the same double unless it lies within ~1e-30
-relative of a rounding boundary.  The derivative rows have no bitwise
-contract, and they sum the two Yukawa pieces' scalar coefficients before
-any array work, so an order 2 call costs about 1.5 value calls.  In the
-float branch their cancellation grows like gap^-(3 + order) towards the
-window, where it reaches a few 1e-9 relative for the second derivative.
+written once (_lam_rows) as h core + e^{-lam s} P(s) summed over the two
+pieces, with scalar jets h and P's coefficients, and run in both
+precisions, with 4 + order digits per decade of closeness in the mpmath
+window.  The float branch keeps the term-by-term value expression
+(_closed_form), bitwise the formula the recorded optimum was computed
+with, and stacks rows 1..order under it.  The window takes rows 0..order
+from the jets, about 20 mpf operations per separation against ~41 for the
+term-by-term value; at its extra digits each row rounds to the double the
+term-by-term form gives unless it lies within ~1e-30 relative of a
+rounding boundary, and _closed_form keeps that form in both precisions as
+the window's reference.  The derivative rows sum the two Yukawa pieces'
+scalar coefficients before any array work, so an order 2 call costs about
+1.5 value calls.  In the float branch their cancellation grows like
+gap^-(3 + order) towards the window, where it reaches a few 1e-9 relative
+for the second derivative.
 """
 
 from __future__ import annotations
@@ -96,6 +105,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, fzero, mpf_exp, mpf_sub
 
 #: relative |lam - alpha|/alpha below which pair_energy uses mpmath
 DEGENERACY_WINDOW = 0.05
@@ -216,11 +226,37 @@ def _map(fn, floor: float, saturated: float):
     return apply
 
 
+#: guard bits of _mp_expm1 beyond the bits that exp(x) - 1 cancels
+EXPM1_GUARD_BITS = 10
+
+
+def _mp_exp(x):
+    """mp.exp of an mpf, the libmp call mp.exp makes, without its dispatch."""
+    return mp.mp.make_mpf(mpf_exp(x._mpf_, *mp.mp._prec_rounding))
+
+
+def _mp_expm1(x):
+    """e^x - 1 of an mpf to within an ulp, 0 exactly at x = 0.
+
+    mp.expm1 adds exp(x) and -1 in an adaptive loop at two to six times
+    the cost of an exp.  Here exp(x) runs once with as many extra bits as the
+    subtraction of 1 cancels (-mag x, for |x| < 1) plus guard bits, and the
+    difference rounds to working precision.
+    """
+    v = x._mpf_
+    if v == fzero:
+        return x
+    prec, rounding = mp.mp._prec_rounding
+    _, _, exponent, bitcount = v  # |x| < 2^(exponent + bitcount)
+    wp = prec + max(0, -(exponent + bitcount)) + EXPM1_GUARD_BITS
+    return mp.mp.make_mpf(mpf_sub(mpf_exp(v, wp, rounding), fone, prec, rounding))
+
+
 #: (exp, expm1, pi, expm1's saturation floor) of the float branch and of
 #: the mpmath window branch, where no finite argument saturates expm1
 _FLOAT_OPS = (_map(math.exp, EXP_FLOOR, 0.0), _map(math.expm1, EXPM1_FLOOR, -1.0),
               math.pi, EXPM1_FLOOR)
-_MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi, -math.inf)
+_MP_OPS = (np.frompyfunc(_mp_exp, 1, 1), np.frompyfunc(_mp_expm1, 1, 1), mp.pi, -math.inf)
 
 
 #: the lam-dependent scalars of one Yukawa piece, each lam^p D^-k/(c pi) as
@@ -229,20 +265,23 @@ _MP_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi, -m
 _TERMS = ((4.0, 8, 4), (8.0, 7, 3), (-32.0, 5, 2), (192.0, 3, 1))
 
 
-def _lam_jets(weight, lam, alpha) -> list:
-    """(f, df/dlam, d2f/dlam2) of each f = weight lam^p D^-k / c of _TERMS.
+def _lam_jets(weight, lam, alpha, order: int) -> list:
+    """(f, df/dlam, d2f/dlam2) of each f = weight lam^p D^-k / c of _TERMS,
+    or (f,) at order 0.
 
     With D = alpha^2 - lam^2 the log-derivative is g = f'/f = p/lam +
     2k lam/D and f'' = f (g^2 + g'), g' = -p/lam^2 + 2k (alpha^2 + lam^2)/D^2.
     Both are put over one denominator, where the lam^2 terms that cancel
     for lam >> alpha (p = 2k) drop out exactly.
     """
-    a2, l2 = alpha * alpha, lam * lam
     d = (alpha - lam) * (alpha + lam)
+    fs = [lam**p / d**k * (weight / c) for c, p, k in _TERMS]
+    if order == 0:
+        return [(f,) for f in fs]
+    a2, l2 = alpha * alpha, lam * lam
     lam_d, l2_d2 = lam * d, l2 * d * d
     jets = []
-    for c, p, k in _TERMS:
-        f = lam**p / d**k * (weight / c)
+    for f, (c, p, k) in zip(fs, _TERMS):
         g = (p * a2 + (2 * k - p) * l2) / lam_d
         dg = (((2 * p + 2 * k) * l2 - p * a2) * a2 + (2 * k - p) * l2 * l2) / l2_d2
         jets.append((f, f * g, f * (g * g + dg)))
@@ -260,7 +299,7 @@ def _horner(s: np.ndarray, coefs) -> np.ndarray:
 
 
 def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
-                 order: int = 0) -> np.ndarray:
+                 order: int = 0, from_jets: bool = False) -> np.ndarray:
     """The closed form (module docstring) over a 1-D array s of separations.
 
     `smin` is the smallest entry of s (inf if s is empty).  `pieces` holds
@@ -268,7 +307,8 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     and a float64 array run with _FLOAT_OPS; mpf lam and alpha (promoted
     before any arithmetic, or alpha^2 - lam^2 cancels in double) and an
     object array of mpf run with _MP_OPS.  order 0 gives the values; order
-    1 or 2 stacks the lam-derivative rows under them.
+    1 or 2 stacks the lam-derivative rows under them.  The values are the
+    term-by-term expression, or with `from_jets` row 0 of _lam_rows.
     """
     exp, expm1, pi, expm1_floor = ops
     # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
@@ -276,10 +316,7 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     # run only when some s is that small
     tiny = sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
     has_tiny = smin < tiny
-    x = s * lam
     els = exp(s * -lam)
-    poly3 = 1.0 + x
-    poly4 = 3.0 + s * (3.0 * lam) + x * x
 
     def core(alpha):
         """(e^{-alpha s} - e^{-lam s})/s, and lam - alpha at s = 0."""
@@ -309,18 +346,23 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
                          + poly4 * b4 / (192.0 * pi * lam**5)))
 
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
-    core_m, core_n = core(alpha_m), core(alpha_n)
+    cores = core(alpha_m), core(alpha_n)
     scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
-    value = ((smeared(alpha_m, core_m) * weight_m - smeared(alpha_n, core_n) * weight_n)
-             * scale)
-    if order == 0:
-        return value
-    return np.stack([value, *_lam_rows(order, lam, pieces, scale, pi, s, els,
-                                       (core_m, core_n))])
+    if from_jets:
+        rows = _lam_rows(0, order, lam, pieces, scale, pi, s, els, cores)
+    else:
+        x = s * lam
+        poly3 = 1.0 + x
+        poly4 = 3.0 + s * (3.0 * lam) + x * x
+        rows = [(smeared(alpha_m, cores[0]) * weight_m - smeared(alpha_n, cores[1]) * weight_n)
+                * scale]
+        if order:
+            rows += _lam_rows(1, order, lam, pieces, scale, pi, s, els, cores)
+    return rows[0] if order == 0 else np.stack(rows)
 
 
-def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
-    """d/dlam and d2/dlam2 of the closed form, from its shared arrays.
+def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores) -> list:
+    """Rows first..order of (value, d/dlam, d2/dlam2), from the shared arrays.
 
     Per piece the closed form is h core + e^{-lam s} P(s), with a scalar h
     and P(s) = p0 + p1 s + p2 s^2, all from the _TERMS scalars.  The two
@@ -328,6 +370,7 @@ def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
     e^{-lam s} times one polynomial in s.  With core' = e^{-lam s},
     core'' = -s e^{-lam s} and (e^{-lam s})' = -s e^{-lam s}:
 
+        row 0 = sum h core + e^{-lam s} P
         row 1 = sum h' core + e^{-lam s} (P' - s P + H)
         row 2 = sum h'' core + e^{-lam s} (P'' - 2 s P' + s^2 P + 2 H' - s H),
 
@@ -336,19 +379,25 @@ def _lam_rows(order: int, lam, pieces, scale, pi, s, els, cores) -> list:
     into them first, a large b overflows them while the rows stay finite.
     """
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
-    hm, *gm = _lam_jets(weight_m / pi, lam, alpha_m)
-    hn, *gn = _lam_jets(-weight_n / pi, lam, alpha_n)
+    hm, *gm = _lam_jets(weight_m / pi, lam, alpha_m, order)
+    hn, *gn = _lam_jets(-weight_n / pi, lam, alpha_n, order)
     g2, g3, g4 = ([u + v for u, v in zip(jm, jn)] for jm, jn in zip(gm, gn))
     # with poly3 = 1 + lam s and poly4 = 3 + 3 lam s + lam^2 s^2:
     # p0 = g2 + q, p1 = lam q and p2 = lam^2 g4, where q = g3 + 3 g4
     q = [u + 3.0 * v for u, v in zip(g3, g4)]
     p0 = [u + v for u, v in zip(g2, q)]
-    p1 = [lam * q[0], q[0] + lam * q[1], 2.0 * q[1] + lam * q[2]]
-    p2 = [lam * lam * g4[0], 2.0 * lam * g4[0] + lam * lam * g4[1],
-          2.0 * g4[0] + 4.0 * lam * g4[1] + lam * lam * g4[2]]
-    h0, h1 = hm[0] + hn[0], hm[1] + hn[1]
-    rows = [cores[0] * hm[1] + cores[1] * hn[1]
-            + els * _horner(s, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0]))]
+    p1, p2 = [lam * q[0]], [lam * lam * g4[0]]
+    rows = []
+    if first == 0:
+        rows.append(cores[0] * hm[0] + cores[1] * hn[0]
+                    + els * _horner(s, (p0[0], p1[0], p2[0])))
+    if order >= 1:
+        p1 += [q[0] + lam * q[1], 2.0 * q[1] + lam * q[2]]
+        p2 += [2.0 * lam * g4[0] + lam * lam * g4[1],
+               2.0 * g4[0] + 4.0 * lam * g4[1] + lam * lam * g4[2]]
+        h0, h1 = hm[0] + hn[0], hm[1] + hn[1]
+        rows.append(cores[0] * hm[1] + cores[1] * hn[1]
+                    + els * _horner(s, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0])))
     if order == 2:
         rows.append(cores[0] * hm[2] + cores[1] * hn[2]
                     + els * _horner(s, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
@@ -400,8 +449,8 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
                 lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
             s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
-            out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS,
-                               order).astype(float)
+            out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS, order,
+                               from_jets=True).astype(float)
     else:
         pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
         out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)

@@ -203,8 +203,8 @@ def orbital_overlap(lam: float, separation: float,
     scaled by the truncated-over-infinite normalization ratio, which makes
     it a true upper bound for the truncated pair.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
     if not (math.isfinite(separation) and separation >= 0.0):
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if separation >= 2.0 * cutoff_a:

@@ -3,6 +3,7 @@ format guarantees (bit-exact JSON round trips, 17-digit CSV floats)."""
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -315,6 +316,19 @@ def test_sweep_csv_has_full_precision(tmp_path):
         # 17 significant digits survive the round trip exactly
         assert float(got["u_epsilon"]) == want["u_epsilon"]
         assert float(got["d_sigma"]) == want["d_sigma"]
+
+
+@pytest.mark.parametrize("lam_range,digest", [
+    ("2.6:2.8:5", "bd87d8604771990c76e1ccc0318569f59a496e6933a940eb558197f4a02bf1d7"),
+    ("14.0:15.4:5", "5a78e161c9a775bd6e6641afa2c447d66f2c1d3cac77bb55a8460dda36c442d4"),
+])
+def test_window_sweep_stdout_is_recorded(capsys, lam_range, digest):
+    # every lambda lies in the degeneracy window (14.7 is exact coincidence),
+    # so the mpmath branch runs end to end; the digests are of the stdout of
+    # the term-by-term window form with mpmath's own exp and expm1
+    assert run_cli("sweep", "--param", "lambda", "--range", lam_range) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_selfgrav_default_n_list(capsys):

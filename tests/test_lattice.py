@@ -182,8 +182,12 @@ def test_cluster_deterministic_tie_breaking():
 
 
 def test_cluster_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        build_cluster(LatticeKind.FCC, 1.0, 0)
+    # NaN and inf once grew the search radius until memory ran out, and 2.5
+    # escaped as a TypeError from slicing
+    for bad in (0, -3, math.nan, math.inf, -math.inf, 2.5, 13.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="cluster size must be an integer >= 1"):
+            build_cluster(LatticeKind.FCC, 1.0, bad)
+    assert build_cluster(LatticeKind.FCC, 1.0, np.int64(13)).count_N == 13
     # a non-finite spacing once reached math.ceil as "cannot convert float
     # NaN to integer"
     for bad in (math.nan, math.inf, 0.0):

@@ -27,7 +27,7 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       orbital_norm_constant, pair_energy, two_yukawa,
                       two_yukawa_fourier)
 from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXP_FLOOR, EXPM1_FLOOR,
-                            _closed_form)
+                            _closed_form, _mp_exp, _mp_expm1)
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check)
@@ -507,6 +507,62 @@ def test_window_value_row_is_bitwise_the_order_0_result(lam):
     p = OrbitalParams(lam)
     s = np.array([0.0, 1.1, 1.1 * math.sqrt(2.0)])
     assert pair_energy(p, POT, s, order=2)[0].tolist() == pair_energy(p, POT, s).tolist()
+
+
+#: mpmath's own exp and expm1, the ops the window ran before its libmp maps
+MPMATH_OPS = (np.frompyfunc(mp.exp, 1, 1), np.frompyfunc(mp.expm1, 1, 1), mp.pi, -math.inf)
+
+
+def _window_reference(lam, s, order):
+    """The window's rows as the term-by-term closed form with MPMATH_OPS, at
+    the digits pair_energy works with (an exact coincidence nudged alike)."""
+    decades = max(0, math.ceil(-math.log10(max(_gap(lam), 1e-30))))
+    with mp.workdps(30 + (4 + order) * decades):
+        am, an = mp.mpf(POT.m) / POT.sigma, mp.mpf(POT.n) / POT.sigma
+        lam_mp = mp.mpf(lam)
+        if lam_mp in (am, an):
+            lam_mp *= 1 + mp.mpf(10) ** -30
+        pieces = ((mp.exp(POT.m), am), (mp.exp(POT.n), an))
+        s_mp = np.frompyfunc(mp.mpf, 1, 1)(s)
+        return _closed_form(lam_mp, POT, pieces, s_mp, float(s.min()), MPMATH_OPS,
+                            order).astype(float)
+
+
+#: s = 0, the smallest subnormal, 1e-12 and the 133 shells at d = 0.9, 1.2, 1.5
+WINDOW_SEPARATIONS = np.concatenate(([0.0, 5e-324, 1e-12], UNIT_SHELLS * 0.9,
+                                     UNIT_SHELLS * 1.2, UNIT_SHELLS * 1.5))
+
+
+@pytest.mark.parametrize("alpha", [2.69, 14.70])
+@pytest.mark.parametrize("rel_gap", [-0.0499, 0.01, -1e-3, 1e-6, -1e-12, 0.0])
+def test_window_rows_round_to_the_term_by_term_form(alpha, rel_gap):
+    # the window takes every row from the lam-jet polynomial and runs exp
+    # and expm1 through libmp; rounded to doubles, its rows are those of the
+    # term-by-term closed form with mpmath's own exp and expm1
+    lam = alpha * (1.0 + rel_gap)
+    assert _in_window(lam)
+    p, s = OrbitalParams(lam), WINDOW_SEPARATIONS
+    for order in (0, 1, 2):
+        got = pair_energy(p, POT, s, order=order)
+        assert got.tolist() == _window_reference(lam, s, order).tolist(), order
+        for i in (0, 1, 2, 3, 3 + 133, 3 + 266, s.size - 1):
+            one = pair_energy(p, POT, float(s[i]), order=order)
+            assert np.ravel(one).tolist() == np.ravel(got[..., i]).tolist(), (order, i)
+
+
+@pytest.mark.parametrize("dps", [38, 150])
+@pytest.mark.parametrize("x", [0.0, -1e-40, -1e-6, -0.7, -13.2, 1e-30, 2.5])
+def test_libmp_maps_match_mpmath(dps, x):
+    with mp.workdps(dps):
+        v = mp.mpf(x)
+        assert _mp_exp(v) == mp.exp(v)
+        got, want = _mp_expm1(v), mp.expm1(v)
+        if x == 0.0:
+            assert got == 0 and want == 0
+        else:
+            ulp = mp.mpf(2) ** (mp.mag(want) - mp.mp.prec)
+            assert abs(got - want) <= ulp
+        assert float(got) == float(want)
 
 
 def test_lam_rows_stay_finite_for_a_huge_coupling():

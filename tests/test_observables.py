@@ -287,6 +287,13 @@ def test_orbital_overlap_positive_below_contact():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match=f"separation must be finite and >= 0, got {bad}"):
             orbital_overlap(1.0, bad)
+    # a NaN or inf lam once returned 0.0 at a separation >= 2a
+    spec = two_branch_spec(5.0, cutoff=1.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {bad}"):
+            orbital_overlap(bad, 5.0, cutoff_a=1.0)
+        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {bad}"):
+            branch_overlap(spec, bad)
 
 
 def test_orbital_overlap_slater_value():
