@@ -33,11 +33,11 @@ each term inverting through the standard table
 (The k^{-2} partial-fraction term with numerator lam^8/D^4 cancels between
 alpha- and lam-poles, leaving no 1/w Coulomb remnant; the difference
 (e^{-alpha s} - e^{-lam s})/s is computed with expm1 to keep full precision
-at small s, with the smaller exponential factored out, e^{-min(alpha, lam) s},
-so that the expm1 argument is never positive and nothing overflows at large
-s.)  The closed form is exact for every s, including s = 0 (the
-same-site penalty W) and the far tail where quadrature loses all digits to
-cancellation.
+at small s; in float64 the smaller exponential is factored out,
+e^{-min(alpha, lam) s}, so that the expm1 argument is never positive and
+nothing overflows at large s.)  The closed form is exact for every s,
+including s = 0 (the same-site penalty W) and the far tail where
+quadrature loses all digits to cancellation.
 
 Arrays: pair_energy takes one separation or an array of them, so a shell
 sum is one call.  Over an array the float closed form runs as numpy
@@ -69,10 +69,16 @@ correct to full double precision through exact degeneracy; the solid's
 optimum (lam ~ 91) never comes near it.  There exp is libmp's mpf_exp at
 working precision, the call mp.exp makes, and expm1 is mpf_exp with as
 many extra bits as the subtraction of 1 cancels, minus 1, rounded back:
-within an ulp of mp.expm1 at about the cost of one exp.  A scalar times or plus
-an array keeps the array on the left (s * lam): an mpf on the left makes
-mpmath convert the whole array through its string form.  IEEE * and +
-commute, so the float results keep every bit.
+within an ulp of mp.expm1 at about the cost of one exp.  An mpf cannot
+overflow, so the window needs neither the smaller-exponent split nor its
+extra e^{-alpha s}: each piece's core is e^{-lam s} E/s with
+E = expm1((lam - alpha) s), for either sign of lam - alpha, and every row
+is e^{-lam s} [sum h E/s + P(s)] (below), the bracket summed first and
+multiplied by e^{-lam s} once.  That is three exponentials per separation,
+where the float branch maps up to five.  A scalar times or plus an array
+keeps the array on the left (s * lam): an mpf on the left makes mpmath
+convert the whole array through its string form.  IEEE * and + commute, so
+the float results keep every bit.
 
 Derivatives in lam: pair_energy(..., order=1 or 2) returns the rows
 (value, d/dlam, d2/dlam2) of one call, and the optimizer's Newton step in
@@ -86,8 +92,9 @@ precisions, with 4 + order digits per decade of closeness in the mpmath
 window.  The float branch keeps the term-by-term value expression
 (_closed_form), bitwise the formula the recorded optimum was computed
 with, and stacks rows 1..order under it.  The window takes rows 0..order
-from the jets, about 20 mpf operations per separation against ~41 for the
-term-by-term value; at its extra digits each row rounds to the double the
+from the jets with e^{-lam s} factored out: at order 0 a separation costs
+its three exponentials and 14 other mpf operations, against ~41 for the
+term-by-term value.  At its extra digits each row rounds to the double the
 term-by-term form gives unless it lies within ~1e-30 relative of a
 rounding boundary, and _closed_form keeps that form in both precisions as
 the window's reference.  The derivative rows sum the two Yukawa pieces'
@@ -299,7 +306,7 @@ def _horner(s: np.ndarray, coefs) -> np.ndarray:
 
 
 def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
-                 order: int = 0, from_jets: bool = False) -> np.ndarray:
+                 order: int = 0, factored: bool = False) -> np.ndarray:
     """The closed form (module docstring) over a 1-D array s of separations.
 
     `smin` is the smallest entry of s (inf if s is empty).  `pieces` holds
@@ -308,7 +315,9 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     before any arithmetic, or alpha^2 - lam^2 cancels in double) and an
     object array of mpf run with _MP_OPS.  order 0 gives the values; order
     1 or 2 stacks the lam-derivative rows under them.  The values are the
-    term-by-term expression, or with `from_jets` row 0 of _lam_rows.
+    term-by-term expression, or with `factored` row 0 of _lam_rows, every
+    row with e^{-lam s} factored out; that needs mpf, where e^{(lam -
+    alpha) s} cannot overflow.
     """
     exp, expm1, pi, expm1_floor = ops
     # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
@@ -319,8 +328,11 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     els = exp(s * -lam)
 
     def core(alpha):
-        """(e^{-alpha s} - e^{-lam s})/s, and lam - alpha at s = 0."""
-        if lam < alpha:  # factor out the smaller exponent: no expm1 overflow
+        """(e^{-alpha s} - e^{-lam s})/s, e^{lam s} times that if `factored`,
+        and lam - alpha at s = 0."""
+        if factored:  # one expm1 for either sign of lam - alpha
+            tail = expm1(s * (lam - alpha))
+        elif lam < alpha:  # factor out the smaller exponent: no expm1 overflow
             tail = els * expm1(s * -(alpha - lam))
         elif smin * -(lam - alpha) <= expm1_floor:
             # expm1's largest argument, at smin, is saturated: it is -1.0 at
@@ -348,8 +360,8 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
     cores = core(alpha_m), core(alpha_n)
     scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
-    if from_jets:
-        rows = _lam_rows(0, order, lam, pieces, scale, pi, s, els, cores)
+    if factored:
+        rows = _lam_rows(0, order, lam, pieces, scale, pi, s, els, cores, factored=True)
     else:
         x = s * lam
         poly3 = 1.0 + x
@@ -361,7 +373,8 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     return rows[0] if order == 0 else np.stack(rows)
 
 
-def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores) -> list:
+def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
+              factored: bool = False) -> list:
     """Rows first..order of (value, d/dlam, d2/dlam2), from the shared arrays.
 
     Per piece the closed form is h core + e^{-lam s} P(s), with a scalar h
@@ -377,8 +390,13 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores) -> 
     where H = sum h and a prime acts on the coefficients of P at fixed s.
     The scalars leave out `scale`, which multiplies each row last: folded
     into them first, a large b overflows them while the rows stay finite.
+    With `factored` (mpf only) the cores are e^{lam s} core, each row's
+    bracket sum h core + P is summed first and multiplied by e^{-lam s}
+    once, and `scale`, which cannot overflow an mpf, goes into the scalars.
     """
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
+    if factored:
+        weight_m, weight_n = weight_m * scale, weight_n * scale
     hm, *gm = _lam_jets(weight_m / pi, lam, alpha_m, order)
     hn, *gn = _lam_jets(-weight_n / pi, lam, alpha_n, order)
     g2, g3, g4 = ([u + v for u, v in zip(jm, jn)] for jm, jn in zip(gm, gn))
@@ -387,23 +405,24 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores) -> 
     q = [u + 3.0 * v for u, v in zip(g3, g4)]
     p0 = [u + v for u, v in zip(g2, q)]
     p1, p2 = [lam * q[0]], [lam * lam * g4[0]]
+
+    def row(k: int, coefs):
+        poly = _horner(s, coefs)
+        return cores[0] * hm[k] + cores[1] * hn[k] + (poly if factored else els * poly)
+
     rows = []
     if first == 0:
-        rows.append(cores[0] * hm[0] + cores[1] * hn[0]
-                    + els * _horner(s, (p0[0], p1[0], p2[0])))
+        rows.append(row(0, (p0[0], p1[0], p2[0])))
     if order >= 1:
         p1 += [q[0] + lam * q[1], 2.0 * q[1] + lam * q[2]]
         p2 += [2.0 * lam * g4[0] + lam * lam * g4[1],
                2.0 * g4[0] + 4.0 * lam * g4[1] + lam * lam * g4[2]]
         h0, h1 = hm[0] + hn[0], hm[1] + hn[1]
-        rows.append(cores[0] * hm[1] + cores[1] * hn[1]
-                    + els * _horner(s, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0])))
+        rows.append(row(1, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0])))
     if order == 2:
-        rows.append(cores[0] * hm[2] + cores[1] * hn[2]
-                    + els * _horner(s, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
-                                        p2[2] - 2.0 * p1[1] + p0[0],
-                                        p1[0] - 2.0 * p2[1], p2[0])))
-    return [row * scale for row in rows]
+        rows.append(row(2, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
+                            p2[2] - 2.0 * p1[1] + p0[0], p1[0] - 2.0 * p2[1], p2[0])))
+    return [r * (els if factored else scale) for r in rows]
 
 
 def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
@@ -450,7 +469,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
             s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
             out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS, order,
-                               from_jets=True).astype(float)
+                               factored=True).astype(float)
     else:
         pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
         out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)

@@ -331,6 +331,15 @@ def test_window_sweep_stdout_is_recorded(capsys, lam_range, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_default_optimize_stdout_is_recorded(capsys):
+    # every pair energy of the default solve runs on the float branch, so
+    # this digest pins that branch's every bit: lambda*, d*, U and B
+    assert run_cli("optimize") == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48e63979c219097c2cba045d57902045fc6908ac77cc25a30e81437c76a83822")
+
+
 def test_selfgrav_default_n_list(capsys):
     assert run_cli("selfgrav", "--kind", "boson") == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]

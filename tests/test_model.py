@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_exp
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
@@ -314,12 +315,22 @@ def test_pair_energy_of_no_separations_is_empty(lam):
 
 def test_pair_energy_generic_sigma_epsilon():
     # dimensional carry-through: scaling sigma and epsilon rescales the
-    # result while (lam*sigma, s/sigma) are held fixed
-    eps, sig = 3.0, 1.7
-    scaled = TwoYukawaParams(epsilon=eps, sigma=sig)
-    base = pair_energy(OrbitalParams(91.33), POT, 1.1)
-    got = pair_energy(OrbitalParams(91.33 / sig), scaled, 1.1 * sig)
-    assert got == pytest.approx(eps * base, rel=1e-11)
+    # result while (lam*sigma, s/sigma) are held fixed, on the float branch
+    # and in the window (alpha = m/sigma or n/sigma there) on both sides of
+    # both exponents; sigma = 0.5 keeps lam/sigma exact, so lam = m or n
+    # stays an exact coincidence
+    eps = 3.0
+    for sig in (1.7, 0.5):
+        scaled = TwoYukawaParams(epsilon=eps, sigma=sig)
+        for lam in (91.33, 2.69, 14.70, 2.69 * 0.97, 2.69 * (1 + 1e-9),
+                    14.70 * (1 - 1e-7), 14.70 * 1.04):
+            for s in (0.0, 1.1):
+                base = pair_energy(OrbitalParams(lam), POT, s, order=2)
+                got = pair_energy(OrbitalParams(lam / sig), scaled, s * sig, order=2)
+                # d/dlam picks up one factor sigma per order
+                for k in (0, 1, 2):
+                    assert got[k] == pytest.approx(eps * sig**k * base[k], rel=1e-11), \
+                        (sig, lam, s, k)
 
 
 # ----------------------------------------------------------------------
@@ -548,6 +559,23 @@ def test_window_rows_round_to_the_term_by_term_form(alpha, rel_gap):
         for i in (0, 1, 2, 3, 3 + 133, 3 + 266, s.size - 1):
             one = pair_energy(p, POT, float(s[i]), order=order)
             assert np.ravel(one).tolist() == np.ravel(got[..., i]).tolist(), (order, i)
+
+
+@pytest.mark.parametrize("lam", [2.69 * 0.98, 2.69 * 1.02, 14.70 * 0.99, 14.70 * 1.01])
+@pytest.mark.parametrize("order", [0, 2])
+def test_window_makes_three_exponentials_per_separation(monkeypatch, lam, order):
+    # e^{-lam s} and one expm1 per Yukawa piece, on either side of either
+    # exponent; every window exp and expm1 is one libmp mpf_exp
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mpf_exp(*args)
+
+    monkeypatch.setattr("varsolid.model.mpf_exp", counted)
+    assert _in_window(lam)
+    pair_energy(OrbitalParams(lam), POT, UNIT_SHELLS * 1.1, order=order)
+    assert len(calls) == 3 * UNIT_SHELLS.size
 
 
 @pytest.mark.parametrize("dps", [38, 150])
