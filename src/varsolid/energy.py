@@ -84,10 +84,3 @@ def same_site_W(p: OrbitalParams, pot: TwoYukawaParams,
     potential = energy_per_particle(p, pot, shells, units).potential_total
     ratio = math.inf if potential == 0.0 else w / abs(potential)
     return SameSiteW(W=w, ratio=ratio)
-
-
-def occupancy_penalty(w: float, occupancy: int) -> float:
-    """Energy cost of stacking `occupancy` particles on one site: p(p-1)W/2."""
-    if occupancy < 0:
-        raise ValueError(f"occupancy must be >= 0, got {occupancy}")
-    return occupancy * (occupancy - 1) / 2.0 * w

@@ -149,7 +149,8 @@ class SuperpositionSpec:
                              f"{disp.tolist()}")
         if not self.cutoff_a > 0.0:
             raise ValueError(f"cutoff_a must be positive, got {self.cutoff_a}")
-        norm = float(np.sum(np.abs(weights) ** 2))
+        with np.errstate(over="ignore"):  # a huge weight squares to inf and fails below
+            norm = float(np.sum(np.abs(weights) ** 2))
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"branch weights are not normalized: sum|c|^2 = {norm!r}")
         if len(weights) > 1:

@@ -6,6 +6,14 @@ direct samplers for density moments.  These are the instruments the analytic
 results in `model`, `energy`, `observables`, and `selfgrav` are pinned
 against; the test suite runs them routinely, and `verify_checks` gathers
 them into the battery that the CLI `verify` command reports.
+
+Every Monte Carlo estimate is drawn and reduced in blocks of `MC_BLOCK`
+samples; each block's count, mean and sum of squared deviations (M2) is
+merged into the running totals by the update of Chan, Golub & LeVeque
+(Am. Stat. 37, 242 (1983)).  The estimate is still the sample mean with the
+unbiased standard error, and memory is O(MC_BLOCK) whatever `samples` is.
+The draws of one block all come before those of the next, so a fixed seed
+and sample count replay bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ _TINY_R = 1e-280
 VERIFY_SEED = 20260815
 VERIFY_MC_SAMPLES = 200_000
 
+#: samples drawn and reduced at a time by every Monte Carlo estimate
+MC_BLOCK = 2**14
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature did not reach its requested tolerance."""
@@ -46,6 +57,45 @@ class McEstimate:
 
 
 # ----------------------------------------------------------------------
+# input checks and the streamed moments
+# ----------------------------------------------------------------------
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_samples(samples: int) -> None:
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < 1000):
+        raise ValueError(f"need an integer of at least 1000 samples, "
+                         f"got {samples!r}")
+
+
+def _streamed_moments(draw: Callable[[int], np.ndarray],
+                      samples: int) -> tuple[Any, Any]:
+    """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
+
+    draw(k) returns the next k rows.  Each block's mean and M2 (sum of
+    squared deviations from its mean) merge into the totals by Chan, Golub
+    & LeVeque: with delta the gap between the means, the merged M2 is
+    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, MC_BLOCK):
+        k = min(MC_BLOCK, samples - start)
+        x = draw(k)
+        block_mean = x.mean(axis=0)
+        dev = x - block_mean
+        total = n + k
+        delta = block_mean - mean
+        mean = mean + delta * (k / total)
+        m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (n * k / total)
+        n = total
+    return mean, m2
+
+
+# ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
 
@@ -55,8 +105,7 @@ def sample_exponential_cloud(rate: float, samples: int,
 
     Radius ~ Gamma(shape 3, scale 1/rate) times an isotropic direction.
     """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    _check_positive("rate", rate)
     r = rng.gamma(3.0, 1.0 / rate, size=samples)
     u = rng.normal(size=(samples, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
@@ -77,8 +126,7 @@ def sample_orbital_momentum(beta: float, samples: int,
     i.e. u ~ Beta(3/2, 5/2) and q = beta sqrt(u/(1-u)).  By construction
     <q^2> = hbar^2 beta^2 (= 2 mu times the kinetic energy).
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_positive("beta", beta)
     u = rng.beta(1.5, 2.5, size=samples)
     q = beta * np.sqrt(u / (1.0 - u))
     d = rng.normal(size=(samples, 3))
@@ -91,14 +139,16 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
     """MC estimate of the per-axis momentum variance of e^{-beta r} orbitals.
 
     Pins the 1/3 in omega-type formulas: the estimate converges on
-    hbar^2 beta^2/3 per axis.
+    hbar^2 beta^2/3 per axis.  Streamed in blocks of MC_BLOCK samples, each
+    drawn as sample_orbital_momentum draws it (beta(k), then normal(k, 3)).
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
-    comp = sample_orbital_momentum(beta, samples, rng)
-    sq = comp**2
-    mean = float(sq.mean())
-    se = float(np.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0)
-    return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
+    mean, m2 = _streamed_moments(
+        lambda k: sample_orbital_momentum(beta, k, rng) ** 2, samples)
+    se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
+    return McEstimate(mean=float(mean.mean()), std_error=se,
+                      samples=samples, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -115,18 +165,27 @@ def mc_pair_integral(density_a: Callable[[np.random.Generator, int], np.ndarray]
     of radial distances.  Kernels with an integrable point singularity (1/r)
     are fine: the singular set has measure zero, so direct evaluation is
     finite with probability 1.
+
+    The samples are drawn in blocks of MC_BLOCK, each as density_a(rng, k)
+    then density_b(rng, k), and reduced block by block, so memory does not
+    grow with `samples`.  The estimate is the sample mean with its unbiased
+    standard error.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
-    xa = density_a(rng, samples)
-    xb = density_b(rng, samples)
-    diff = xa - xb
-    diff[:, 2] += separation
-    values = np.asarray(kernel(np.linalg.norm(diff, axis=1)), dtype=float)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(samples))
-    return McEstimate(mean=mean, std_error=se, samples=samples, seed=seed)
+
+    def draw(k: int) -> np.ndarray:
+        xa = density_a(rng, k)
+        diff = xa - density_b(rng, k)
+        diff[:, 2] += separation
+        return np.asarray(kernel(np.linalg.norm(diff, axis=1)), dtype=float)
+
+    mean, m2 = _streamed_moments(draw, samples)
+    se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    return McEstimate(mean=float(mean), std_error=se, samples=samples,
+                      seed=seed)
 
 
 def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
@@ -304,8 +363,7 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     (4 pi/r) int_0^r t^2 rho dt + 4 pi int_r^inf t rho dt.  Closed form says
     5 rate/16; this pins the Coulomb coefficients used by selfgrav.
     """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    _check_positive("rate", rate)
     rtol = 1e-11
 
     def rho(r: float) -> float:

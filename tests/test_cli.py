@@ -56,6 +56,8 @@ HUGE_BRANCHES = {"displacements": [[0, 0, 0], [1e300, 0, 0]],
                  "cutoff_a": 1.0}
 #: a weight [re] without its imaginary part; once a raw IndexError
 SHORT_WEIGHT_BRANCHES = {"displacements": [[0, 0, 0]], "weights": [[1]], "cutoff_a": 1.0}
+#: a weight whose square overflows float64
+HUGE_WEIGHT_BRANCHES = {"displacements": [[0, 0, 0]], "weights": [1e300], "cutoff_a": 1.0}
 
 
 def _with_branch_files(argv, tmp_path):
@@ -524,6 +526,8 @@ def _argv_strategy():
 @example(argv=["superposition", "--branches", HUGE_BRANCHES, "--lambda", "50", "--N", "100"],
          raw={})
 @example(argv=["superposition", "--branches", SHORT_WEIGHT_BRANCHES, "--lambda", "0", "--N", "0"],
+         raw={})
+@example(argv=["superposition", "--branches", HUGE_WEIGHT_BRANCHES, "--lambda", "0", "--N", "0"],
          raw={})
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

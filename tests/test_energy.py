@@ -13,7 +13,6 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, build_cluster, energy_per_particle,
                       enumerate_shells, kinetic_per_particle, pair_energy,
                       same_site_W)
-from varsolid.energy import occupancy_penalty
 
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6
@@ -157,12 +156,6 @@ def test_same_site_w(potential, krypton_units):
     assert 1e6 < w.ratio < 1e8  # "ten million times greater", order of magnitude
     assert w.W == pytest.approx(pair_energy(OrbitalParams(LAM_KR), potential,
                                             0.0), rel=1e-14)
-
-
-def test_occupancy_penalty():
-    assert occupancy_penalty(5.0, 1) == 0.0
-    assert occupancy_penalty(5.0, 2) == pytest.approx(5.0)
-    assert occupancy_penalty(5.0, 3) == pytest.approx(15.0)
 
 
 def test_empty_shells_rejected(potential, krypton_units):

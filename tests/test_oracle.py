@@ -2,18 +2,21 @@
 deterministic replay, and the quadrature transforms on textbook cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from varsolid import OrbitalParams, TwoYukawaParams, density_fourier
-from varsolid.oracle import (QuadratureError, coulomb_self_energy_quadrature,
+from varsolid.oracle import (MC_BLOCK, QuadratureError,
+                             coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_momentum_axis_variance,
                              mc_pair_energy, mc_pair_integral,
                              pair_energy_quadrature,
                              pair_energy_realspace_reference,
-                             radial_transform_check, sample_exponential_cloud)
+                             radial_transform_check, sample_exponential_cloud,
+                             sample_orbital_momentum)
 
 POT = TwoYukawaParams()
 
@@ -90,6 +93,99 @@ def test_minimum_sample_count_enforced():
     s = exp_density_sampler(1.0)
     with pytest.raises(ValueError):
         mc_pair_integral(s, s, lambda r: r, 0.0, samples=999, seed=0)
+
+
+_SAMPLER = exp_density_sampler(1.0)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sample_exponential_cloud(math.nan, 100, np.random.default_rng(0)),
+     "rate"),
+    (lambda: sample_exponential_cloud(math.inf, 100, np.random.default_rng(0)),
+     "rate"),
+    (lambda: mc_momentum_axis_variance(math.nan, samples=1000), "beta"),
+    (lambda: mc_momentum_axis_variance(math.inf, samples=1000), "beta"),
+    (lambda: mc_momentum_axis_variance(4.0, samples=1), "samples"),
+    (lambda: mc_momentum_axis_variance(4.0, samples=0), "samples"),
+    (lambda: mc_momentum_axis_variance(4.0, samples=999), "samples"),
+    (lambda: mc_momentum_axis_variance(4.0, samples=1000.5), "samples"),
+    (lambda: mc_pair_integral(_SAMPLER, _SAMPLER, lambda r: r, 0.0,
+                              samples=2000.0, seed=0), "samples"),
+    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.nan,
+                            samples=1000), "separation"),
+    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.inf,
+                            samples=1000), "separation"),
+], ids=["cloud-rate-nan", "cloud-rate-inf", "beta-nan", "beta-inf",
+        "momentum-samples-1", "momentum-samples-0", "momentum-samples-999",
+        "momentum-samples-float", "pair-samples-float", "separation-nan",
+        "separation-inf"])
+def test_mc_boundaries_fail_closed(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def _traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda n: mc_pair_energy(OrbitalParams(91.33), POT, 1.0981, samples=n,
+                             seed=5),
+    lambda n: mc_momentum_axis_variance(45.665, samples=n, seed=5),
+], ids=["pair_energy", "momentum_variance"])
+def test_mc_memory_does_not_grow_with_samples(estimate):
+    # numpy reports its buffers to tracemalloc; drawing every sample at
+    # once peaks at ~30-43 MB for 400k samples
+    small = _traced_peak_mb(lambda: estimate(100_000))
+    large = _traced_peak_mb(lambda: estimate(400_000))
+    assert large < 4.0
+    assert large <= 1.1 * small
+
+
+@pytest.mark.parametrize("samples", [1000, MC_BLOCK, MC_BLOCK + 1,
+                                     3 * MC_BLOCK + 7])
+def test_block_merge_matches_the_whole_sample(samples):
+    calls, values = [], []
+
+    def sampler(name):
+        def draw(rng, k):
+            calls.append((name, k))
+            return sample_exponential_cloud(3.0, k, rng)
+        return draw
+
+    def kernel(r):
+        v = np.exp(-r) / (1.0 + r)
+        values.append(v.copy())
+        return v
+
+    est = mc_pair_integral(sampler("a"), sampler("b"), kernel, 0.4,
+                           samples=samples, seed=9)
+    whole = np.concatenate(values)
+    assert len(whole) == samples
+    # each block draws density_a then density_b, MC_BLOCK at a time
+    sizes = [min(MC_BLOCK, samples - i) for i in range(0, samples, MC_BLOCK)]
+    assert calls == [(name, k) for k in sizes for name in "ab"]
+    assert est.mean == pytest.approx(np.mean(whole), rel=1e-13, abs=0.0)
+    assert est.std_error == pytest.approx(
+        np.std(whole, ddof=1) / math.sqrt(samples), rel=1e-13, abs=0.0)
+
+
+def test_momentum_variance_streams_blocks_of_the_sampler():
+    beta, samples, seed = 4.0, 3 * MC_BLOCK + 7, 21
+    rng = np.random.default_rng(seed)
+    sq = np.concatenate([
+        sample_orbital_momentum(beta, min(MC_BLOCK, samples - start), rng)
+        for start in range(0, samples, MC_BLOCK)]) ** 2
+    est = mc_momentum_axis_variance(beta, samples=samples, seed=seed)
+    assert est.mean == pytest.approx(sq.mean(), rel=1e-13, abs=0.0)
+    want_se = math.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0
+    assert est.std_error == pytest.approx(want_se, rel=1e-13, abs=0.0)
 
 
 def test_estimate_fields():
