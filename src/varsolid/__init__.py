@@ -9,11 +9,10 @@ from .energy import EnergyBreakdown, SameSiteW, energy_per_particle, \
 from .lattice import Cluster, LatticeKind, LatticeShells, build_cluster, \
     enumerate_shells
 from .model import (DEGENERACY_WINDOW, OrbitalParams, TwoYukawaParams,
-                    density_fourier, orbital_norm_constant,
-                    pair_energy, two_yukawa, two_yukawa_fourier)
-from .observables import (ComStatistics, SuperpositionSpec, branch_overlap,
-                          com_statistics, free_spread, galilean_boost,
-                          orbital_overlap, superposition_spread,
+                    density_fourier, pair_energy, two_yukawa,
+                    two_yukawa_fourier)
+from .observables import (ComStatistics, SuperpositionSpec, com_statistics,
+                          free_spread, galilean_boost, superposition_spread,
                           verify_com_on_cluster)
 from .optimize import (BulkModulusResult, ConvergenceError, OptimizeOptions,
                        SolidSolution, bulk_modulus, minimize_solid,
@@ -34,14 +33,13 @@ __all__ = [
     "FermionSolution", "LatticeKind", "LatticeShells",
     "McEstimate", "OptimizeOptions", "OrbitalParams", "QuadratureError",
     "SameSiteW", "SolidSolution", "SuperpositionSpec", "TwoYukawaParams",
-    "UnitSystem", "boson_energy", "boson_solve", "branch_overlap",
-    "build_cluster", "bulk_modulus", "com_statistics", "density_fourier",
+    "UnitSystem", "boson_energy", "boson_solve", "build_cluster",
+    "bulk_modulus", "com_statistics", "density_fourier",
     "energy_per_particle", "enumerate_shells", "fermion_solve",
     "fermion_tf_energy", "free_spread", "galilean_boost",
     "kinetic_per_particle", "make_krypton_units", "mc_momentum_axis_variance",
     "mc_pair_energy", "mc_pair_integral", "minimize_solid",
-    "minimum_certificate", "orbital_norm_constant", "orbital_overlap",
-    "pair_energy", "pair_energy_quadrature",
+    "minimum_certificate", "pair_energy", "pair_energy_quadrature",
     "pair_energy_realspace_reference", "radial_transform_check",
     "same_site_W", "sample_exponential_cloud", "solve_solid",
     "superposition_spread", "two_yukawa", "two_yukawa_fourier",

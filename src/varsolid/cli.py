@@ -30,8 +30,8 @@ import numpy as np
 
 from . import energy as energy_mod
 from .model import OrbitalParams, TwoYukawaParams
-from .observables import (SuperpositionSpec, branch_overlap, com_statistics,
-                          free_spread, galilean_boost, superposition_spread)
+from .observables import (SuperpositionSpec, com_statistics, free_spread,
+                          galilean_boost, superposition_spread)
 from .optimize import (SEARCH_BOX, ConvergenceError, OptimizeOptions,
                        SolidSolution, _unit_shells, in_search_box, solve_solid)
 from .oracle import QuadratureError, verify_checks
@@ -271,7 +271,6 @@ def _cmd_superposition(args: argparse.Namespace, cfg: RunConfig) -> int:
         "N": args.N,
         "branches": len(spec.weights),
         "min_separation_sigma": spec.min_separation(),
-        "branch_overlap_bound": branch_overlap(spec, args.lam),
         "intrinsic_chi_sigma2": com_statistics(args.lam, args.N).chi,
         "variance_sigma2": [float(v) for v in spread],
     }

@@ -157,23 +157,6 @@ class TwoYukawaParams:
             raise ValueError("b, epsilon, sigma must all be positive")
 
 
-def orbital_norm_constant(lam: float, cutoff_a: float = math.inf) -> float:
-    """D^2 normalizing phi = D e^{-lam r/2} inside radius a.
-
-    int_0^a 4 pi r^2 e^{-lam r} dr = (8 pi / lam^3) [1 - e^{-la}(1 + la + (la)^2/2)]
-    with la = lam a; the bracket -> 1 as a -> inf.
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not cutoff_a > 0.0:
-        raise ValueError(f"cutoff_a must be positive, got {cutoff_a}")
-    if math.isinf(cutoff_a):
-        return lam**3 / (8.0 * math.pi)
-    la = lam * cutoff_a
-    bracket = -math.expm1(-la) - math.exp(-la) * (la + 0.5 * la * la)
-    return lam**3 / (8.0 * math.pi * bracket)
-
-
 def density_fourier(p: OrbitalParams, k):
     """n~(k) = (1 + (k/lam)^2)^{-2}, the transform of lam^3 e^{-lam r}/(8 pi).
 

@@ -21,10 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import Cluster
-from .model import orbital_norm_constant
 from .units import UnitSystem
-
-_ZERO3 = (0.0, 0.0, 0.0)
 
 #: largest |displacement component| (sigma) a superposition accepts: the
 #: squared branch separations (<= 12 MAX_DISPLACEMENT^2) and the mixture
@@ -41,8 +38,7 @@ class ComStatistics:
     omega: float
     product: float
     N: float
-    mean_R: tuple[float, float, float] = _ZERO3
-    mean_P: tuple[float, float, float] = _ZERO3
+    mean_P: tuple[float, float, float] = (0.0, 0.0, 0.0)
     chi_std_error: float | None = None
 
 
@@ -189,40 +185,3 @@ def superposition_spread(spec: SuperpositionSpec, lam: float, N: float) -> np.nd
     centered = spec.displacements - probs @ spec.displacements
     mixture_var = probs @ centered**2
     return stats.chi + mixture_var
-
-
-def orbital_overlap(lam: float, separation: float,
-                    cutoff_a: float = math.inf) -> float:
-    """Overlap bound for two site orbitals a given distance apart.
-
-    Exactly 0 once the separation reaches 2a (truncated orbitals with
-    disjoint supports).  Below that, the closed-form overlap of untruncated
-    exponential orbitals,
-
-        <phi_0|phi_s> = e^{-z}(1 + z + z^2/3),  z = lam s / 2,
-
-    scaled by the truncated-over-infinite normalization ratio, which makes
-    it a true upper bound for the truncated pair.
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not (math.isfinite(separation) and separation >= 0.0):
-        raise ValueError(f"separation must be finite and >= 0, got {separation}")
-    if separation >= 2.0 * cutoff_a:
-        return 0.0
-    z = 0.5 * lam * separation
-    bare = math.exp(-z) * (1.0 + z + z * z / 3.0)
-    ratio = orbital_norm_constant(lam, cutoff_a) / orbital_norm_constant(lam)
-    return bare * ratio
-
-
-def branch_overlap(spec: SuperpositionSpec, lam: float) -> float:
-    """Largest single-orbital overlap bound between any two branches.
-
-    0 for every constructible spec (the constructor enforces non-overlap);
-    the underlying bound for closer separations is orbital_overlap.
-    """
-    sep = spec.min_separation()
-    if math.isinf(sep):
-        return 0.0
-    return orbital_overlap(lam, sep, spec.cutoff_a)

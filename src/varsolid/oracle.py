@@ -65,6 +65,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_separation(s: float) -> None:
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"separation must be finite and >= 0, got {s}")
+
+
 def _check_samples(samples: int) -> None:
     if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
             or samples < 1000):
@@ -271,6 +276,7 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
     and the returned estimate grows to dominate the value itself — that
     regime is exactly why the production path uses the closed form instead.
     """
+    _check_separation(s)
     lam = p.lam
 
     def j0(x: float) -> float:
@@ -310,6 +316,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     oscillation, no cancellation amplification near degenerate exponents —
     this is the strongest independent check on the closed form.
     """
+    _check_separation(s)
     lam = p.lam
     eps, b, sig, m_, n_ = pot.epsilon, pot.b, pot.sigma, pot.m, pot.n
 
@@ -390,6 +397,9 @@ def density_power_integral_quadrature(rate: float, mass: float,
 
     Pins the Thomas-Fermi kinetic coefficient (power = 5/3).
     """
+    for name, value in (("rate", rate), ("mass", mass), ("power", power)):
+        _check_positive(name, value)
+
     def rho(r: float) -> float:
         return mass * rate**3 * math.exp(-rate * r) / (8.0 * math.pi)
 

@@ -73,15 +73,9 @@ class UnitSystem:
         """Per-particle energy in epsilon units -> cal/mole."""
         return u * self.epsilon_J * AVOGADRO / CAL_TO_J
 
-    def cal_per_mole_to_energy(self, u_cal: float) -> float:
-        return u_cal * CAL_TO_J / (self.epsilon_J * AVOGADRO)
-
     def pressure_to_kbar(self, p: float) -> float:
         """Pressure in epsilon/sigma^3 units -> kbar (1 kbar = 1e8 Pa)."""
         return p * self.epsilon_J / self.sigma_m**3 / 1e8
-
-    def kbar_to_pressure(self, p_kbar: float) -> float:
-        return p_kbar * 1e8 * self.sigma_m**3 / self.epsilon_J
 
 
 def make_krypton_units() -> UnitSystem:

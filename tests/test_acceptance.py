@@ -17,7 +17,7 @@ import pytest
 
 from varsolid import (LatticeKind, OrbitalParams, SuperpositionSpec,
                       TwoYukawaParams, boson_energy, boson_solve,
-                      branch_overlap, build_cluster, com_statistics,
+                      build_cluster, com_statistics,
                       enumerate_shells, fermion_solve, fermion_tf_energy,
                       make_krypton_units, mc_pair_energy, pair_energy,
                       radial_transform_check, same_site_W, solve_solid,
@@ -157,16 +157,17 @@ def test_c08_cluster_sum_matches_shell_sum(timed_solution):
 
 def test_c09_boson_optimum_closed_form_and_certificate():
     worst = 0.0
-    for n, kappa, mu, hbar in ((2, 1.0, 1.0, 1.0), (50, 2.5, 0.7, 1.3),
-                               (10**4, 0.04, 11.0, 0.2)):
-        sol = boson_solve(n, kappa, mu, hbar)
-        analytic = 5.0 * kappa * mu * (n - 1) / (16.0 * hbar**2)
+    # hbar = 1; hbar enters only as mu/hbar^2, so the last two masses are
+    # the (mu, hbar) pairs (0.7, 1.3) and (11, 0.2)
+    for n, kappa, mu in ((2, 1.0, 1.0), (50, 2.5, 0.7 / 1.3**2),
+                         (10**4, 0.04, 11.0 / 0.2**2)):
+        sol = boson_solve(n, kappa, mu)
+        analytic = 5.0 * kappa * mu * (n - 1) / 16.0
         worst = max(worst, abs(sol.beta_star - analytic) / analytic)
-        e0 = boson_energy(sol.beta_star, n, kappa, mu, hbar)
+        e0 = boson_energy(sol.beta_star, n, kappa, mu)
         for factor in (0.99, 1.01):
-            assert boson_energy(sol.beta_star * factor, n, kappa, mu,
-                                hbar) > e0
-    print(f"[C09] beta* worst rel err vs 5 kappa mu (N-1)/(16 hbar^2): "
+            assert boson_energy(sol.beta_star * factor, n, kappa, mu) > e0
+    print(f"[C09] beta* worst rel err vs 5 kappa mu (N-1)/16: "
           f"{worst:.3e}; +-1% perturbations all raise the energy")
     assert worst <= 1e-12
 
@@ -198,12 +199,18 @@ def test_c11_branch_separation_variance_and_overlap():
         # to double precision (the |c|^2 round-trip costs one ulp)
         assert var[0] == pytest.approx(expected, rel=1e-14)
         assert var[1] == pytest.approx(4.0 / (lam * lam * n), rel=1e-14)
+        # disjoint supports, hence no cross terms, hold by construction:
+        # the spec is built with separations beyond 2a and refused below it
         wide = SuperpositionSpec(
             displacements=spec.displacements, weights=weights,
             cutoff_a=sep / 2.0 * (1.0 - 1e-6))
-        assert branch_overlap(wide, lam) == 0.0
-    print("[C11] Var_x = 4/(lam^2 N) + L^2/4 and zero branch overlap for "
-          "25 random (lam, N, L) with separations beyond 2a")
+        assert wide.min_separation() >= 2.0 * wide.cutoff_a
+        with pytest.raises(ValueError, match="non-overlap threshold"):
+            SuperpositionSpec(displacements=spec.displacements,
+                              weights=weights,
+                              cutoff_a=sep / 2.0 * (1.0 + 1e-6))
+    print("[C11] Var_x = 4/(lam^2 N) + L^2/4 for 25 random (lam, N, L); "
+          "branches beyond 2a are built, branches inside 2a refused")
 
 
 def test_c12_cli_runs_are_byte_identical(tmp_path):

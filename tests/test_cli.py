@@ -371,7 +371,10 @@ def test_superposition_command(tmp_path):
                    str(branches), "--lambda", "91.33", "--N", "1e6")
     assert code == EXIT_OK
     payload = read_json(out)
-    assert payload["branch_overlap_bound"] == 0.0
+    assert set(payload) == {"N", "branches", "intrinsic_chi_sigma2",
+                            "lambda_per_sigma", "min_separation_sigma",
+                            "variance_sigma2"}
+    assert payload["min_separation_sigma"] == 5.0
     chi = 4.0 / (91.33**2 * 1e6)
     assert payload["variance_sigma2"][0] == pytest.approx(chi + 25.0 / 4.0,
                                                           rel=1e-12)

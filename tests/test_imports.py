@@ -1,4 +1,5 @@
-"""The solver's own modules import no scipy; only the oracle battery does."""
+"""The solver's own modules import no scipy; only the oracle battery does.
+The package exposes no name that no user path reaches."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,11 @@ def test_solver_module_imports_no_scipy(module):
     imported = list(_imported_modules(PACKAGE / f"{module}.py"))
     assert imported  # the walk sees the module's imports
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+@pytest.mark.parametrize("name", ["branch_overlap", "orbital_overlap",
+                                  "orbital_norm_constant"])
+def test_deleted_names_are_not_public(name):
+    # the branch-overlap bound was 0 for every spec SuperpositionSpec admits
+    assert name not in varsolid.__all__
+    assert not hasattr(varsolid, name)

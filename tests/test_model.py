@@ -25,8 +25,7 @@ from scipy.optimize import minimize_scalar
 
 from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, density_fourier, enumerate_shells,
-                      orbital_norm_constant, pair_energy, two_yukawa,
-                      two_yukawa_fourier)
+                      pair_energy, two_yukawa, two_yukawa_fourier)
 from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXP_FLOOR, EXPM1_FLOOR,
                             _closed_form, _mp_exp, _mp_expm1)
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
@@ -41,27 +40,8 @@ UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances()
 
 
 # ----------------------------------------------------------------------
-# orbital normalization and density transform
+# density transform
 # ----------------------------------------------------------------------
-
-def test_norm_constant_closed_values():
-    assert orbital_norm_constant(2.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert orbital_norm_constant(1.0) == pytest.approx(
-        1.0 / (8.0 * math.pi), rel=1e-14)
-    # finite cutoff converges to the infinite-cutoff value
-    assert orbital_norm_constant(1.0, cutoff_a=200.0) == \
-        pytest.approx(1.0 / (8.0 * math.pi), rel=1e-13)
-
-
-@pytest.mark.parametrize("lam,a", [(1.0, 2.0), (5.0, 0.7), (91.33, 0.1),
-                                   (3.0, math.inf)])
-def test_norm_constant_against_quadrature(lam, a):
-    d2 = orbital_norm_constant(lam, cutoff_a=a)
-    hi = min(a, 300.0 / lam)
-    val, _ = integrate.quad(lambda r: d2 * math.exp(-lam * r) * 4 * math.pi * r * r,
-                            0.0, hi, epsrel=1e-12)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
 
 def test_density_fourier_special_points():
     p = OrbitalParams(7.3)
@@ -89,8 +69,6 @@ def test_density_fourier_bounded_and_decreasing(lam, k):
 def test_orbital_params_validation():
     with pytest.raises(ValueError):
         OrbitalParams(0.0)
-    with pytest.raises(ValueError):
-        orbital_norm_constant(5.0, cutoff_a=-1.0)
 
 
 # ----------------------------------------------------------------------

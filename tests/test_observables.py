@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varsolid import (LatticeKind, SuperpositionSpec, branch_overlap,
-                      build_cluster, com_statistics, free_spread,
-                      galilean_boost, orbital_overlap, superposition_spread,
-                      verify_com_on_cluster)
+from varsolid import (LatticeKind, SuperpositionSpec, build_cluster,
+                      com_statistics, free_spread, galilean_boost,
+                      superposition_spread, verify_com_on_cluster)
 from varsolid.observables import MAX_DISPLACEMENT
 
 HBAR_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -41,7 +40,6 @@ def test_product_identity_property(lam, n):
     assert abs(stats.product - HBAR_OVER_SQRT3) < 1e-12
     assert stats.product >= 0.5  # Heisenberg bound in hbar units
     assert stats.chi > 0.0 and stats.omega > 0.0
-    assert np.all(np.asarray(stats.mean_R) == 0.0)
     assert np.all(np.asarray(stats.mean_P) == 0.0)
 
 
@@ -268,41 +266,12 @@ def test_overlapping_branches_rejected():
 
 def test_contact_separation_accepted_with_zero_overlap():
     spec = two_branch_spec(2.0, cutoff=1.0)  # separation exactly 2a
-    assert branch_overlap(spec, 40.0) == 0.0
+    assert spec.min_separation() == 2.0
 
 
 def test_branch_overlap_disjoint_supports():
     spec = two_branch_spec(3.0, cutoff=1.0)
-    assert branch_overlap(spec, 40.0) == 0.0
     assert spec.min_separation() == pytest.approx(3.0)
-
-
-def test_orbital_overlap_positive_below_contact():
-    # inside 2a the truncated orbitals do overlap; the spec constructor must
-    # refuse such geometry, and the raw bound confirms why
-    val = orbital_overlap(10.0, 1.2, cutoff_a=1.0)
-    assert val > 0.0
-    assert orbital_overlap(10.0, 2.0, cutoff_a=1.0) == 0.0
-    # a NaN separation once returned NaN
-    for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match=f"separation must be finite and >= 0, got {bad}"):
-            orbital_overlap(1.0, bad)
-    # a NaN or inf lam once returned 0.0 at a separation >= 2a
-    spec = two_branch_spec(5.0, cutoff=1.0)
-    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {bad}"):
-            orbital_overlap(bad, 5.0, cutoff_a=1.0)
-        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {bad}"):
-            branch_overlap(spec, bad)
-
-
-def test_orbital_overlap_slater_value():
-    # untruncated orbitals: overlap = e^{-z}(1 + z + z^2/3), z = lam s / 2
-    lam, s = 3.0, 1.4
-    z = 0.5 * lam * s
-    want = math.exp(-z) * (1.0 + z + z * z / 3.0)
-    assert orbital_overlap(lam, s, cutoff_a=math.inf) == pytest.approx(
-        want, rel=1e-13)
 
 
 def test_multibranch_requires_finite_cutoff():

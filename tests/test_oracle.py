@@ -124,6 +124,37 @@ def test_mc_boundaries_fail_closed(call, name):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: pair_energy_realspace_reference(OrbitalParams(50.0), POT, -1.0),
+     "separation must be finite and >= 0, got -1.0"),
+    (lambda: pair_energy_realspace_reference(OrbitalParams(50.0), POT,
+                                             math.nan),
+     "separation must be finite and >= 0, got nan"),
+    (lambda: pair_energy_quadrature(OrbitalParams(50.0), POT, -1.0),
+     "separation must be finite and >= 0, got -1.0"),
+    (lambda: pair_energy_quadrature(OrbitalParams(50.0), POT, math.nan),
+     "separation must be finite and >= 0, got nan"),
+    (lambda: density_power_integral_quadrature(math.nan, 1.0, 1.0),
+     "rate must be finite and positive, got nan"),
+    (lambda: density_power_integral_quadrature(1.0, math.nan, 1.0),
+     "mass must be finite and positive, got nan"),
+    (lambda: density_power_integral_quadrature(1.0, 1.0, math.nan),
+     "power must be finite and positive, got nan"),
+    (lambda: density_power_integral_quadrature(-1.0, 1.0, 1.0),
+     "rate must be finite and positive, got -1.0"),
+    (lambda: density_power_integral_quadrature(1.0, -1.0, 5.0 / 3.0),
+     "mass must be finite and positive, got -1.0"),
+], ids=["realspace-s-negative", "realspace-s-nan", "fourier-s-negative",
+        "fourier-s-nan", "power-rate-nan", "power-mass-nan", "power-power-nan",
+        "power-rate-negative", "power-mass-negative"])
+def test_quadrature_boundaries_fail_closed(call, message):
+    # the quadrature oracles reject what pair_energy rejects, by name and
+    # value; at -1 the real-space reference once returned 2.82e12 and the
+    # Fourier one the value at +1
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _traced_peak_mb(call) -> float:
     tracemalloc.start()
     try:

@@ -4,7 +4,7 @@ Every coefficient the closed forms rely on is pinned here against an
 independent oracle before being trusted: the per-pair Coulomb value -5 kappa
 beta/8 by Monte Carlo, the nested Coulomb integral (5/16) gamma N^2 and the
 kinetic-density coefficient C_KIN by quadrature, and the per-axis momentum
-variance (hbar beta)^2/3 by sampling the orbital's momentum distribution.
+variance beta^2/3 (hbar = 1) by sampling the orbital's momentum distribution.
 """
 
 import math
@@ -31,7 +31,7 @@ HBAR_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
 
 def test_boson_energy_trivial_points():
     assert boson_energy(0.0, 5) == 0.0
-    assert boson_energy(2.0, 1) == pytest.approx(2.0, rel=1e-15)  # hbar^2 b^2/(2 mu)
+    assert boson_energy(2.0, 1) == pytest.approx(2.0, rel=1e-15)  # b^2/(2 mu)
     assert boson_energy(2.0, 1) > 0.0
 
 
@@ -258,3 +258,15 @@ def test_fermion_closed_forms_property(kappa, mu, n):
     a = sol.energy / sol.gamma_star**2 + \
         (5.0 / 32.0) * kappa * n * n / sol.gamma_star
     assert sol.energy == pytest.approx(-a * sol.gamma_star**2, rel=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boson_energy(1.0, 10, hbar=1.0),
+    lambda: boson_solve(10, hbar=1.0),
+    lambda: fermion_tf_energy(1.0, 10, hbar=1.0),
+    lambda: fermion_solve(10, hbar=1.0),
+], ids=["boson_energy", "boson_solve", "fermion_tf_energy", "fermion_solve"])
+def test_selfgrav_works_in_hbar_one_units(call):
+    # hbar = 1 throughout the package; there is no hbar to set
+    with pytest.raises(TypeError, match="hbar"):
+        call()

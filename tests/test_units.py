@@ -55,15 +55,6 @@ def test_pressure_conversion_value():
                                                     rel=1e-13)
 
 
-@given(x=st.floats(min_value=1e-6, max_value=1e6,
-                   allow_nan=False, allow_infinity=False))
-def test_conversions_round_trip(x):
-    u = make_krypton_units()
-    assert u.cal_per_mole_to_energy(u.energy_to_cal_per_mole(x)) == \
-        pytest.approx(x, rel=1e-12)
-    assert u.kbar_to_pressure(u.pressure_to_kbar(x)) == pytest.approx(x, rel=1e-12)
-
-
 @given(sigma=st.floats(min_value=1e-11, max_value=1e-9),
        eps=st.floats(min_value=1.0, max_value=1e4),
        mass=st.floats(min_value=1.0, max_value=300.0))
