@@ -41,25 +41,29 @@ quadrature loses all digits to cancellation.
 
 Arrays: pair_energy takes one separation or an array of them, so a shell
 sum is one call.  Over an array the float closed form runs as numpy
-arithmetic: the coefficients lam^8/D^k are scalars computed once per call,
-and e^{-lam s} and the polynomials in lam s are shared by both Yukawa
-pieces.  Every entry is bitwise equal to the same formula evaluated in
-Python floats one separation at a time, the way the recorded optimum was
-computed.  For that the arithmetic keeps the scalar expression order
-((3 lam) s, not 3 (lam s)), the square of lam s is written x*x (Python's
+arithmetic, in place: the coefficients lam^8/D^k and the pi factors are
+scalars computed once per call, and e^{-lam s} and the polynomials in lam s
+are shared by both Yukawa pieces.  Every entry is bitwise equal to the same
+formula evaluated in Python floats one separation at a time, the way the
+recorded optimum was computed.  For that the arithmetic keeps the scalar
+expression's operations in their order ((3 lam) s, not 3 (lam s); a
+product, then a quotient), the square of lam s is written x*x (Python's
 x**2 calls libm pow, which differs from the correctly rounded x*x on about
-0.1% of arguments), and the exponentials are math.exp and math.expm1
-mapped over the elements, not np.exp: np.exp differs from math.exp by one
-ulp on about 5% of arguments, enough to move the solid's optimum by ~1e-7
-relative.  Two maps are skipped, bitwise: an array whose every argument lies
-at or below a saturation floor is the constant the map would give, 0.0 for
-exp at EXP_FLOOR = -746 and -1.0 for expm1 at EXPM1_FLOOR = -40.  At the
-solid's optimum (lam ~ 91, every s >= d ~ 1.1) both expm1 maps are wholly
-saturated, two of the five maps of a call, and core skips them outright:
-the smallest separation settles it, and -e^{-alpha s} * -1.0 is
-e^{-alpha s} bitwise.  Likewise the masks that put core's s -> 0 limit at
-s = 0 run only when some separation is that small.  pair_energy validates
-its separations with one min and one max, and hands the min on.
+0.1% of arguments), and the exponentials are libm's exp and expm1, the
+functions math.exp and math.expm1 call.  numpy's float64 np.exp and
+np.expm1 are numpy's own SIMD code, one ulp off libm on a few percent of
+arguments, enough to move the solid's optimum by ~1e-7 relative; their
+complex128 forms call libm once per entry, and at x + 0i their real parts
+are libm's values exactly (_libm).  One call makes one exp pass, over
+e^{-lam s} and the pieces' e^{-alpha s} stacked as rows, and at most one
+expm1 pass.  A piece's expm1 is skipped, bitwise, when its largest
+argument, at the smallest separation, is at or below EXPM1_FLOOR = -40,
+where expm1 is -1.0 at every s: -e^{-alpha s} * -1.0 is e^{-alpha s}.  At
+the solid's optimum (lam ~ 91, every s >= d ~ 1.1) both pieces skip it, and
+the exp pass is the call's only one.  Likewise the masks that put core's
+s -> 0 limit at s = 0 run only when some separation is that small.
+pair_energy validates its separations with one min and one max, and hands
+the min on.
 
 One closed form in two precisions: the partial-fraction coefficients blow
 up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
@@ -75,7 +79,7 @@ extra e^{-alpha s}: each piece's core is e^{-lam s} E/s with
 E = expm1((lam - alpha) s), for either sign of lam - alpha, and every row
 is e^{-lam s} [sum h E/s + P(s)] (below), the bracket summed first and
 multiplied by e^{-lam s} once.  That is three exponentials per separation,
-where the float branch maps up to five.  A scalar times or plus an array
+where the float branch takes up to five.  A scalar times or plus an array
 keeps the array on the left (s * lam): an mpf on the left makes mpmath
 convert the whole array through its string form.  IEEE * and + commute, so
 the float results keep every bit.
@@ -170,7 +174,17 @@ def density_fourier(p: OrbitalParams, k):
 
 
 def two_yukawa(r, p: TwoYukawaParams = TwoYukawaParams()):
-    """Two-Yukawa potential at separation r (> 0); accepts arrays."""
+    """Two-Yukawa potential at separation r (> 0); accepts arrays.
+
+    A float takes the same expression without the array round trip, which
+    costs the quadrature oracles most of each call; np.exp keeps it bitwise.
+    """
+    if isinstance(r, float):
+        if not r > 0.0:  # NaN fails it too
+            raise ValueError("two_yukawa is defined for r > 0 only")
+        x = r / p.sigma
+        return float(-p.epsilon * p.b * (np.exp(-p.m * (x - 1.0)) - np.exp(-p.n * (x - 1.0)))
+                     / x)
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):  # NaN fails it too
         raise ValueError("two_yukawa is defined for r > 0 only")
@@ -194,25 +208,25 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
     return float(out) if out.ndim == 0 else out
 
 
-#: arguments at or below which math.exp and math.expm1 are exactly 0.0 and
-#: -1.0: e^-746 is below half the smallest subnormal (~4.9e-324), and e^-40
+#: the argument at or below which math.expm1 is exactly -1.0: e^-40 is
 #: below half an ulp of 1 (~5.6e-17)
-EXP_FLOOR = -746.0
 EXPM1_FLOOR = -40.0
 
 
-def _map(fn, floor: float, saturated: float):
-    """fn (math.exp or math.expm1) over every element of a 1-D float array.
+def _libm(ufunc):
+    """ufunc (np.exp or np.expm1) over a float array, each entry bitwise
+    math.exp or math.expm1 of it: libm's exp or expm1, which math calls.
 
-    An array wholly at or below `floor` is `saturated` in every entry,
-    which is what the map would give, without running it.
+    numpy's float64 exp and expm1 run numpy's own SIMD code, an ulp off
+    libm on a few percent of arguments.  Their complex128 forms call libm
+    once per entry, and at x + 0i, for every x the float branch makes
+    (none is positive), their real parts are exact: exp(x) cos 0 = exp(x)
+    * 1.0 (libm's cexp, or numpy's own where libm has none) and expm1(x)
+    cos 0 - 2 sin^2 0.  That is one loop in C, where a map of the math
+    functions costs ~70 ns an entry in the interpreter.
     """
     def apply(x: np.ndarray) -> np.ndarray:
-        # shell distances ascend, so x[0] is the largest argument there
-        # and usually settles the test without the reduction
-        if x.size and x[0] <= floor and x.max() <= floor:
-            return np.full(x.size, saturated)
-        return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+        return np.ascontiguousarray(ufunc(x.astype(complex)).real)
     return apply
 
 
@@ -244,8 +258,7 @@ def _mp_expm1(x):
 
 #: (exp, expm1, pi, expm1's saturation floor) of the float branch and of
 #: the mpmath window branch, where no finite argument saturates expm1
-_FLOAT_OPS = (_map(math.exp, EXP_FLOOR, 0.0), _map(math.expm1, EXPM1_FLOOR, -1.0),
-              math.pi, EXPM1_FLOOR)
+_FLOAT_OPS = (_libm(np.exp), _libm(np.expm1), math.pi, EXPM1_FLOOR)
 _MP_OPS = (np.frompyfunc(_mp_exp, 1, 1), np.frompyfunc(_mp_expm1, 1, 1), mp.pi, -math.inf)
 
 
@@ -303,57 +316,87 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     alpha) s} cannot overflow.
     """
     exp, expm1, pi, expm1_floor = ops
+    # per piece the rates r of its core's e^{r s} and expm1(r s), None for
+    # one it does without: with `factored` expm1((lam - alpha) s) alone;
+    # otherwise the smaller exponent is factored out, so that expm1 never
+    # overflows, as e^{-lam s} expm1((lam - alpha) s) for lam < alpha and
+    # -e^{-alpha s} expm1((alpha - lam) s) above.  There an expm1 that is
+    # saturated at smin, its largest argument, is -1.0 at every s, and
+    # -e^{-alpha s} * -1.0 is e^{-alpha s} bitwise
+    rates = [(None, lam - alpha) if factored or lam < alpha
+             else (-alpha, None) if smin * (alpha - lam) <= expm1_floor
+             else (-alpha, alpha - lam) for _, alpha in pieces]
+    # every exponential of the call in one exp pass, e^{-lam s} first, and
+    # one expm1 pass, each over its arguments stacked as rows
+    exp_rates = [-lam] + [r for r, _ in rates if r is not None]
+    expm1_rates = [r for _, r in rates if r is not None]
+    args = np.multiply.outer(np.array(exp_rates + expm1_rates, dtype=s.dtype), s)
+    exps = exp(args[:len(exp_rates)])
+    els, exp_rows = exps[0], iter(exps[1:])
+    expm1_rows = iter(expm1(args[len(exp_rates):]) if expm1_rates else ())
     # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
     # relative precision and core is its s -> 0 limit lam - alpha; the masks
     # run only when some s is that small
-    tiny = sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
-    has_tiny = smin < tiny
-    els = exp(s * -lam)
+    has_tiny = smin < sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
 
-    def core(alpha):
+    def core(alpha, exp_rate, expm1_rate):
         """(e^{-alpha s} - e^{-lam s})/s, e^{lam s} times that if `factored`,
-        and lam - alpha at s = 0."""
-        if factored:  # one expm1 for either sign of lam - alpha
-            tail = expm1(s * (lam - alpha))
-        elif lam < alpha:  # factor out the smaller exponent: no expm1 overflow
-            tail = els * expm1(s * -(alpha - lam))
-        elif smin * -(lam - alpha) <= expm1_floor:
-            # expm1's largest argument, at smin, is saturated: it is -1.0 at
-            # every s, and -e^{-alpha s} * -1.0 is e^{-alpha s} bitwise
-            tail = exp(s * -alpha)
+        and lam - alpha at s = 0, in place on the rows it takes."""
+        if exp_rate is None:
+            tail = next(expm1_rows)
+            if not factored:
+                tail *= els
         else:
-            tail = -exp(s * -alpha) * expm1(s * -(lam - alpha))
+            tail = next(exp_rows)
+            if expm1_rate is not None:
+                tail *= next(expm1_rows)
+                np.negative(tail, out=tail)
         if not has_tiny:
-            return tail / s
+            tail /= s
+            return tail
         limit = s * abs(lam - alpha) < sys.float_info.min
         return np.where(limit, lam - alpha, tail / np.where(limit, 1.0, s))
 
-    def smeared(alpha, core_a):
-        d = (alpha - lam) * (alpha + lam)
-        lam8 = lam**8
-        a_ = lam8 / d**4
-        b2 = lam8 / d**3
-        b3 = -lam8 / d**2
-        b4 = lam8 / d
-        return (core_a * a_ / (4.0 * pi)
-                + els * (poly3 * b3 / (32.0 * pi * lam**3)
-                         + b2 / (8.0 * pi * lam)
-                         + poly4 * b4 / (192.0 * pi * lam**5)))
-
-    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
-    cores = core(alpha_m), core(alpha_n)
+    cores = [core(alpha, *r) for (_, alpha), r in zip(pieces, rates)]
     scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
     if factored:
         rows = _lam_rows(0, order, lam, pieces, scale, pi, s, els, cores, factored=True)
-    else:
-        x = s * lam
-        poly3 = 1.0 + x
-        poly4 = 3.0 + s * (3.0 * lam) + x * x
-        rows = [(smeared(alpha_m, cores[0]) * weight_m - smeared(alpha_n, cores[1]) * weight_n)
-                * scale]
-        if order:
-            rows += _lam_rows(1, order, lam, pieces, scale, pi, s, els, cores)
-    return rows[0] if order == 0 else np.stack(rows)
+        return rows[0] if order == 0 else np.stack(rows)
+    x = s * lam
+    poly4 = s * (3.0 * lam)
+    poly4 += 3.0
+    poly4 += x * x
+    poly3 = x
+    poly3 += 1.0
+    lam8 = lam**8
+    c4, c8, c32, c192 = 4.0 * pi, 8.0 * pi * lam, 32.0 * pi * lam**3, 192.0 * pi * lam**5
+
+    def smeared(weight, alpha, core_a):
+        """weight (a_ core/(4 pi) + e^{-lam s} (b3 poly3/(32 pi lam^3)
+        + b2/(8 pi lam) + b4 poly4/(192 pi lam^5))), with a_ = lam^8/D^4,
+        b2 = lam^8/D^3, b3 = -lam^8/D^2 and b4 = lam^8/D, every operation
+        in place and in the order of that expression."""
+        d = (alpha - lam) * (alpha + lam)
+        out = core_a * (lam8 / d**4)
+        out /= c4
+        bracket = poly3 * (-lam8 / d**2)
+        bracket /= c32
+        bracket += lam8 / d**3 / c8
+        term4 = poly4 * (lam8 / d)
+        term4 /= c192
+        bracket += term4
+        bracket *= els
+        out += bracket
+        out *= weight
+        return out
+
+    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
+    value = smeared(weight_m, alpha_m, cores[0])
+    value -= smeared(weight_n, alpha_n, cores[1])
+    value *= scale
+    if order == 0:
+        return value
+    return np.stack([value, *_lam_rows(1, order, lam, pieces, scale, pi, s, els, cores)])
 
 
 def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
@@ -390,8 +433,16 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
     p1, p2 = [lam * q[0]], [lam * lam * g4[0]]
 
     def row(k: int, coefs):
+        """cores[0] hm[k] + cores[1] hn[k] + e^{-lam s} poly, then times
+        `scale`, or with `factored` the bracket times e^{-lam s}; in place."""
+        out = cores[0] * hm[k]
+        out += cores[1] * hn[k]
         poly = _horner(s, coefs)
-        return cores[0] * hm[k] + cores[1] * hn[k] + (poly if factored else els * poly)
+        if not factored:
+            poly *= els
+        out += poly
+        out *= els if factored else scale
+        return out
 
     rows = []
     if first == 0:
@@ -405,7 +456,7 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
     if order == 2:
         rows.append(row(2, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
                             p2[2] - 2.0 * p1[1] + p0[0], p1[0] - 2.0 * p2[1], p2[0])))
-    return [r * (els if factored else scale) for r in rows]
+    return rows
 
 
 def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):

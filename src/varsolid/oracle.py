@@ -100,6 +100,13 @@ def _streamed_moments(draw: Callable[[int], np.ndarray],
     return mean, m2
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| of each row of a (k, 3) array, bitwise np.linalg.norm(x, axis=1):
+    that sums the three squares in order too, at about four times the cost
+    for its generic dispatch."""
+    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
+
+
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
@@ -113,7 +120,7 @@ def sample_exponential_cloud(rate: float, samples: int,
     _check_positive("rate", rate)
     r = rng.gamma(3.0, 1.0 / rate, size=samples)
     u = rng.normal(size=(samples, 3))
-    u /= np.linalg.norm(u, axis=1)[:, None]
+    u /= _row_norms(u)[:, None]
     return r[:, None] * u
 
 
@@ -135,7 +142,7 @@ def sample_orbital_momentum(beta: float, samples: int,
     u = rng.beta(1.5, 2.5, size=samples)
     q = beta * np.sqrt(u / (1.0 - u))
     d = rng.normal(size=(samples, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
+    d /= _row_norms(d)[:, None]
     return q[:, None] * d
 
 
@@ -185,7 +192,7 @@ def mc_pair_integral(density_a: Callable[[np.random.Generator, int], np.ndarray]
         xa = density_a(rng, k)
         diff = xa - density_b(rng, k)
         diff[:, 2] += separation
-        return np.asarray(kernel(np.linalg.norm(diff, axis=1)), dtype=float)
+        return np.asarray(kernel(_row_norms(diff)), dtype=float)
 
     mean, m2 = _streamed_moments(draw, samples)
     se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)

@@ -26,8 +26,9 @@ from scipy.optimize import minimize_scalar
 from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, density_fourier, enumerate_shells,
                       pair_energy, two_yukawa, two_yukawa_fourier)
-from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXP_FLOOR, EXPM1_FLOOR,
-                            _closed_form, _mp_exp, _mp_expm1)
+from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXPM1_FLOOR, _closed_form,
+                            _mp_exp, _mp_expm1)
+from varsolid.optimize import SEARCH_BOX
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check)
@@ -105,6 +106,16 @@ def test_two_yukawa_rejects_nonpositive_r():
     with pytest.raises(ValueError):
         two_yukawa(np.array([1.1, math.nan]), POT)
     assert two_yukawa(math.inf, POT) == 0.0
+
+
+def test_two_yukawa_of_a_float_is_bitwise_the_array_form():
+    # a float skips the array round trip but keeps every operation
+    r = np.concatenate((np.geomspace(1e-3, 60.0, 20_000), [0.5, 1.0, 1.1, 1e-280, 1e300]))
+    for pot in (POT, TwoYukawaParams(epsilon=2.5, sigma=0.8)):
+        got = [two_yukawa(x, pot) for x in r.tolist()]
+        assert got == two_yukawa(r, pot).tolist()
+        assert {type(v) for v in got} == {float}
+    assert two_yukawa(np.float64(1.1), POT) == two_yukawa(1.1, POT)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, [0.5, math.nan], [0.5, -0.1]])
@@ -341,16 +352,36 @@ def _pair_energy_python_floats(lam, s):
         math.exp(POT.m) * smeared(POT.m) - math.exp(POT.n) * smeared(POT.n))
 
 
-@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
-       d=st.floats(min_value=0.5, max_value=2.0))
-@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(*SEARCH_BOX["lambda"]).filter(lambda v: not _in_window(v)),
+       d=st.floats(*SEARCH_BOX["d"]))
+@settings(max_examples=60, deadline=None)
+@example(lam=30.0, d=1.1)  # expm1 saturated at the far shells only
+@example(lam=1e6, d=0.3)  # e^{-lam s} 0.0 at every shell
+@example(lam=1e-2, d=20.0)
 def test_pair_energy_array_is_bitwise_the_scalar_form(lam, d):
+    # the whole search box outside the window, where exp and expm1
+    # saturate at some, all or none of the shells
     s = np.concatenate(([0.0], UNIT_SHELLS * d))
     p = OrbitalParams(lam)
     got = pair_energy(p, POT, s)
     assert isinstance(got, np.ndarray) and got.shape == s.shape
     assert got.tolist() == [pair_energy(p, POT, float(x)) for x in s]
     assert got.tolist() == [_pair_energy_python_floats(lam, float(x)) for x in s]
+
+
+@pytest.mark.parametrize("lam", [2.0, 8.0, 30.0, 91.2, 1e3])
+def test_pair_energy_of_reordered_separations_is_bitwise_per_entry(lam):
+    # the call picks its exponential passes from the smallest separation,
+    # wherever it sits, and no order of the separations may change an
+    # entry: reversed and shuffled shells, with s = 0 and a subnormal s
+    # among them, give the per-entry scalar rows
+    s = np.concatenate(([0.0, 5e-324], UNIT_SHELLS * 1.1))
+    p = OrbitalParams(lam)
+    for order in (0, 1, 2):
+        want = np.stack([np.ravel(pair_energy(p, POT, x, order)) for x in s.tolist()], axis=-1)
+        for perm in (np.arange(s.size)[::-1], np.random.default_rng(order).permutation(s.size)):
+            got = pair_energy(p, POT, s[perm], order)
+            assert np.reshape(got, (order + 1, -1)).tolist() == want[:, perm].tolist(), order
 
 
 def test_pair_energy_array_keeps_shape_and_scalar_gives_float():
@@ -478,6 +509,39 @@ def test_window_branch_lam_rows_match_mp_diff(alpha, rel_gap, s):
     _assert_rows_match_mp_diff(lam, s, lambda k: 1e-12)
 
 
+#: float-branch derivative rows (lam, s, d/dlam, d2/dlam2 as float.hex) of
+#: the term-by-term closed form with per-array exp maps, on each core path:
+#: lam below both exponents, between them, general expm1 for both, both
+#: expm1 saturated, s = 0, a subnormal s and the search box's corners
+FLOAT_LAM_ROWS = [
+    (2.0, 1.1, "0x1.6a1d57d534a13p+12", "0x1.87e448c29ee46p+7"),
+    (2.0, 60.0, "-0x1.65adb7fd3667cp-142", "0x1.41338a88f501fp-136"),
+    (8.0, 1.1, "-0x1.004f3b2cc2a86p+11", "0x1.583c9777a643cp+9"),
+    (30.0, 1.1, "-0x1.a94fe0f42c5abp-4", "0x1.622f32541ae79p-6"),
+    (30.0, 3.0, "0x1.d22e2cf632694p-18", "-0x1.7f0535ffb97f0p-21"),
+    (91.2, 1.1, "-0x1.044ea5f8625a0p-10", "0x1.2cee1e932f71ap-15"),
+    (91.2, 0.0, "0x1.4e7c638522e32p+20", "0x1.525bf87b48345p+11"),
+    (1.0, 5e-324, "0x1.080a80a03e457p+12", "0x1.0617d9102b2b6p+13"),
+    (91.2, 5e-324, "0x1.4e7c638522e32p+20", "0x1.525bf87b48345p+11"),
+    (500.0, 0.3, "-0x1.616ef02b1e28fp+1", "0x1.1038351cb3d24p-6"),
+    (1e6, 0.3, "-0x1.79dbe006fcac9p-32", "0x1.29290ac45ae31p-50"),
+    (0.01, 20.0, "0x1.af15f5bf133c7p-2", "0x1.4d17d04267819p+6"),
+]
+
+
+@pytest.mark.parametrize("lam,s,d1,d2", FLOAT_LAM_ROWS)
+def test_float_branch_lam_rows_are_recorded_bitwise(lam, s, d1, d2):
+    assert not _in_window(lam)
+    p = OrbitalParams(lam)
+    rows = pair_energy(p, POT, s, order=2)
+    assert [rows[1].hex(), rows[2].hex()] == [d1, d2]
+    assert pair_energy(p, POT, s, order=1)[1].hex() == d1
+    # the same entries inside an array of all the recorded separations
+    seps = np.array(sorted({x for _, x, _, _ in FLOAT_LAM_ROWS}))
+    got = pair_energy(p, POT, seps, order=2)[:, seps.tolist().index(s)]
+    assert [got[1].hex(), got[2].hex()] == [d1, d2]
+
+
 @given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
        d=st.floats(min_value=0.3, max_value=3.0))
 @settings(max_examples=30, deadline=None)
@@ -596,19 +660,33 @@ def test_lam_rows_keep_the_shape_of_s():
 
 
 def test_saturation_floors_of_exp_and_expm1():
-    # the float branch returns 0.0 and -1.0 without mapping an array wholly
-    # at or below these floors; that is what the maps give on them
-    for x in np.concatenate((np.linspace(EXP_FLOOR, 20 * EXP_FLOOR, 4001),
-                             [EXP_FLOOR, -math.inf])).tolist():
-        assert math.exp(x) == 0.0, x
+    # core skips the expm1 pass of a piece whose argument is at or below
+    # EXPM1_FLOOR at every separation: -1.0 is what expm1 gives there; the
+    # float maps give the same 0.0 and -1.0 past the floors
     for x in np.concatenate((np.linspace(EXPM1_FLOOR, 40 * EXPM1_FLOOR, 4001),
                              [EXPM1_FLOOR, -math.inf])).tolist():
         assert math.expm1(x) == -1.0, x
     exp, expm1, *_ = _FLOAT_OPS
-    below = np.array([EXP_FLOOR, 2 * EXP_FLOOR])
-    assert exp(below).tolist() == [0.0, 0.0]
-    assert expm1(np.array([EXPM1_FLOOR, -1e3])).tolist() == [-1.0, -1.0]
-    # one argument above the floor maps the whole array
-    mixed = np.array([EXPM1_FLOOR, -1.0])
-    assert expm1(mixed).tolist() == [-1.0, math.expm1(-1.0)]
+    assert expm1(np.array([EXPM1_FLOOR, -1e3, -math.inf])).tolist() == [-1.0] * 3
+    assert exp(np.array([-746.0, -1e4, -math.inf])).tolist() == [0.0] * 3
     assert exp(np.array([])).size == 0
+
+
+@pytest.mark.parametrize("name", ["exp", "expm1"])
+def test_float_maps_are_bitwise_math(name):
+    # the float branch maps exp and expm1 through numpy's complex128 forms,
+    # which call libm as math does; at every argument it can make (never
+    # positive), in any shape, each entry is math's value, sign of 0 too
+    fn, f = {"exp": (math.exp, _FLOAT_OPS[0]), "expm1": (math.expm1, _FLOAT_OPS[1])}[name]
+    rng = np.random.default_rng(11)
+    x = np.concatenate((-rng.random(200_000) * 800,
+                        -rng.random(50_000) * 40 - 705,  # subnormal and 0.0 results
+                        -rng.random(50_000) * 1e-3,
+                        [-0.0, 0.0, -5e-324, -1e-300, -math.inf, -745.1332191019411,
+                         -708.3964185322641, EXPM1_FLOOR]))
+    want = np.array([fn(v) for v in x.tolist()])
+    got = f(x)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grid = x[:12].reshape(3, 4)
+    assert np.array_equal(f(grid).view(np.int64), want[:12].reshape(3, 4).view(np.int64))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from varsolid import OrbitalParams, TwoYukawaParams, density_fourier
-from varsolid.oracle import (MC_BLOCK, QuadratureError,
+from varsolid.oracle import (MC_BLOCK, QuadratureError, _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_momentum_axis_variance,
@@ -24,6 +24,14 @@ POT = TwoYukawaParams()
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
+
+def test_row_norms_are_bitwise_linalg_norm():
+    # the samplers and mc_pair_integral take |x| of (k, 3) rows this way
+    x = np.random.default_rng(3).normal(size=(20_000, 3)) * [1.0, 1e-3, 1e3]
+    x[:5] = [[0.0, 0.0, 0.0], [-0.0, 3.0, 4.0], [1e-200, 1e-200, 0.0],
+             [1e150, -1e150, 1e150], [5e-324, 0.0, 0.0]]
+    assert _row_norms(x).tolist() == np.linalg.norm(x, axis=1).tolist()
+
 
 def test_exponential_cloud_moments():
     # <r> = 3/rate, <r^2> = 12/rate^2 for the Gamma(3) radius
