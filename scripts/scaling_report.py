@@ -13,9 +13,9 @@ import csv
 
 import numpy as np
 
-from varsolid import boson_solve, com_statistics, fermion_solve
-
-LAMBDA_SOLID = 91.33  # optimal orbital decay rate for Krypton, 1/sigma
+from varsolid import (OptimizeOptions, TwoYukawaParams, boson_solve,
+                      com_statistics, fermion_solve, make_krypton_units,
+                      solve_solid)
 
 
 def fit_slope(ns, chis):
@@ -33,12 +33,15 @@ def main():
     if hi <= lo:
         ap.error("need LO < HI")
     ns = [10**k for k in range(lo, hi + 1)]
+    # the solid's orbital decay rate: the Krypton optimum, 1/sigma
+    lambda_solid = solve_solid(TwoYukawaParams(), make_krypton_units(),
+                               OptimizeOptions()).lambda_star
 
     rows = []
     for n in ns:
         rows.append({
             "N": n,
-            "chi_solid": com_statistics(LAMBDA_SOLID, n).chi,
+            "chi_solid": com_statistics(lambda_solid, n).chi,
             "chi_boson": boson_solve(n).chi,
             "chi_fermion": fermion_solve(n).chi,
         })

@@ -45,8 +45,15 @@ def kinetic_per_particle(p: OrbitalParams, units: UnitSystem) -> float:
 
     For phi ~ e^{-lam r/2} the gradient is radial with |grad phi| =
     (lam/2) phi, so int |grad phi|^2 = lam^2/4 and T = (hbar^2/2mu)(lam^2/4).
+    A lam whose kinetic energy is not a finite double is rejected.
     """
-    return units.coupling * p.lam**2 / 8.0
+    try:
+        kinetic = units.coupling * p.lam**2 / 8.0
+    except OverflowError:  # lam**2 beyond the doubles
+        kinetic = math.inf
+    if not math.isfinite(kinetic):
+        raise ValueError(f"lam={p.lam!r}: the kinetic energy Lambda lam^2/8 overflows")
+    return kinetic
 
 
 def energy_per_particle(p: OrbitalParams, pot: TwoYukawaParams,
@@ -55,21 +62,24 @@ def energy_per_particle(p: OrbitalParams, pot: TwoYukawaParams,
     """Average energy per particle for orbital p on the given shell structure.
 
     order 1 or 2 also sums the lam-derivative rows of the same pair_energy
-    call and adds the kinetic derivatives Lambda lam/4 and Lambda/4.
+    call and adds the kinetic derivatives Lambda lam/4 and Lambda/4.  Each
+    sum is math.fsum of the products 0.5 c_n E_n, with the shells' own
+    weights 0.5 c_n, so it is correctly rounded whatever the shell order.
+    A lam outside pair_energy's domain (LAM_RANGE) raises ValueError.
     """
-    if shells.distances().size == 0:
+    weights = shells.weights
+    if weights.size == 0:
         raise ValueError("shell list is empty")
     kinetic = kinetic_per_particle(p, units)
-    weighted = 0.5 * shells.counts() * pair_energy(p, pot, shells.distances(), order)
-    potential_total, *potential_derivatives = map(
-        math.fsum, weighted.reshape(order + 1, -1).tolist())
+    weighted = (weights * pair_energy(p, pot, shells.distances_r, order)).tolist()
+    if order == 0:
+        potential_total = math.fsum(weighted)
+        return EnergyBreakdown(kinetic, potential_total, kinetic + potential_total)
+    potential_total, *potential_derivatives = map(math.fsum, weighted)
     kinetic_derivatives = (units.coupling * p.lam / 4.0, units.coupling / 4.0)
-    return EnergyBreakdown(kinetic=kinetic,
-                           potential_total=potential_total,
-                           total=kinetic + potential_total,
-                           lam_derivatives=tuple(
-                               k + v for k, v in zip(kinetic_derivatives,
-                                                     potential_derivatives)))
+    return EnergyBreakdown(kinetic, potential_total, kinetic + potential_total,
+                           tuple([k + v for k, v in zip(kinetic_derivatives,
+                                                        potential_derivatives)]))
 
 
 def same_site_W(p: OrbitalParams, pot: TwoYukawaParams,

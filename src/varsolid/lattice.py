@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,13 +42,17 @@ class LatticeShells:
 
     Both are read-only numpy arrays, so a shell structure can be shared
     (the optimizer caches its unit shells) and rescaled without copying
-    its counts.  Equality is identity: arrays have no single truth value.
+    its counts.  `weights` holds the shell-sum weights 0.5 c_n (the 1/2
+    stops double counting) as a read-only float array, made once and
+    shared by every rescaled copy.  Equality is identity: arrays have no
+    single truth value.
     """
 
     kind: LatticeKind
     spacing_d: float
     distances_r: np.ndarray  # ascending shell distances
     counts_c: np.ndarray  # coordination count of each shell
+    weights: np.ndarray = field(init=False, repr=False)  # 0.5 * counts_c
 
     def __post_init__(self) -> None:
         r = _read_only(self.distances_r, float)
@@ -57,6 +61,7 @@ class LatticeShells:
             raise ValueError(f"{r.size} distances but {c.size} counts")
         object.__setattr__(self, "distances_r", r)
         object.__setattr__(self, "counts_c", c)
+        object.__setattr__(self, "weights", _read_only(0.5 * c, float))
 
     @property
     def shells(self) -> tuple[tuple[float, int], ...]:
@@ -73,13 +78,18 @@ class LatticeShells:
         """Same shell structure at a different lattice spacing.
 
         Coordination counts are spacing-independent; distances rescale
-        linearly.  Used by the optimizer to avoid re-enumerating while d moves.
+        linearly.  Used by the optimizer to avoid re-enumerating while d
+        moves, once per energy evaluation, so the copy skips
+        __post_init__: its arrays are this structure's own, already
+        checked, and it shares the counts and weights.
         """
         if not (math.isfinite(new_d) and new_d > 0.0):
             raise ValueError(f"spacing must be positive and finite, got {new_d}")
         distances = self.distances_r * (new_d / self.spacing_d)
         distances.flags.writeable = False
-        return LatticeShells(self.kind, new_d, distances, self.counts_c)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, spacing_d=new_d, distances_r=distances)
+        return out
 
 
 @dataclass(frozen=True)

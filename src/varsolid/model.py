@@ -63,7 +63,12 @@ the solid's optimum (lam ~ 91, every s >= d ~ 1.1) both pieces skip it, and
 the exp pass is the call's only one.  Likewise the masks that put core's
 s -> 0 limit at s = 0 run only when some separation is that small.
 pair_energy validates its separations with one min and one max, and hands
-the min on.
+the min on.  Its per-call set-up is scalar work only: the same outer
+product gives the exponent arguments and lam s, 3 lam s for the
+polynomials, and the rows of an order 1 or 2 call are written into one
+array.  That set-up, and the ~35 numpy operations of a call, each ~1 us
+whatever its length, make most of its cost: a float call on 133
+separations costs about what a call on one does.
 
 One closed form in two precisions: the partial-fraction coefficients blow
 up like D^{-4} when lam approaches a potential exponent.  Within a +-5%
@@ -120,6 +125,18 @@ from mpmath.libmp import fone, fzero, mpf_exp, mpf_sub
 
 #: relative |lam - alpha|/alpha below which pair_energy uses mpmath
 DEGENERACY_WINDOW = 0.05
+
+#: the orbital decay rates pair_energy accepts, 2^-126 ~ 1.2e-38 to 2^126 ~
+#: 8.5e37: lam^8, the closed form's largest power, and 192 pi lam^5, its
+#: smallest divisor, are normal doubles there; outside, they overflow or
+#: underflow to NaN
+LAM_RANGE = (2.0**-126, 2.0**126)
+
+#: lam s past which pair_energy evaluates the polynomials that e^{-lam s}
+#: multiplies at a stand-in separation FAR_LAM_S/lam: e^{-lam s} is 0.0
+#: long before (from ~745), and near the top of the doubles the
+#: polynomials overflow
+FAR_LAM_S = 1e20
 
 #: largest potential exponent n whose weight e^n is a finite double (~709.78)
 MAX_EXPONENT = math.log(sys.float_info.max)
@@ -207,6 +224,9 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
         np.exp(p.m) / (ks2 + p.m**2) - np.exp(p.n) / (ks2 + p.n**2))
     return float(out) if out.ndim == 0 else out
 
+
+#: the smallest normal double: a product below it has lost relative precision
+_FLOAT_MIN = sys.float_info.min
 
 #: the argument at or below which math.expm1 is exactly -1.0: e^-40 is
 #: below half an ulp of 1 (~5.6e-17)
@@ -302,7 +322,7 @@ def _horner(s: np.ndarray, coefs) -> np.ndarray:
 
 
 def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
-                 order: int = 0, factored: bool = False) -> np.ndarray:
+                 order: int = 0, factored: bool = False, poly_s=None) -> np.ndarray:
     """The closed form (module docstring) over a 1-D array s of separations.
 
     `smin` is the smallest entry of s (inf if s is empty).  `pieces` holds
@@ -313,57 +333,72 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
     1 or 2 stacks the lam-derivative rows under them.  The values are the
     term-by-term expression, or with `factored` row 0 of _lam_rows, every
     row with e^{-lam s} factored out; that needs mpf, where e^{(lam -
-    alpha) s} cannot overflow.
+    alpha) s} cannot overflow.  `poly_s`, if given, is where the
+    polynomials that e^{-lam s} multiplies are evaluated in place of s.
     """
     exp, expm1, pi, expm1_floor = ops
-    # per piece the rates r of its core's e^{r s} and expm1(r s), None for
-    # one it does without: with `factored` expm1((lam - alpha) s) alone;
-    # otherwise the smaller exponent is factored out, so that expm1 never
-    # overflows, as e^{-lam s} expm1((lam - alpha) s) for lam < alpha and
-    # -e^{-alpha s} expm1((alpha - lam) s) above.  There an expm1 that is
-    # saturated at smin, its largest argument, is -1.0 at every s, and
-    # -e^{-alpha s} * -1.0 is e^{-alpha s} bitwise
-    rates = [(None, lam - alpha) if factored or lam < alpha
-             else (-alpha, None) if smin * (alpha - lam) <= expm1_floor
-             else (-alpha, alpha - lam) for _, alpha in pieces]
-    # every exponential of the call in one exp pass, e^{-lam s} first, and
-    # one expm1 pass, each over its arguments stacked as rows
-    exp_rates = [-lam] + [r for r, _ in rates if r is not None]
-    expm1_rates = [r for _, r in rates if r is not None]
-    args = np.multiply.outer(np.array(exp_rates + expm1_rates, dtype=s.dtype), s)
-    exps = exp(args[:len(exp_rates)])
-    els, exp_rows = exps[0], iter(exps[1:])
-    expm1_rows = iter(expm1(args[len(exp_rates):]) if expm1_rates else ())
+    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
+    # per piece how its core starts: with `factored`, expm1((lam - alpha)
+    # s) alone; otherwise the smaller exponent is factored out, so that
+    # expm1 never overflows, as e^{-lam s} expm1((lam - alpha) s) for lam <
+    # alpha ("below") and -e^{-alpha s} expm1((alpha - lam) s) above.  There
+    # an expm1 that is saturated at smin, its largest argument, is -1.0 at
+    # every s, and -e^{-alpha s} * -1.0 is e^{-alpha s} bitwise.  Every
+    # exponential of the call runs in one exp pass, e^{-lam s} first, and
+    # one expm1 pass, each over its arguments stacked as rows; outside the
+    # window the same product gives lam s and 3 lam s, the first terms of
+    # the polynomials below, unless they run at `poly_s`
+    exp_rates, expm1_rates, paths = [-lam], [], []
+    for alpha in (alpha_m, alpha_n):
+        below = factored or lam < alpha
+        saturated = not below and smin * (alpha - lam) <= expm1_floor
+        if not below:
+            exp_rates.append(-alpha)
+        if not saturated:
+            expm1_rates.append(lam - alpha if below else alpha - lam)
+        paths.append((alpha, below, saturated))
+    n_exp = len(exp_rates)
+    n_args = n_exp + len(expm1_rates)
+    polys = [] if factored or poly_s is not None else [lam, 3.0 * lam]
+    args = np.multiply.outer(exp_rates + expm1_rates + polys, s)
+    els, *exp_rows = exp(args[:n_exp])
+    exp_rows = iter(exp_rows)
+    expm1_rows = iter(expm1(args[n_exp:n_args]) if expm1_rates else ())
     # where s |lam - alpha| is 0 or subnormal, expm1's argument has lost its
     # relative precision and core is its s -> 0 limit lam - alpha; the masks
-    # run only when some s is that small
-    has_tiny = smin < sys.float_info.min / min(abs(lam - alpha) for _, alpha in pieces)
-
-    def core(alpha, exp_rate, expm1_rate):
-        """(e^{-alpha s} - e^{-lam s})/s, e^{lam s} times that if `factored`,
-        and lam - alpha at s = 0, in place on the rows it takes."""
-        if exp_rate is None:
-            tail = next(expm1_rows)
+    # run only when some s is that small, tested as the masks test it (a
+    # quotient FLOAT_MIN/|lam - alpha| underflows to 0 for lam past ~5e15)
+    has_tiny = smin * min(abs(lam - alpha_m), abs(lam - alpha_n)) < _FLOAT_MIN
+    # the cores (e^{-alpha s} - e^{-lam s})/s, or e^{lam s} times that if
+    # `factored`, and lam - alpha at s = 0, in place on the rows they take
+    cores = []
+    for alpha, below, saturated in paths:
+        if below:
+            core = next(expm1_rows)
             if not factored:
-                tail *= els
+                core *= els
         else:
-            tail = next(exp_rows)
-            if expm1_rate is not None:
-                tail *= next(expm1_rows)
-                np.negative(tail, out=tail)
-        if not has_tiny:
-            tail /= s
-            return tail
-        limit = s * abs(lam - alpha) < sys.float_info.min
-        return np.where(limit, lam - alpha, tail / np.where(limit, 1.0, s))
-
-    cores = [core(alpha, *r) for (_, alpha), r in zip(pieces, rates)]
+            core = next(exp_rows)
+            if not saturated:
+                core *= next(expm1_rows)
+                np.negative(core, out=core)
+        if has_tiny:
+            limit = s * abs(lam - alpha) < _FLOAT_MIN
+            core = np.where(limit, lam - alpha, core / np.where(limit, 1.0, s))
+        else:
+            core /= s
+        cores.append(core)
     scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
     if factored:
-        rows = _lam_rows(0, order, lam, pieces, scale, pi, s, els, cores, factored=True)
-        return rows[0] if order == 0 else np.stack(rows)
-    x = s * lam
-    poly4 = s * (3.0 * lam)
+        rows = np.empty((order + 1, s.size), dtype=s.dtype)
+        _lam_rows(rows, 0, lam, pieces, scale, pi, s, els, cores, factored=True)
+        return rows if order else rows[0]
+    # poly3 = 1 + lam s and poly4 = 3 + 3 lam s + (lam s)^2
+    if poly_s is None:
+        poly_s = s
+        x, poly4 = args[n_args:]
+    else:
+        x, poly4 = np.multiply.outer([lam, 3.0 * lam], poly_s)
     poly4 += 3.0
     poly4 += x * x
     poly3 = x
@@ -390,18 +425,21 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
         out *= weight
         return out
 
-    (weight_m, alpha_m), (weight_n, alpha_n) = pieces
     value = smeared(weight_m, alpha_m, cores[0])
     value -= smeared(weight_n, alpha_n, cores[1])
-    value *= scale
     if order == 0:
+        value *= scale
         return value
-    return np.stack([value, *_lam_rows(1, order, lam, pieces, scale, pi, s, els, cores)])
+    rows = np.empty((order + 1, s.size), dtype=s.dtype)
+    np.multiply(value, scale, out=rows[0])
+    _lam_rows(rows, 1, lam, pieces, scale, pi, poly_s, els, cores)
+    return rows
 
 
-def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
-              factored: bool = False) -> list:
-    """Rows first..order of (value, d/dlam, d2/dlam2), from the shared arrays.
+def _lam_rows(rows: np.ndarray, first: int, lam, pieces, scale, pi, s, els, cores,
+              factored: bool = False) -> None:
+    """Rows first..order of (value, d/dlam, d2/dlam2), from the shared
+    arrays, into rows[first:], where order is len(rows) - 1.
 
     Per piece the closed form is h core + e^{-lam s} P(s), with a scalar h
     and P(s) = p0 + p1 s + p2 s^2, all from the _TERMS scalars.  The two
@@ -420,6 +458,7 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
     bracket sum h core + P is summed first and multiplied by e^{-lam s}
     once, and `scale`, which cannot overflow an mpf, goes into the scalars.
     """
+    order = len(rows) - 1
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
     if factored:
         weight_m, weight_n = weight_m * scale, weight_n * scale
@@ -432,31 +471,28 @@ def _lam_rows(first: int, order: int, lam, pieces, scale, pi, s, els, cores,
     p0 = [u + v for u, v in zip(g2, q)]
     p1, p2 = [lam * q[0]], [lam * lam * g4[0]]
 
-    def row(k: int, coefs):
-        """cores[0] hm[k] + cores[1] hn[k] + e^{-lam s} poly, then times
-        `scale`, or with `factored` the bracket times e^{-lam s}; in place."""
+    def row(k: int, coefs) -> None:
+        """rows[k] = cores[0] hm[k] + cores[1] hn[k] + e^{-lam s} poly, then
+        times `scale`, or with `factored` the bracket times e^{-lam s}."""
         out = cores[0] * hm[k]
         out += cores[1] * hn[k]
         poly = _horner(s, coefs)
         if not factored:
             poly *= els
         out += poly
-        out *= els if factored else scale
-        return out
+        np.multiply(out, els if factored else scale, out=rows[k])
 
-    rows = []
     if first == 0:
-        rows.append(row(0, (p0[0], p1[0], p2[0])))
+        row(0, (p0[0], p1[0], p2[0]))
     if order >= 1:
         p1 += [q[0] + lam * q[1], 2.0 * q[1] + lam * q[2]]
         p2 += [2.0 * lam * g4[0] + lam * lam * g4[1],
                2.0 * g4[0] + 4.0 * lam * g4[1] + lam * lam * g4[2]]
         h0, h1 = hm[0] + hn[0], hm[1] + hn[1]
-        rows.append(row(1, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0])))
+        row(1, (p0[1] + h0, p1[1] - p0[0], p2[1] - p1[0], -p2[0]))
     if order == 2:
-        rows.append(row(2, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
-                            p2[2] - 2.0 * p1[1] + p0[0], p1[0] - 2.0 * p2[1], p2[0])))
-    return rows
+        row(2, (p0[2] + 2.0 * h1, p1[2] - 2.0 * p0[1] - h0,
+                p2[2] - 2.0 * p1[1] + p0[0], p1[0] - 2.0 * p2[1], p2[0]))
 
 
 def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
@@ -476,17 +512,27 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
     order 1 or 2 returns the rows (value, d/dlam, d2/dlam2)[:order + 1] as
     one array of shape (order + 1, *shape of s); its value row is the order
     0 result (module docstring).
+
+    lam must lie in LAM_RANGE, or ValueError names it.  Where lam s is
+    beyond FAR_LAM_S, the terms e^{-lam s} P(s) of every row are 0.0 (the
+    polynomials P may overflow there, and 0.0 * inf would be NaN), and the
+    core terms are those of the real s.  The default path pays one scalar
+    test for it.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     arr = np.asarray(s, dtype=float)
     flat = arr.reshape(-1)
     # NaN fails smin >= 0, and -inf or +inf fails it or isfinite(smax)
-    smin, smax = (float(flat.min()), float(flat.max())) if flat.size else (math.inf, 0.0)
+    smin, smax = ((float(np.minimum.reduce(flat)), float(np.maximum.reduce(flat)))
+                  if flat.size else (math.inf, 0.0))
     if not (smin >= 0.0 and math.isfinite(smax)):
         bad = ~(np.isfinite(flat) & (flat >= 0.0))
         raise ValueError(f"separation must be finite and >= 0, got {flat[bad][0]}")
     lam = p.lam
+    if not LAM_RANGE[0] <= lam <= LAM_RANGE[1]:
+        raise ValueError(f"lam must lie in [{LAM_RANGE[0]:.6g}, {LAM_RANGE[1]:.6g}], "
+                         f"where lam^8 and lam^5 are normal doubles, got {lam!r}")
     alpha_m = pot.m / pot.sigma
     alpha_n = pot.n / pot.sigma
     gap = min(abs(lam - alpha_m) / alpha_m, abs(lam - alpha_n) / alpha_n)
@@ -506,7 +552,19 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
                                factored=True).astype(float)
     else:
         pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
-        out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)
+        if smax * lam <= FAR_LAM_S:
+            out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)
+        else:
+            # past FAR_LAM_S, e^{-lam s} is 0.0 but the polynomials it
+            # multiplies may overflow, and 0.0 * inf is NaN: they run at a
+            # stand-in separation, where they are finite and their product
+            # with e^{-lam s} is still 0.0.  The cores keep the real s; an
+            # exponent argument that overflows there is -inf, whose exp is
+            # 0.0 and expm1 -1.0, as for any argument past the floors, and
+            # an overflowed s |lam - alpha| of the s -> 0 mask is not small
+            with np.errstate(over="ignore"):
+                out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order,
+                                   poly_s=np.minimum(flat, FAR_LAM_S / lam))
     if order:
         return out.reshape((order + 1, *arr.shape))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

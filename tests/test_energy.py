@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -13,6 +13,7 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, build_cluster, energy_per_particle,
                       enumerate_shells, kinetic_per_particle, pair_energy,
                       same_site_W)
+from varsolid.optimize import SEARCH_BOX
 
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6
@@ -64,20 +65,42 @@ def _in_window(lam, pot):
     return min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n) < DEGENERACY_WINDOW
 
 
-@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(
-           lambda v: not _in_window(v, TwoYukawaParams())),
-       d=st.floats(min_value=0.9, max_value=1.5))
-@settings(max_examples=30, deadline=None)
-def test_shell_sum_is_bitwise_the_per_shell_fsum(lam, d, krypton_units):
+@given(lam=st.floats(min_value=SEARCH_BOX["lambda"][0], max_value=SEARCH_BOX["lambda"][1])
+       .filter(lambda v: not _in_window(v, TwoYukawaParams())),
+       d=st.floats(min_value=SEARCH_BOX["d"][0], max_value=SEARCH_BOX["d"][1]),
+       order=st.sampled_from([0, 1, 2]))
+@settings(max_examples=40, deadline=None)
+@example(lam=91.1955, d=1.0978, order=2)  # the optimum
+@example(lam=SEARCH_BOX["lambda"][0], d=SEARCH_BOX["d"][1], order=2)  # the box's corners
+@example(lam=SEARCH_BOX["lambda"][1], d=SEARCH_BOX["d"][0], order=2)
+@example(lam=30.0, d=1.1, order=1)  # an unsaturated expm1
+def test_shell_sum_is_bitwise_the_per_shell_fsum(lam, d, order, krypton_units):
     # the array sum is the same IEEE products, 0.5*c*E, as a loop of
-    # scalar pair energies, and fsum is exact: the totals agree bitwise
+    # scalar pair energies, and fsum is exact: every row's total agrees
+    # bitwise, and each lam-derivative adds the kinetic one to it
     pot = TwoYukawaParams()
     p = OrbitalParams(lam)
     shells = UNIT_SHELLS.scaled(d)
-    want = math.fsum(0.5 * c * pair_energy(p, pot, float(r))
-                     for r, c in shells.shells)
-    got = energy_per_particle(p, pot, shells, krypton_units)
-    assert got.potential_total == want
+    per_shell = [(c, np.ravel(pair_energy(p, pot, float(r), order)).tolist())
+                 for r, c in shells.shells]
+    want = [math.fsum(0.5 * c * rows[k] for c, rows in per_shell) for k in range(order + 1)]
+    got = energy_per_particle(p, pot, shells, krypton_units, order)
+    assert got.potential_total == want[0]
+    kinetic = (krypton_units.coupling * lam / 4.0, krypton_units.coupling / 4.0)
+    assert got.lam_derivatives == tuple(k + v for k, v in zip(kinetic, want[1:]))
+
+
+@pytest.mark.parametrize("lam", [1e308, 5e-324])
+def test_energy_layer_rejects_a_lam_beyond_the_doubles(lam, potential, krypton_units):
+    # 1e308 once raised a bare OverflowError from lam**2, and 5e-324 gave
+    # NaN with an invalid-value warning; both name lam now
+    with pytest.raises(ValueError, match="lam"):
+        energy_per_particle(OrbitalParams(lam), potential, UNIT_SHELLS, krypton_units)
+    if lam > 1.0:
+        with pytest.raises(ValueError, match="lam"):
+            kinetic_per_particle(OrbitalParams(lam), krypton_units)
+    else:
+        assert kinetic_per_particle(OrbitalParams(lam), krypton_units) == 0.0
 
 
 def test_far_shell_limit_is_kinetic_only(potential, krypton_units):

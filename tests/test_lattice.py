@@ -90,6 +90,24 @@ def test_shell_arrays_are_read_only():
     assert shells.counts().dtype == np.int64
 
 
+def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
+    # scaled() skips __post_init__: its arrays are the unit shells' own,
+    # and it makes only the new distances
+    unit = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
+    shells = unit.scaled(1.0978)
+    assert shells.counts_c is unit.counts_c
+    assert shells.weights is unit.weights
+    assert shells.kind is unit.kind and shells.spacing_d == 1.0978
+    assert unit.weights.dtype == np.float64
+    assert unit.weights.tolist() == (0.5 * unit.counts()).tolist()
+    for arr in (unit.weights, shells.distances_r):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            unit.scaled(bad)
+
+
 def test_shells_from_caller_arrays_are_private_copies():
     r = np.array([1.0, math.sqrt(2.0)])
     c = np.array([12, 6])

@@ -13,6 +13,7 @@ extended precision.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -26,8 +27,8 @@ from scipy.optimize import minimize_scalar
 from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       TwoYukawaParams, density_fourier, enumerate_shells,
                       pair_energy, two_yukawa, two_yukawa_fourier)
-from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXPM1_FLOOR, _closed_form,
-                            _mp_exp, _mp_expm1)
+from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXPM1_FLOOR, FAR_LAM_S,
+                            _closed_form, _mp_exp, _mp_expm1)
 from varsolid.optimize import SEARCH_BOX
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
@@ -447,6 +448,90 @@ def test_pair_energy_window_shell_array_is_recorded_bitwise():
 def test_pair_energy_array_rejects_non_finite_or_negative(lam, bad):
     with pytest.raises(ValueError):
         pair_energy(OrbitalParams(lam), POT, np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_far_separation_is_the_limit_zero_in_every_row(order):
+    # lam s = 1e314 overflows: e^{-lam s} is 0.0 there, and the polynomial
+    # it multiplies was inf, so the entry was 0.0 * inf = NaN with overflow
+    # and invalid-value warnings.  That product is 0.0 now, and so are the
+    # core terms, whose e^{-alpha s} is 0.0 too: the entry is the limit 0.0
+    # in every row, and the other entries keep their bits
+    p = OrbitalParams(1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pair_energy(p, POT, np.array([1e308, 1.0, 0.0]), order=order)
+        near = pair_energy(p, POT, np.array([1.0, 0.0]), order=order)
+        one = pair_energy(p, POT, 1e308, order=order)
+    assert np.ravel(got[..., 0]).tolist() == [0.0] * (order + 1)
+    assert np.ravel(one).tolist() == [0.0] * (order + 1)
+    assert [x.hex() for x in np.ravel(got[..., 1:])] == [x.hex() for x in np.ravel(near)]
+
+
+#: (lam, potential, separations) with lam s past FAR_LAM_S at the first
+#: entry, where e^{-lam s} is 0.0 but e^{-alpha s} of a piece is not, and
+#: the order-2 rows there, recorded as float.hex before the far path
+#: existed (the polynomials were finite at these entries)
+FAR_CORE_CASES = [
+    (1e30, POT, [1e-9, 1e-21],
+     [["0x1.16e5f70247cd6p+52", "0x1.fb5024b9a8f5dp+91"],
+      ["-0x1.df8f0a9674169p-237", "-0x1.b427f9add9bb5p-197"],
+      ["0x1.c7ef49061ca6ap-335", "0x1.9eab92b600adcp-295"]]),
+    (2.0, TwoYukawaParams(m=1e-20), [1e21, 1.0],
+     [["-0x1.c776d4318bf99p-84", "0x1.9d190cb8255d5p+12"],
+      ["0x1.eff4e1aaa206ap-217", "0x1.ac38bfc5ab39ep+12"],
+      ["-0x1.73f7a93ff9850p-216", "0x1.3f5f055551a82p+10"]]),
+]
+
+
+@pytest.mark.parametrize("lam,pot,s,recorded", FAR_CORE_CASES)
+def test_far_separation_keeps_its_core_terms(lam, pot, s, recorded):
+    # past FAR_LAM_S only the e^{-lam s} P(s) terms vanish; the core terms
+    # (e^{-alpha s} - e^{-lam s})/s are ~1/s at lam = 1e30, s = 1e-9 and
+    # e^{-1e-20 s}/s for a small m, and must keep their bits
+    assert lam * s[0] > FAR_LAM_S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (0, 1, 2):
+            got = pair_energy(OrbitalParams(lam), pot, np.array(s), order=order)
+            want = recorded[0] if order == 0 else recorded[:order + 1]
+            assert np.vectorize(float.hex)(got).tolist() == want
+            one = pair_energy(OrbitalParams(lam), pot, s[0], order=order)
+            assert np.ravel(one).tolist() == np.ravel(got[..., 0]).tolist()
+
+
+@pytest.mark.parametrize("lam", [1e6, LAM_KR, 1e30])
+def test_entries_at_the_far_threshold_are_bitwise_per_entry(lam):
+    # the gate tests smax lam and the stand-in is min(s, FAR_LAM_S/lam);
+    # an entry next to the threshold, alone or beside a far one, gives
+    # the same bits
+    edge = FAR_LAM_S / lam
+    s = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+                  1e-3 * edge, 10.0 * edge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = pair_energy(OrbitalParams(lam), POT, s, order=2)
+        one = [pair_energy(OrbitalParams(lam), POT, x, order=2) for x in s]
+    assert [x.hex() for x in np.ravel(rows.T)] == [x.hex() for x in np.ravel(one)]
+
+
+@pytest.mark.parametrize("lam", [1e16, 1e30, 2.0**126])
+def test_same_site_energy_of_a_huge_lam_is_finite(lam):
+    # s |lam - alpha| is 0 at s = 0 whatever lam; the s -> 0 limit once ran
+    # only when smin < FLOAT_MIN/|lam - alpha|, a quotient that underflows
+    # to 0 past lam ~ 5e15, and s = 0 then gave 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = pair_energy(OrbitalParams(lam), POT, np.array([0.0, 1e-300, 1.0 / lam]), order=2)
+    assert np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-300, 1e308])
+def test_pair_energy_rejects_a_lam_beyond_the_doubles(lam):
+    # lam^5 underflows (192 pi lam^5 was 0.0, and 0/0 a NaN) or lam^8
+    # overflows; pair_energy names lam instead
+    with pytest.raises(ValueError, match="lam"):
+        pair_energy(OrbitalParams(lam), POT, np.array([1.0, 2.0]))
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,14 @@ def test_default_solve_reproduces_recorded_optimum(solid):
         assert got[key] == pytest.approx(want, rel=1e-9), key
 
 
+def test_default_solve_counts(solid):
+    # the simplex's iterations and evaluations and the relaxed curve's
+    # evaluations, 121 in all: a change in any of them moves the optimum's
+    # rounding, and fails here before the stdout digest does
+    got = (solid.iterations, solid.n_evaluations, solid.bulk.n_evaluations)
+    assert got == (52, 102, 19), f"(iterations, evaluations, bulk evaluations) = {got}"
+
+
 def test_one_pair_energy_call_per_energy_evaluation(potential, krypton_units,
                                                     monkeypatch):
     # a shell sum is one array call of the kernel, made through the
