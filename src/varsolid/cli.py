@@ -426,10 +426,7 @@ def run(argv: Sequence[str]) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(sys.argv[1:] if argv is None else list(argv))
-    except CliInputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:  # a rejected model value, or a non-finite result
+    except ValueError as exc:  # CliInputError, a rejected value or a non-finite result
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, QuadratureError) as exc:

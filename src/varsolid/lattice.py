@@ -68,12 +68,6 @@ class LatticeShells:
         """(distance, count) pairs, for readers that iterate shells."""
         return tuple(zip(self.distances_r.tolist(), self.counts_c.tolist()))
 
-    def distances(self) -> np.ndarray:
-        return self.distances_r
-
-    def counts(self) -> np.ndarray:
-        return self.counts_c
-
     def scaled(self, new_d: float) -> "LatticeShells":
         """Same shell structure at a different lattice spacing.
 

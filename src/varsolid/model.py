@@ -141,6 +141,9 @@ FAR_LAM_S = 1e20
 #: largest potential exponent n whose weight e^n is a finite double (~709.78)
 MAX_EXPONENT = math.log(sys.float_info.max)
 
+#: binary exponent of the largest Yukawa weight the float jets take (_lam_rows)
+WEIGHT_EXP = 512
+
 
 @dataclass(frozen=True)
 class OrbitalParams:
@@ -155,27 +158,29 @@ class OrbitalParams:
 
 @dataclass(frozen=True)
 class TwoYukawaParams:
-    """v(r) = -epsilon b [e^{-m(r/sigma-1)} - e^{-n(r/sigma-1)}] / (r/sigma).
+    """v(r) = -b [e^{-m(r-1)} - e^{-n(r-1)}] / r, in the natural units of
+    the potential: r in sigma and v in epsilon (UnitSystem holds both).
 
     Defaults are the Van der Waals fit for noble gases; with them the well
-    depth is ~ -1 epsilon near r ~ 1.1 sigma and v(sigma) = 0.
+    depth is ~ -1 near r ~ 1.1 and v(1) = 0.
     """
 
     b: float = 2.026
     m: float = 2.69
     n: float = 14.70
-    epsilon: float = 1.0
-    sigma: float = 1.0
+
+    #: the length unit, a class constant, not a field: only perfbench reads it
+    sigma = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("b", "m", "n", "epsilon", "sigma"):
+        for name in ("b", "m", "n"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (MAX_EXPONENT >= self.n > self.m > 0.0):  # e^n must be a finite double
             raise ValueError(f"need {MAX_EXPONENT:.6g} >= n > m > 0 (e^n finite), "
                              f"got m={self.m}, n={self.n}")
-        if self.b <= 0.0 or self.epsilon <= 0.0 or self.sigma <= 0.0:
-            raise ValueError("b, epsilon, sigma must all be positive")
+        if self.b <= 0.0:
+            raise ValueError("b must be positive")
 
 
 def density_fourier(p: OrbitalParams, k):
@@ -199,28 +204,25 @@ def two_yukawa(r, p: TwoYukawaParams = TwoYukawaParams()):
     if isinstance(r, float):
         if not r > 0.0:  # NaN fails it too
             raise ValueError("two_yukawa is defined for r > 0 only")
-        x = r / p.sigma
-        return float(-p.epsilon * p.b * (np.exp(-p.m * (x - 1.0)) - np.exp(-p.n * (x - 1.0)))
-                     / x)
+        return float(-p.b * (np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r)
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):  # NaN fails it too
         raise ValueError("two_yukawa is defined for r > 0 only")
-    x = r / p.sigma
-    out = -p.epsilon * p.b * (np.exp(-p.m * (x - 1.0)) - np.exp(-p.n * (x - 1.0))) / x
+    out = -p.b * (np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r
     return float(out) if out.ndim == 0 else out
 
 
 def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
-    """v~(k) = -4 pi eps b sigma^3 [e^m/((k sig)^2+m^2) - e^n/((k sig)^2+n^2)].
+    """v~(k) = -4 pi b [e^m/(k^2 + m^2) - e^n/(k^2 + n^2)].
 
     Follows from int e^{-a r}/r e^{-i k.r} d^3r = 4 pi/(k^2 + a^2) applied to
-    each Yukawa piece (with its e^{+a} offset absorbing the r/sigma - 1 shift).
+    each Yukawa piece (with its e^{+a} offset absorbing the r - 1 shift).
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
-    ks2 = (k * p.sigma) ** 2
-    out = -4.0 * np.pi * p.epsilon * p.b * p.sigma**3 * (
+    ks2 = k**2
+    out = -4.0 * np.pi * p.b * (
         np.exp(p.m) / (ks2 + p.m**2) - np.exp(p.n) / (ks2 + p.n**2))
     return float(out) if out.ndim == 0 else out
 
@@ -388,7 +390,7 @@ def _closed_form(lam, pot: TwoYukawaParams, pieces, s: np.ndarray, smin, ops,
         else:
             core /= s
         cores.append(core)
-    scale = -4.0 * pi * pot.epsilon * pot.b * pot.sigma
+    scale = -4.0 * pi * pot.b
     if factored:
         rows = np.empty((order + 1, s.size), dtype=s.dtype)
         _lam_rows(rows, 0, lam, pieces, scale, pi, s, els, cores, factored=True)
@@ -454,6 +456,8 @@ def _lam_rows(rows: np.ndarray, first: int, lam, pieces, scale, pi, s, els, core
     where H = sum h and a prime acts on the coefficients of P at fixed s.
     The scalars leave out `scale`, which multiplies each row last: folded
     into them first, a large b overflows them while the rows stay finite.
+    The scalars reach ~lam^3 e^n, which overflows at n ~ 709, so weights
+    above 2^WEIGHT_EXP (n > ~355) hand an exact power of two to `scale`.
     With `factored` (mpf only) the cores are e^{lam s} core, each row's
     bracket sum h core + P is summed first and multiplied by e^{-lam s}
     once, and `scale`, which cannot overflow an mpf, goes into the scalars.
@@ -462,6 +466,10 @@ def _lam_rows(rows: np.ndarray, first: int, lam, pieces, scale, pi, s, els, core
     (weight_m, alpha_m), (weight_n, alpha_n) = pieces
     if factored:
         weight_m, weight_n = weight_m * scale, weight_n * scale
+    elif weight_n > 2.0**WEIGHT_EXP:  # a float e^n, the larger weight
+        shift = math.frexp(weight_n)[1] - WEIGHT_EXP
+        weight_m, weight_n = math.ldexp(weight_m, -shift), math.ldexp(weight_n, -shift)
+        scale = math.ldexp(scale, shift)
     hm, *gm = _lam_jets(weight_m / pi, lam, alpha_m, order)
     hn, *gn = _lam_jets(-weight_n / pi, lam, alpha_n, order)
     g2, g3, g4 = ([u + v for u, v in zip(jm, jn)] for jm, jn in zip(gm, gn))
@@ -533,9 +541,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
     if not LAM_RANGE[0] <= lam <= LAM_RANGE[1]:
         raise ValueError(f"lam must lie in [{LAM_RANGE[0]:.6g}, {LAM_RANGE[1]:.6g}], "
                          f"where lam^8 and lam^5 are normal doubles, got {lam!r}")
-    alpha_m = pot.m / pot.sigma
-    alpha_n = pot.n / pot.sigma
-    gap = min(abs(lam - alpha_m) / alpha_m, abs(lam - alpha_n) / alpha_n)
+    gap = min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n)
     if gap < DEGENERACY_WINDOW:
         # 4 digits per decade lost to cancellation (~ gap^-3), one more per
         # derivative order; an exact coincidence is nudged by 1e-30
@@ -543,7 +549,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
         decades = max(0, math.ceil(-math.log10(max(gap, 1e-30))))
         with mp.workdps(30 + (4 + order) * decades):
             lam_mp = mp.mpf(lam)
-            am, an = mp.mpf(pot.m) / pot.sigma, mp.mpf(pot.n) / pot.sigma
+            am, an = mp.mpf(pot.m), mp.mpf(pot.n)
             if lam_mp == am or lam_mp == an:
                 lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
@@ -551,7 +557,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
             out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS, order,
                                factored=True).astype(float)
     else:
-        pieces = ((math.exp(pot.m), alpha_m), (math.exp(pot.n), alpha_n))
+        pieces = ((math.exp(pot.m), pot.m), (math.exp(pot.n), pot.n))
         if smax * lam <= FAR_LAM_S:
             out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)
         else:

@@ -24,7 +24,6 @@ from typing import Any, Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import minimize_scalar
 
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
                     pair_energy, two_yukawa, two_yukawa_fourier)
@@ -167,21 +166,20 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
 # Monte Carlo pair integrals
 # ----------------------------------------------------------------------
 
-def mc_pair_integral(density_a: Callable[[np.random.Generator, int], np.ndarray],
-                     density_b: Callable[[np.random.Generator, int], np.ndarray],
+def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
                      kernel: Callable[[np.ndarray], np.ndarray],
                      separation: float, samples: int, seed: int) -> McEstimate:
-    """int int n_a(r) K(|r - r' + s z^|) n_b(r') d^3r d^3r' by direct sampling.
+    """int int n(r) K(|r - r' + s z^|) n(r') d^3r d^3r' by direct sampling.
 
-    Both densities must be normalized samplers; the kernel receives an array
+    The density must be a normalized sampler; the kernel receives an array
     of radial distances.  Kernels with an integrable point singularity (1/r)
     are fine: the singular set has measure zero, so direct evaluation is
     finite with probability 1.
 
-    The samples are drawn in blocks of MC_BLOCK, each as density_a(rng, k)
-    then density_b(rng, k), and reduced block by block, so memory does not
-    grow with `samples`.  The estimate is the sample mean with its unbiased
-    standard error.
+    The samples are drawn in blocks of MC_BLOCK, each as density(rng, k)
+    for r, then density(rng, k) for r', and reduced block by block, so
+    memory does not grow with `samples`.  The estimate is the sample mean
+    with its unbiased standard error.
     """
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
@@ -189,8 +187,8 @@ def mc_pair_integral(density_a: Callable[[np.random.Generator, int], np.ndarray]
     rng = np.random.default_rng(seed)
 
     def draw(k: int) -> np.ndarray:
-        xa = density_a(rng, k)
-        diff = xa - density_b(rng, k)
+        r = density(rng, k)
+        diff = r - density(rng, k)
         diff[:, 2] += separation
         return np.asarray(kernel(_row_norms(diff)), dtype=float)
 
@@ -203,8 +201,7 @@ def mc_pair_integral(density_a: Callable[[np.random.Generator, int], np.ndarray]
 def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
                    samples: int = 10**6, seed: int = 0) -> McEstimate:
     """MC version of model.pair_energy: two site clouds through the potential."""
-    sampler = exp_density_sampler(p.lam)
-    return mc_pair_integral(sampler, sampler, lambda r: two_yukawa(r, pot),
+    return mc_pair_integral(exp_density_sampler(p.lam), lambda r: two_yukawa(r, pot),
                             s, samples, seed)
 
 
@@ -325,34 +322,34 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     """
     _check_separation(s)
     lam = p.lam
-    eps, b, sig, m_, n_ = pot.epsilon, pot.b, pot.sigma, pot.m, pot.n
+    b, m_, n_ = pot.b, pot.m, pot.n
 
     def h(w: float) -> float:
         lw = lam * w
         return lam**3 * math.exp(-lw) * (lw * lw + 3.0 * lw + 3.0) / (192.0 * math.pi)
 
     if s == 0.0:
-        hi = 760.0 / lam + 2.0 * sig
+        hi = 760.0 / lam + 2.0
         val, err = integrate.quad(
             lambda w: 4.0 * math.pi * w * w * h(w)
             * float(two_yukawa(max(w, _TINY_R), pot)),
             0.0, hi, epsabs=1e-300, epsrel=1e-12, limit=800,
-            points=[1.0 / lam, 10.0 / lam, min(sig, 0.5 * hi)])
+            points=[1.0 / lam, 10.0 / lam, min(1.0, 0.5 * hi)])
         scale = 1.0
     else:
         def inner(w: float) -> float:
             lo, up = abs(s - w), s + w
             tot = 0.0
-            for sign, a in ((1.0, m_ / sig), (-1.0, n_ / sig)):
-                ea = math.exp(a * sig)  # e^{m} offset of the potential
-                tot += -sign * eps * b * sig * ea * (
+            for sign, a in ((1.0, m_), (-1.0, n_)):
+                ea = math.exp(a)  # e^{m} offset of the potential
+                tot += -sign * b * ea * (
                     math.exp(-a * lo) - math.exp(-a * up)) / a
             return tot
 
-        hi = s + 3.0 * sig + 760.0 / lam
+        hi = s + 3.0 + 760.0 / lam
         pts = sorted(pt for pt in {1.0 / lam, 10.0 / lam, 30.0 / lam, s,
-                                   abs(s - sig / n_), s + sig / n_,
-                                   abs(s - sig), s + sig, s + 3.0 * sig}
+                                   abs(s - 1.0 / n_), s + 1.0 / n_,
+                                   abs(s - 1.0), s + 1.0, s + 3.0}
                      if 0.0 < pt < hi)
         import warnings
         with warnings.catch_warnings():
@@ -420,6 +417,14 @@ def density_power_integral_quadrature(rate: float, mass: float,
 # ----------------------------------------------------------------------
 # the verify battery
 # ----------------------------------------------------------------------
+
+def _parabola_vertex(f: Callable[[float], float], x: float) -> float:
+    """Abscissa of the vertex of the parabola through f at x/2, x and 3x/2:
+    the minimizer of f, to rounding, when f is a quadratic."""
+    h = 0.5 * x
+    lo, mid, hi = f(x - h), f(x), f(x + h)
+    return x - h * (hi - lo) / (2.0 * (hi - 2.0 * mid + lo))
+
 
 def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     """Every oracle cross-check as a row: check, value, reference, error,
@@ -516,20 +521,14 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     record("uncertainty product hbar/sqrt(3) (100 draws)", worst, 0.0, 1e-12,
            error=worst)
 
-    # self-gravitating minima: closed forms vs scalar minimization.  A
-    # function-value minimizer cannot localize the argmin of a quadratic
-    # better than ~sqrt(eps) relative, so the tolerance is 1e-6, not 1e-12.
-    b_sol = boson_solve(1000, kappa=0.7, mu=1.3)
-    num = minimize_scalar(lambda b: boson_energy(b, 1000, kappa=0.7, mu=1.3),
-                          bounds=(0.5 * b_sol.beta_star, 2.0 * b_sol.beta_star),
-                          method="bounded", options={"xatol": 1e-12})
-    record("boson beta* closed form vs minimization", b_sol.beta_star,
-           float(num.x), 1e-6)
-    f_sol = fermion_solve(1000, kappa=0.7, mu=1.3)
-    num = minimize_scalar(lambda g: fermion_tf_energy(g, 1000, kappa=0.7, mu=1.3),
-                          bounds=(0.5 * f_sol.gamma_star, 2.0 * f_sol.gamma_star),
-                          method="bounded", options={"xatol": 1e-12})
-    record("fermion gamma* closed form vs minimization", f_sol.gamma_star,
-           float(num.x), 1e-6)
+    # self-gravitating minima: closed forms vs stationarity.  Both energies
+    # are quadratic in their rate, so the vertex of the parabola through
+    # three of their values is the minimizer, to rounding
+    for name, star, energy in (
+            ("boson beta*", boson_solve(1000, kappa=0.7, mu=1.3).beta_star, boson_energy),
+            ("fermion gamma*", fermion_solve(1000, kappa=0.7, mu=1.3).gamma_star,
+             fermion_tf_energy)):
+        record(f"{name} closed form vs parabola vertex", star,
+               _parabola_vertex(lambda x: energy(x, 1000, kappa=0.7, mu=1.3), star), 1e-12)
 
     return checks

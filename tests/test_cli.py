@@ -434,6 +434,9 @@ def test_verify_battery_passes(verify_run):
     for check in payload["checks"]:
         assert check["passed"], check["check"]
         assert check["error"] <= check["tolerance"]
+    # the self-gravity optima are quadratics' vertices, pinned to rounding
+    vertex = [c for c in payload["checks"] if c["check"].endswith("vs parabola vertex")]
+    assert [c["tolerance"] for c in vertex] == [1e-12, 1e-12]
 
 
 def test_verify_csv_has_the_documented_columns(verify_run):

@@ -139,10 +139,10 @@ def test_thirteen_shell_cluster_match(potential, krypton_units):
     p = OrbitalParams(LAM_KR)
     shells13 = enumerate_shells(LatticeKind.FCC, D_KR,
                                 enumerate_shells(LatticeKind.FCC, D_KR,
-                                                 4.0 * D_KR).distances()[12]
+                                                 4.0 * D_KR).distances_r[12]
                                 + 1e-9)
     assert len(shells13.shells) == 13
-    n_sites = 1 + int(np.sum(shells13.counts()))
+    n_sites = 1 + int(np.sum(shells13.counts_c))
     cluster = build_cluster(LatticeKind.FCC, D_KR, n_sites)
     center = cluster.sites[np.argmin(np.linalg.norm(cluster.sites, axis=1))]
     dists = np.linalg.norm(cluster.sites - center, axis=1)

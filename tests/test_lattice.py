@@ -53,8 +53,8 @@ def test_shell_counts_match_conventional_cell_enumeration():
     rng = np.random.default_rng(7)
     d = 1.0
     shells = enumerate_shells(LatticeKind.FCC, d, 6.5 * d)
-    dist = np.array(shells.distances())
-    cnt = np.array(shells.counts())
+    dist = np.array(shells.distances_r)
+    cnt = np.array(shells.counts_c)
     for radius in rng.uniform(1.0, 6.3, size=50):
         _, r = fcc_conventional_points(d, radius)
         assert int(cnt[dist <= radius * (1 + 1e-12)].sum()) == r.size
@@ -63,10 +63,10 @@ def test_shell_counts_match_conventional_cell_enumeration():
 def test_distances_scale_with_d_counts_do_not():
     a = enumerate_shells(LatticeKind.FCC, 1.0, 4.0)
     b = enumerate_shells(LatticeKind.FCC, 2.7, 2.7 * 4.0)
-    np.testing.assert_array_equal(a.counts(), b.counts())
-    np.testing.assert_allclose(b.distances(), 2.7 * a.distances(), rtol=1e-13)
+    np.testing.assert_array_equal(a.counts_c, b.counts_c)
+    np.testing.assert_allclose(b.distances_r, 2.7 * a.distances_r, rtol=1e-13)
     # scaled() must agree with a fresh enumeration
-    np.testing.assert_allclose(a.scaled(2.7).distances(), b.distances(),
+    np.testing.assert_allclose(a.scaled(2.7).distances_r, b.distances_r,
                                rtol=1e-13)
 
 
@@ -76,18 +76,17 @@ def test_scaled_is_one_multiply_of_the_unit_distances(d):
     unit = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
     shells = unit.scaled(d)
     assert shells.spacing_d == d
-    assert shells.distances().tolist() == (unit.distances() * d).tolist()
-    assert shells.counts() is unit.counts()
+    assert shells.distances_r.tolist() == (unit.distances_r * d).tolist()
+    assert shells.counts_c is unit.counts_c
 
 
 def test_shell_arrays_are_read_only():
     shells = enumerate_shells(LatticeKind.FCC, 1.0, 4.0)
-    for arr in (shells.distances(), shells.counts(),
-                shells.scaled(1.3).distances()):
+    for arr in (shells.distances_r, shells.counts_c,
+                shells.scaled(1.3).distances_r):
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert shells.distances() is shells.distances()  # no copy per call
-    assert shells.counts().dtype == np.int64
+    assert shells.counts_c.dtype == np.int64
 
 
 def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
@@ -99,7 +98,7 @@ def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
     assert shells.weights is unit.weights
     assert shells.kind is unit.kind and shells.spacing_d == 1.0978
     assert unit.weights.dtype == np.float64
-    assert unit.weights.tolist() == (0.5 * unit.counts()).tolist()
+    assert unit.weights.tolist() == (0.5 * unit.counts_c).tolist()
     for arr in (unit.weights, shells.distances_r):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -123,9 +122,9 @@ def test_shells_from_caller_arrays_are_private_copies():
 @settings(max_examples=40, deadline=None)
 def test_shell_invariants(d, factor):
     shells = enumerate_shells(LatticeKind.FCC, d, factor * d)
-    dists = shells.distances()
+    dists = shells.distances_r
     assert dists[0] == pytest.approx(d, rel=1e-12)
-    assert all(c >= 1 for c in shells.counts())
+    assert all(c >= 1 for c in shells.counts_c)
     assert all(y > x for x, y in zip(dists, dists[1:]))
 
 
@@ -175,7 +174,7 @@ def test_cluster_201_contains_ten_complete_shells():
     r = np.linalg.norm(c.sites, axis=1)
     assert np.sum(r < 1e-9) == 1
     shells = enumerate_shells(LatticeKind.FCC, 1.0, math.sqrt(10.0) + 1e-9)
-    expected = np.sort(np.repeat(shells.distances(), shells.counts()))
+    expected = np.sort(np.repeat(shells.distances_r, shells.counts_c))
     np.testing.assert_allclose(np.sort(r)[1:], expected, atol=1e-9)
     assert expected.size == 200
 

@@ -7,11 +7,12 @@ The pair energy has three independent oracles, exercised here:
 * six-dimensional Monte Carlo.
 
 The closed form must agree with all of them, including inside the
-near-degenerate windows lam ~ m/sigma and lam ~ n/sigma where the float64
+near-degenerate windows lam ~ m and lam ~ n where the float64
 partial-fraction expression loses digits and the implementation switches to
 extended precision.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -25,8 +26,9 @@ from scipy import integrate
 from scipy.optimize import minimize_scalar
 
 from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
-                      TwoYukawaParams, density_fourier, enumerate_shells,
-                      pair_energy, two_yukawa, two_yukawa_fourier)
+                      TwoYukawaParams, density_fourier, energy_per_particle,
+                      enumerate_shells, make_krypton_units, pair_energy,
+                      two_yukawa, two_yukawa_fourier)
 from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXPM1_FLOOR, FAR_LAM_S,
                             _closed_form, _mp_exp, _mp_expm1)
 from varsolid.optimize import SEARCH_BOX
@@ -38,7 +40,7 @@ LAM_KR = 91.33
 D_KR = 3.953 / 3.6  # nearest-neighbor distance in sigma units
 POT = TwoYukawaParams()
 #: the 133 shell distances of the default 12 d cutoff, at d = 1
-UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances()
+UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances_r
 
 
 # ----------------------------------------------------------------------
@@ -78,9 +80,9 @@ def test_orbital_params_validation():
 # ----------------------------------------------------------------------
 
 def test_two_yukawa_zero_at_sigma():
+    # r = 1 is sigma, the natural length unit, for every (b, m, n)
     assert two_yukawa(1.0, POT) == 0.0
-    pot2 = TwoYukawaParams(sigma=2.5)
-    assert two_yukawa(2.5, pot2) == 0.0
+    assert two_yukawa(1.0, TwoYukawaParams(b=3.0, m=1.5, n=9.0)) == 0.0
 
 
 def test_two_yukawa_tail_negative_and_tiny():
@@ -112,7 +114,7 @@ def test_two_yukawa_rejects_nonpositive_r():
 def test_two_yukawa_of_a_float_is_bitwise_the_array_form():
     # a float skips the array round trip but keeps every operation
     r = np.concatenate((np.geomspace(1e-3, 60.0, 20_000), [0.5, 1.0, 1.1, 1e-280, 1e300]))
-    for pot in (POT, TwoYukawaParams(epsilon=2.5, sigma=0.8)):
+    for pot in (POT, TwoYukawaParams(b=0.7, m=1.3, n=40.0)):
         got = [two_yukawa(x, pot) for x in r.tolist()]
         assert got == two_yukawa(r, pot).tolist()
         assert {type(v) for v in got} == {float}
@@ -132,22 +134,6 @@ def test_fourier_transforms_keep_the_infinite_k_limit():
     assert two_yukawa_fourier(math.inf, POT) == 0.0
 
 
-@given(eps=st.floats(min_value=0.1, max_value=10.0),
-       sig=st.floats(min_value=0.3, max_value=3.0),
-       x=st.floats(min_value=0.05, max_value=8.0))
-@settings(max_examples=60)
-@example(eps=1.0, sig=1.125, x=0.99999)
-def test_two_yukawa_dimensional_scaling(eps, sig, x):
-    # v(r; eps, sigma) = eps * v(r/sigma; 1, 1).  The reference is taken at
-    # the reduced separation the scaled potential sees, r/sigma, which can
-    # differ from x by an ulp: near the zero of v at x = 1 that ulp alone is
-    # ~1e-11 relative (x = 0.99999), so it cannot be compared against x.
-    r = x * sig
-    scaled = TwoYukawaParams(epsilon=eps, sigma=sig)
-    assert two_yukawa(r, scaled) == pytest.approx(
-        eps * two_yukawa(r / sig, POT), rel=1e-12, abs=1e-300)
-
-
 def test_two_yukawa_params_validation():
     with pytest.raises(ValueError):
         TwoYukawaParams(m=5.0, n=2.0)  # needs n > m
@@ -157,10 +143,21 @@ def test_two_yukawa_params_validation():
         with pytest.raises(ValueError, match="e\\^n"):
             TwoYukawaParams(m=m, n=n)
     assert TwoYukawaParams(m=700.0, n=709.0).n == 709.0
-    for field in ("b", "m", "n", "epsilon", "sigma"):
+    for field in ("b", "m", "n"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 TwoYukawaParams(**{field: value})
+
+
+def test_two_yukawa_params_are_in_natural_units():
+    # lengths are in sigma and energies in epsilon (UnitSystem holds both),
+    # so the potential has no scales of its own to set; sigma = 1.0 stays a
+    # class constant, not a field, for the benchmark harness that reads it
+    for name in ("epsilon", "sigma"):
+        with pytest.raises(TypeError):
+            TwoYukawaParams(**{name: 1.0})
+    assert TwoYukawaParams().sigma == 1.0
+    assert [f.name for f in dataclasses.fields(TwoYukawaParams)] == ["b", "m", "n"]
 
 
 def test_fourier_at_zero_is_volume_integral():
@@ -303,26 +300,6 @@ def test_pair_energy_of_no_separations_is_empty(lam):
         assert pair_energy(p, POT, np.array([]), order=order).shape == (order + 1, 0)
 
 
-def test_pair_energy_generic_sigma_epsilon():
-    # dimensional carry-through: scaling sigma and epsilon rescales the
-    # result while (lam*sigma, s/sigma) are held fixed, on the float branch
-    # and in the window (alpha = m/sigma or n/sigma there) on both sides of
-    # both exponents; sigma = 0.5 keeps lam/sigma exact, so lam = m or n
-    # stays an exact coincidence
-    eps = 3.0
-    for sig in (1.7, 0.5):
-        scaled = TwoYukawaParams(epsilon=eps, sigma=sig)
-        for lam in (91.33, 2.69, 14.70, 2.69 * 0.97, 2.69 * (1 + 1e-9),
-                    14.70 * (1 - 1e-7), 14.70 * 1.04):
-            for s in (0.0, 1.1):
-                base = pair_energy(OrbitalParams(lam), POT, s, order=2)
-                got = pair_energy(OrbitalParams(lam / sig), scaled, s * sig, order=2)
-                # d/dlam picks up one factor sigma per order
-                for k in (0, 1, 2):
-                    assert got[k] == pytest.approx(eps * sig**k * base[k], rel=1e-11), \
-                        (sig, lam, s, k)
-
-
 # ----------------------------------------------------------------------
 # array kernel
 # ----------------------------------------------------------------------
@@ -349,7 +326,7 @@ def _pair_energy_python_floats(lam, s):
                                         + b3 * (1.0 + x) / (32.0 * math.pi * lam**3)
                                         + b4 * (3.0 + 3.0 * lam * s + x * x)
                                         / (192.0 * math.pi * lam**5)))
-    return -4.0 * math.pi * POT.epsilon * POT.b * POT.sigma * (
+    return -4.0 * math.pi * POT.b * (
         math.exp(POT.m) * smeared(POT.m) - math.exp(POT.n) * smeared(POT.n))
 
 
@@ -538,30 +515,30 @@ def test_pair_energy_rejects_a_lam_beyond_the_doubles(lam):
 # lam-derivative rows
 # ----------------------------------------------------------------------
 
-def _gap(lam):
-    return min(abs(lam - POT.m) / POT.m, abs(lam - POT.n) / POT.n)
+def _gap(lam, pot=POT):
+    return min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n)
 
 
-def _mp_lam_rows(lam, s):
+def _mp_lam_rows(lam, s, pot=POT):
     """(E, dE/dlam, d2E/dlam2) at one separation: mp.diff of the mpmath
     closed form at 60 digits, plus 6 per decade of closeness to an exponent
     (an exact coincidence is nudged as pair_energy nudges it)."""
-    decades = max(0, math.ceil(-math.log10(max(_gap(lam), 1e-30))))
+    decades = max(0, math.ceil(-math.log10(max(_gap(lam, pot), 1e-30))))
     with mp.workdps(60 + 6 * decades):
-        am, an = mp.mpf(POT.m) / POT.sigma, mp.mpf(POT.n) / POT.sigma
-        pieces = ((mp.exp(POT.m), am), (mp.exp(POT.n), an))
+        am, an = mp.mpf(pot.m), mp.mpf(pot.n)
+        pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
         s_mp = np.array([mp.mpf(s)], dtype=object)
         lam_mp = mp.mpf(lam)
         if lam_mp in (am, an):
             lam_mp *= 1 + mp.mpf(10) ** -30
-        return [float(mp.diff(lambda x: _closed_form(x, POT, pieces, s_mp, s, _MP_OPS)[0],
+        return [float(mp.diff(lambda x: _closed_form(x, pot, pieces, s_mp, s, _MP_OPS)[0],
                               lam_mp, n)) for n in (0, 1, 2)]
 
 
-def _assert_rows_match_mp_diff(lam, s, rel):
-    got = pair_energy(OrbitalParams(lam), POT, s, order=2)
+def _assert_rows_match_mp_diff(lam, s, rel, pot=POT):
+    got = pair_energy(OrbitalParams(lam), pot, s, order=2)
     assert got.shape == (3,)
-    want = _mp_lam_rows(lam, s)
+    want = _mp_lam_rows(lam, s, pot)
     for k in (0, 1, 2):
         # a row may pass through 0 in s; |E|/lam^k is its natural size there
         scale = abs(want[k]) + abs(want[0]) / lam**k
@@ -656,7 +633,7 @@ def _window_reference(lam, s, order):
     the digits pair_energy works with (an exact coincidence nudged alike)."""
     decades = max(0, math.ceil(-math.log10(max(_gap(lam), 1e-30))))
     with mp.workdps(30 + (4 + order) * decades):
-        am, an = mp.mpf(POT.m) / POT.sigma, mp.mpf(POT.n) / POT.sigma
+        am, an = mp.mpf(POT.m), mp.mpf(POT.n)
         lam_mp = mp.mpf(lam)
         if lam_mp in (am, an):
             lam_mp *= 1 + mp.mpf(10) ** -30
@@ -721,7 +698,7 @@ def test_libmp_maps_match_mpmath(dps, x):
 
 
 def test_lam_rows_stay_finite_for_a_huge_coupling():
-    # the rows scale with b; the scale -4 pi eps b sigma once went into the
+    # the rows scale with b; the scale -4 pi b once went into the
     # scalar jets before the array product, and at b = 1e300 they overflowed
     # into NaN derivative rows under a finite value row
     p = OrbitalParams(91.2)
@@ -730,6 +707,29 @@ def test_lam_rows_stay_finite_for_a_huge_coupling():
     assert np.isfinite(huge).all()
     np.testing.assert_allclose(huge / (1e300 / POT.b), pair_energy(p, POT, s, order=2),
                                rtol=1e-15, atol=0.0)
+
+
+def test_lam_rows_stay_finite_for_the_largest_exponent():
+    # the n piece's weight e^709 ~ 8e307 once went into the scalar jets,
+    # and lam^2 times one of them overflowed into NaN derivative rows under
+    # a finite value row; an exact power of two of it now waits in the scale
+    pot = TwoYukawaParams(n=709.0)
+    p = OrbitalParams(91.2)
+    shells = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = energy_per_particle(p, pot, shells, make_krypton_units())
+        for order in (1, 2):
+            got = energy_per_particle(p, pot, shells, make_krypton_units(), order=order)
+            assert got.total == value.total
+            assert len(got.lam_derivatives) == order
+            assert all(math.isfinite(x) for x in got.lam_derivatives)
+        s = np.array([0.0, 0.5, 1.0, 1.1, 2.0])
+        rows = pair_energy(p, pot, s, order=2)
+        assert rows[0].tolist() == pair_energy(p, pot, s).tolist()
+        assert pair_energy(p, pot, s, order=1).tolist() == rows[:2].tolist()
+        for x in s.tolist():
+            _assert_rows_match_mp_diff(91.2, x, lambda k: 1e-12, pot)
 
 
 def test_lam_rows_keep_the_shape_of_s():

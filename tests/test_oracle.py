@@ -64,7 +64,7 @@ def test_momentum_sampler_second_moment():
 
 def test_unit_kernel_integrates_to_one():
     s = exp_density_sampler(3.0)
-    est = mc_pair_integral(s, s, lambda r: np.ones_like(r), 0.7,
+    est = mc_pair_integral(s, lambda r: np.ones_like(r), 0.7,
                            samples=5_000, seed=1)
     assert est.mean == pytest.approx(1.0, abs=1e-12)
     assert est.std_error == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +74,7 @@ def test_coulomb_kernel_finite_and_correct():
     # per-pair Coulomb of two coincident e^{-2 beta r} clouds: -5 beta/8
     beta = 1.3
     s = exp_density_sampler(2.0 * beta)
-    est = mc_pair_integral(s, s, lambda r: -1.0 / r, 0.0,
+    est = mc_pair_integral(s, lambda r: -1.0 / r, 0.0,
                            samples=300_000, seed=8)
     assert math.isfinite(est.mean)
     assert abs(est.mean - (-5.0 * beta / 8.0)) <= 3.0 * est.std_error
@@ -100,7 +100,7 @@ def test_seed_replay_is_bitwise():
 def test_minimum_sample_count_enforced():
     s = exp_density_sampler(1.0)
     with pytest.raises(ValueError):
-        mc_pair_integral(s, s, lambda r: r, 0.0, samples=999, seed=0)
+        mc_pair_integral(s, lambda r: r, 0.0, samples=999, seed=0)
 
 
 _SAMPLER = exp_density_sampler(1.0)
@@ -117,7 +117,7 @@ _SAMPLER = exp_density_sampler(1.0)
     (lambda: mc_momentum_axis_variance(4.0, samples=0), "samples"),
     (lambda: mc_momentum_axis_variance(4.0, samples=999), "samples"),
     (lambda: mc_momentum_axis_variance(4.0, samples=1000.5), "samples"),
-    (lambda: mc_pair_integral(_SAMPLER, _SAMPLER, lambda r: r, 0.0,
+    (lambda: mc_pair_integral(_SAMPLER, lambda r: r, 0.0,
                               samples=2000.0, seed=0), "samples"),
     (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.nan,
                             samples=1000), "separation"),
@@ -192,24 +192,21 @@ def test_mc_memory_does_not_grow_with_samples(estimate):
 def test_block_merge_matches_the_whole_sample(samples):
     calls, values = [], []
 
-    def sampler(name):
-        def draw(rng, k):
-            calls.append((name, k))
-            return sample_exponential_cloud(3.0, k, rng)
-        return draw
+    def sampler(rng, k):
+        calls.append(k)
+        return sample_exponential_cloud(3.0, k, rng)
 
     def kernel(r):
         v = np.exp(-r) / (1.0 + r)
         values.append(v.copy())
         return v
 
-    est = mc_pair_integral(sampler("a"), sampler("b"), kernel, 0.4,
-                           samples=samples, seed=9)
+    est = mc_pair_integral(sampler, kernel, 0.4, samples=samples, seed=9)
     whole = np.concatenate(values)
     assert len(whole) == samples
-    # each block draws density_a then density_b, MC_BLOCK at a time
+    # each block draws the density twice, for r and r', MC_BLOCK at a time
     sizes = [min(MC_BLOCK, samples - i) for i in range(0, samples, MC_BLOCK)]
-    assert calls == [(name, k) for k in sizes for name in "ab"]
+    assert calls == [k for k in sizes for _ in "ab"]
     assert est.mean == pytest.approx(np.mean(whole), rel=1e-13, abs=0.0)
     assert est.std_error == pytest.approx(
         np.std(whole, ddof=1) / math.sqrt(samples), rel=1e-13, abs=0.0)

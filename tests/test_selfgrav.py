@@ -46,7 +46,7 @@ def test_boson_pair_potential_against_mc():
     # each; pin the per-pair value by direct 6-D Monte Carlo
     beta, kappa = 1.7, 1.0
     sampler = exp_density_sampler(2.0 * beta)  # |phi|^2 has rate 2 beta
-    est = mc_pair_integral(sampler, sampler, lambda r: -kappa / r,
+    est = mc_pair_integral(sampler, lambda r: -kappa / r,
                            separation=0.0, samples=400_000, seed=21)
     want = -5.0 * kappa * beta / 8.0
     assert abs(est.mean - want) <= 3.0 * est.std_error
