@@ -48,7 +48,6 @@ class LatticeShells:
     single truth value.
     """
 
-    kind: LatticeKind
     spacing_d: float
     distances_r: np.ndarray  # ascending shell distances
     counts_c: np.ndarray  # coordination count of each shell
@@ -86,18 +85,11 @@ class LatticeShells:
         return out
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """Finite piece of lattice: N sites nearest the origin, centroid at zero."""
-
-    kind: LatticeKind
-    spacing_d: float
-    sites: np.ndarray  # shape (N, 3)
-    count_N: int
-
-
-def _fcc_integer_m(n1: np.ndarray, n2: np.ndarray, n3: np.ndarray) -> np.ndarray:
-    return (n2 + n3) ** 2 + (n1 + n3) ** 2 + (n1 + n2) ** 2
+def _fcc_coords(nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer coordinates x/(d/sqrt(2)) of the sites with every |n_i| <= nmax."""
+    rng = np.arange(-nmax, nmax + 1)
+    n1, n2, n3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    return (n2 + n3).ravel(), (n1 + n3).ravel(), (n1 + n2).ravel()
 
 
 def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> LatticeShells:
@@ -116,28 +108,29 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
     if max_distance < d:
         raise ValueError(f"max_distance {max_distance} is below one spacing {d}")
 
-    m_max = math.floor(2.0 * (max_distance / d) ** 2 + 1e-9)
-    nmax = math.ceil(math.sqrt(2.0) * max_distance / d) + 1
-    rng = np.arange(-nmax, nmax + 1)
-    n1, n2, n3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    m = _fcc_integer_m(n1, n2, n3).ravel()
+    try:
+        m_max = math.floor(2.0 * (max_distance / d) ** 2 + 1e-9)
+    except OverflowError as exc:  # (max_distance/d)^2 is past the doubles
+        raise ValueError(f"spacing {d!r} is too small for max_distance "
+                         f"{max_distance!r}") from exc
+    cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * max_distance / d) + 1)
+    m = cx * cx + cy * cy + cz * cz
     m = m[(m > 0) & (m <= m_max)]
     counts = np.bincount(m, minlength=m_max + 1)
     occupied = np.flatnonzero(counts)
-    return LatticeShells(kind=kind, spacing_d=d,
+    return LatticeShells(spacing_d=d,
                          distances_r=d * np.sqrt(occupied / 2.0),
                          counts_c=counts[occupied])
 
 
-def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:
-    """The N lattice sites closest to the origin, rigidly re-centered.
+def build_cluster(d: float, N: int) -> np.ndarray:
+    """The N FCC sites closest to the origin, rigidly re-centered, as a
+    read-only (N, 3) array.
 
     Ordering is by squared distance, with exact lexicographic tie-breaking
     on the integer coordinates (which order identically to the Cartesian
     ones, so the result is platform-independent).
     """
-    if kind is not LatticeKind.FCC:
-        raise ValueError(f"unsupported lattice kind: {kind}")
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"spacing must be positive and finite, got {d}")
     # the growth loop below ends once N sites are inside, which a NaN or an
@@ -149,12 +142,7 @@ def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:
     # sites on average and grow until enough candidates are inside.
     radius = d * ((3.0 * N / (4.0 * math.pi * math.sqrt(2.0))) ** (1.0 / 3.0) + 2.0)
     while True:
-        nmax = math.ceil(math.sqrt(2.0) * radius / d) + 1
-        rng = np.arange(-nmax, nmax + 1)
-        n1, n2, n3 = np.meshgrid(rng, rng, rng, indexing="ij")
-        cx = (n2 + n3).ravel()
-        cy = (n1 + n3).ravel()
-        cz = (n1 + n2).ravel()
+        cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * radius / d) + 1)
         m = cx * cx + cy * cy + cz * cz
         keep = m <= math.floor(2.0 * (radius / d) ** 2)
         if int(np.count_nonzero(keep)) >= N:
@@ -165,4 +153,5 @@ def build_cluster(kind: LatticeKind, d: float, N: int) -> Cluster:
     chosen = np.array([(x, y, z) for _, x, y, z in order[:N]], dtype=float)
     sites = chosen * (d / math.sqrt(2.0))
     sites -= sites.mean(axis=0)
-    return Cluster(kind=kind, spacing_d=d, sites=sites, count_N=N)
+    sites.flags.writeable = False
+    return sites

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Cluster
 from .units import UnitSystem
 
 #: largest |displacement component| (sigma) a superposition accepts: the
@@ -39,7 +38,6 @@ class ComStatistics:
     product: float
     N: float
     mean_P: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    chi_std_error: float | None = None
 
 
 def com_statistics(lam: float, N: float) -> ComStatistics:
@@ -57,32 +55,6 @@ def com_statistics(lam: float, N: float) -> ComStatistics:
     omega = lam2_n / 12.0
     return ComStatistics(chi=chi, omega=omega,
                          product=math.sqrt(chi * omega), N=N)
-
-
-def verify_com_on_cluster(lam: float, cluster: Cluster, samples: int = 4000,
-                          seed: int = 0) -> ComStatistics:
-    """Monte Carlo check of chi on an explicit cluster.
-
-    Each particle is drawn from its own site density lam^3 e^{-lam|r-x_i|}/(8 pi);
-    the per-axis CoM variance estimate (pooled over the three axes) lands on
-    4/(lam^2 N) within a few standard errors.  Returns the estimate in chi
-    with its standard error, alongside the exact omega/product.
-    """
-    from .oracle import sample_exponential_cloud  # local import, no cycle
-
-    rng = np.random.default_rng(seed)
-    n_sites = cluster.count_N
-    com = np.zeros((samples, 3))
-    for site in cluster.sites:
-        com += site + sample_exponential_cloud(lam, samples, rng)
-    com /= n_sites
-    com -= com.mean(axis=0)
-    sq = com**2
-    chi_hat = float(sq.mean())
-    se = float(np.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0)
-    exact = com_statistics(lam, n_sites)
-    return replace(exact, chi=chi_hat, chi_std_error=se,
-                   product=math.sqrt(chi_hat * exact.omega))
 
 
 def galilean_boost(stats: ComStatistics, v, units: UnitSystem) -> ComStatistics:

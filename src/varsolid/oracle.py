@@ -25,6 +25,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy import integrate
 
+from .lattice import build_cluster
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
                     pair_energy, two_yukawa, two_yukawa_fourier)
 from .observables import com_statistics
@@ -145,6 +146,19 @@ def sample_orbital_momentum(beta: float, samples: int,
     return q[:, None] * d
 
 
+def _pooled_axis_variance(draw: Callable[[np.random.Generator, int], np.ndarray],
+                          samples: int, seed: int) -> McEstimate:
+    """Per-axis variance of zero-mean (k, 3) rows from draw(rng, k), pooled
+    over the three axes: the mean of the squares, streamed in MC_BLOCK
+    blocks, with the standard error of the pooled mean."""
+    _check_samples(samples)
+    rng = np.random.default_rng(seed)
+    mean, m2 = _streamed_moments(lambda k: draw(rng, k) ** 2, samples)
+    se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
+    return McEstimate(mean=float(mean.mean()), std_error=se,
+                      samples=samples, seed=seed)
+
+
 def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
                               seed: int = 0) -> McEstimate:
     """MC estimate of the per-axis momentum variance of e^{-beta r} orbitals.
@@ -153,13 +167,27 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
     hbar^2 beta^2/3 per axis.  Streamed in blocks of MC_BLOCK samples, each
     drawn as sample_orbital_momentum draws it (beta(k), then normal(k, 3)).
     """
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    mean, m2 = _streamed_moments(
-        lambda k: sample_orbital_momentum(beta, k, rng) ** 2, samples)
-    se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
-    return McEstimate(mean=float(mean.mean()), std_error=se,
-                      samples=samples, seed=seed)
+    return _pooled_axis_variance(
+        lambda rng, k: sample_orbital_momentum(beta, k, rng), samples, seed)
+
+
+def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
+                    seed: int = 0) -> McEstimate:
+    """MC estimate of the per-axis CoM variance of N particles, each in the
+    cloud of rate lam about its own site (an (N, 3) array): pins chi =
+    4/(lam^2 N).  The CoM is measured from the sites' centroid, known
+    exactly, so its offset is the mean of the particles' offsets from their
+    sites, drawn site by site and summed so that no site rounds them away."""
+    _check_positive("lam", lam)
+    sites = np.asarray(sites, dtype=float)
+    if not (sites.ndim == 2 and sites.shape[1] == 3 and len(sites) >= 1
+            and np.isfinite(sites).all()):
+        raise ValueError(f"sites must be a finite (N, 3) array with N >= 1, "
+                         f"got shape {sites.shape}")
+    return _pooled_axis_variance(
+        lambda rng, k: sum(sample_exponential_cloud(lam, k, rng)
+                           for _ in range(len(sites))) / len(sites),
+        samples, seed)
 
 
 # ----------------------------------------------------------------------
@@ -511,6 +539,13 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
            beta**2 / 3.0, 4.0,
            error=abs(est.mean - beta**2 / 3.0) / est.std_error,
            unit="standard errors")
+
+    # the paper's headline law on an explicit body
+    est = mc_com_variance(91.33, build_cluster(1.0981, 201),
+                          VERIFY_MC_SAMPLES // 200, VERIFY_SEED + 18)
+    chi = com_statistics(91.33, 201).chi
+    record("CoM variance 4/(lam^2 N), 201-site FCC cluster", est.mean, chi, 4.0,
+           error=abs(est.mean - chi) / est.std_error, unit="standard errors")
 
     # uncertainty product identity
     worst = 0.0

@@ -9,9 +9,9 @@ hbar^2/mu, so another hbar is the same problem at mass mu/hbar^2.
 
       <E> = N beta^2/(2 mu) - 5 kappa N(N-1) beta/16,
 
-  minimized at beta* = 5 kappa mu (N-1)/16.  The per-axis CoM variance is
-  chi = 1/(beta*^2 N) = g^2/(N(N-1)^2) with g = 16/(5 kappa mu), shrinking
-  as 1/N^3 while the uncertainty product stays 1/sqrt(3).
+  minimized at beta* = 5 kappa mu (N-1)/16.  The density e^{-2 beta r} is
+  com_statistics' orbital at lam = 2 beta, so chi = 4/((2 beta*)^2 N) =
+  g^2/(N(N-1)^2), g = 16/(5 kappa mu): 1/N^3, at product 1/sqrt(3).
 
 * N fermions (occupation q per level), Thomas-Fermi functional on the trial
   density rho(r) = N gamma^3 e^{-gamma r}/(8 pi):
@@ -23,8 +23,8 @@ hbar^2/mu, so another hbar is the same problem at mass mu/hbar^2.
   with C_KIN = (27/125)(8 pi)^{-2/3}, and the Coulomb self-energy is
   int int rho rho'/|r-r'| = (5/16) gamma N^2.  The minimum sits at
   gamma* = f kappa mu N^{1/3} with the pure number
-  f = 5 q^{2/3}/(64 e_coeff C_KIN), of order unity; chi = 4/(gamma*^2 N)
-  then falls off as 1/N^{5/3}.
+  f = 5 q^{2/3}/(64 e_coeff C_KIN), of order unity; chi = 4/(gamma*^2 N),
+  com_statistics at lam = gamma*, then falls off as 1/N^{5/3}.
 
 Every closed-form coefficient here (5/16, 5/32, C_KIN, the per-axis momentum
 variance beta^2/3) is pinned against quadrature/Monte-Carlo oracles in the
@@ -38,6 +38,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .observables import com_statistics
+
 #: coefficient of N^{5/3} gamma^2 in int rho^{5/3} d^3r for the exponential
 #: profile: int (N g^3 e^{-g r}/8 pi)^{5/3} 4 pi r^2 dr = (27/125)(8 pi)^{-2/3} N^{5/3} g^2
 C_KIN = (27.0 / 125.0) * (8.0 * math.pi) ** (-2.0 / 3.0)
@@ -50,7 +52,6 @@ class BosonSolution:
     chi: float  # per-axis CoM position variance
     omega: float  # per-axis total-momentum variance
     product_hbar: float  # sqrt(chi * omega), in units of hbar
-    g_const: float  # 16/(5 kappa mu)
     N: int
 
 
@@ -65,20 +66,25 @@ class FermionSolution:
     N: int
 
 
-def _fails_closed(solve):
-    """`solve`, raising ValueError for a solution outside the double range."""
-    @functools.wraps(solve)
-    def checked(N, *args, **kwargs):
+def _fails_closed(f):
+    """`f`, raising ValueError naming its first argument (N, beta or gamma)
+    where its result, a float or a record of floats, leaves the doubles."""
+    name = f.__code__.co_varnames[0]
+
+    @functools.wraps(f)
+    def checked(x, *args, **kwargs):
         try:
-            sol = solve(N, *args, **kwargs)
+            out = f(x, *args, **kwargs)
         except (OverflowError, ZeroDivisionError) as exc:  # x**2 overflow, 1/underflow
-            raise ValueError(f"the N={N} solution leaves the double range: {exc}") from exc
-        if not all(math.isfinite(v) for v in dataclasses.astuple(sol)):
-            raise ValueError(f"the N={N} solution leaves the double range: {sol}")
-        return sol
+            raise ValueError(f"{f.__name__}: {name}={x!r} leaves the doubles: {exc}") from exc
+        if not all(map(math.isfinite, dataclasses.astuple(out)  # inf - inf = NaN
+                       if dataclasses.is_dataclass(out) else (out,))):
+            raise ValueError(f"{f.__name__}: {name}={x!r} leaves the doubles: {out}")
+        return out
     return checked
 
 
+@_fails_closed
 def boson_energy(beta: float, N: int, kappa: float = 1.0,
                  mu: float = 1.0) -> float:
     """<E> = N beta^2/(2 mu) - 5 kappa N(N-1) beta/16, with hbar = 1.
@@ -101,18 +107,16 @@ def boson_solve(N: int, kappa: float = 1.0, mu: float = 1.0) -> BosonSolution:
     if not all(math.isfinite(x) and x > 0.0 for x in (kappa, mu)):
         raise ValueError("kappa and mu must be positive and finite (hbar = 1)")
     beta_star = 5.0 * kappa * mu * (N - 1) / 16.0
-    g = 16.0 / (5.0 * kappa * mu)
-    chi = g * g / (N * float(N - 1) ** 2)
-    omega = beta_star**2 * N / 3.0  # the per-particle variance is beta^2/3
+    com = com_statistics(2.0 * beta_star, N)  # density e^{-2 beta r}
     return BosonSolution(beta_star=beta_star,
                          energy=boson_energy(beta_star, N, kappa, mu),
-                         chi=chi,
-                         omega=omega,
-                         product_hbar=math.sqrt(chi * omega),
-                         g_const=g,
+                         chi=com.chi,
+                         omega=com.omega,
+                         product_hbar=com.product,
                          N=N)
 
 
+@_fails_closed
 def fermion_tf_energy(gamma: float, N: int, q: int = 2, kappa: float = 1.0,
                       mu: float = 1.0, e_coeff: float = 5.0) -> float:
     """Thomas-Fermi energy of the exponential density at decay gamma (hbar = 1)."""
@@ -141,12 +145,11 @@ def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
         raise ValueError("kappa, mu, e_coeff must be positive and finite (hbar = 1)")
     f = 5.0 * q ** (2.0 / 3.0) / (64.0 * e_coeff * C_KIN)
     gamma_star = f * kappa * mu * N ** (1.0 / 3.0)
-    chi = 4.0 / (gamma_star**2 * N)
     return FermionSolution(gamma_star=gamma_star,
                            f_factor=f,
                            energy=fermion_tf_energy(gamma_star, N, q, kappa,
                                                     mu, e_coeff),
-                           chi=chi,
+                           chi=com_statistics(gamma_star, N).chi,
                            q=q,
                            e_coeff=e_coeff,
                            N=N)

@@ -143,8 +143,8 @@ def test_c07_pair_energy_against_independent_routes():
 def test_c08_cluster_sum_matches_shell_sum(timed_solution):
     sol, _ = timed_solution
     p = OrbitalParams(sol.lambda_star)
-    cluster = build_cluster(LatticeKind.FCC, sol.d_star, 201)
-    dists = np.linalg.norm(cluster.sites - cluster.sites[0], axis=1)[1:]
+    cluster = build_cluster(sol.d_star, 201)
+    dists = np.linalg.norm(cluster - cluster[0], axis=1)[1:]
     direct = 0.5 * math.fsum(pair_energy(p, POT, r) for r in dists)
     shells = enumerate_shells(LatticeKind.FCC, sol.d_star,
                               dists.max() * (1.0 + 1e-12))

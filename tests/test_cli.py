@@ -430,13 +430,18 @@ def test_verify_battery_passes(verify_run):
     code, payload, _ = verify_run
     assert code == EXIT_OK
     assert payload["all_passed"] is True
-    assert len(payload["checks"]) >= 14
+    assert len(payload["checks"]) == 15
     for check in payload["checks"]:
         assert check["passed"], check["check"]
         assert check["error"] <= check["tolerance"]
     # the self-gravity optima are quadratics' vertices, pinned to rounding
     vertex = [c for c in payload["checks"] if c["check"].endswith("vs parabola vertex")]
     assert [c["tolerance"] for c in vertex] == [1e-12, 1e-12]
+    # the paper's CoM law, by Monte Carlo on an explicit 201-site cluster
+    [com] = [c for c in payload["checks"] if c["check"].startswith("CoM variance")]
+    assert com["check"] == "CoM variance 4/(lam^2 N), 201-site FCC cluster"
+    assert com["reference"] == pytest.approx(4.0 / (91.33**2 * 201), rel=1e-15)
+    assert (com["tolerance"], com["unit"]) == (4.0, "standard errors")
 
 
 def test_verify_csv_has_the_documented_columns(verify_run):

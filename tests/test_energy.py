@@ -123,9 +123,9 @@ def test_shell_sum_equals_cluster_pair_sum(potential, krypton_units):
     # central-site sum over an explicit 201-site cluster vs the shell sum
     # truncated at the same radius
     p = OrbitalParams(LAM_KR)
-    cluster = build_cluster(LatticeKind.FCC, D_KR, 201)
-    center = cluster.sites[np.argmin(np.linalg.norm(cluster.sites, axis=1))]
-    dists = np.linalg.norm(cluster.sites - center, axis=1)
+    cluster = build_cluster(D_KR, 201)
+    center = cluster[np.argmin(np.linalg.norm(cluster, axis=1))]
+    dists = np.linalg.norm(cluster - center, axis=1)
     dists = dists[dists > 1e-9]
     brute = 0.5 * math.fsum(pair_energy(p, potential, float(s)) for s in dists)
 
@@ -143,9 +143,9 @@ def test_thirteen_shell_cluster_match(potential, krypton_units):
                                 + 1e-9)
     assert len(shells13.shells) == 13
     n_sites = 1 + int(np.sum(shells13.counts_c))
-    cluster = build_cluster(LatticeKind.FCC, D_KR, n_sites)
-    center = cluster.sites[np.argmin(np.linalg.norm(cluster.sites, axis=1))]
-    dists = np.linalg.norm(cluster.sites - center, axis=1)
+    cluster = build_cluster(D_KR, n_sites)
+    center = cluster[np.argmin(np.linalg.norm(cluster, axis=1))]
+    dists = np.linalg.norm(cluster - center, axis=1)
     brute = 0.5 * math.fsum(pair_energy(p, potential, float(s))
                             for s in dists[dists > 1e-9])
     bd = energy_per_particle(p, potential, shells13, krypton_units)
@@ -183,8 +183,7 @@ def test_same_site_w(potential, krypton_units):
 
 def test_empty_shells_rejected(potential, krypton_units):
     from varsolid import LatticeShells
-    empty = LatticeShells(kind=LatticeKind.FCC, spacing_d=1.0,
-                          distances_r=(), counts_c=())
+    empty = LatticeShells(spacing_d=1.0, distances_r=(), counts_c=())
     with pytest.raises(ValueError):
         energy_per_particle(OrbitalParams(5.0), potential, empty, krypton_units)
 

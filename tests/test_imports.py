@@ -32,3 +32,19 @@ def test_deleted_names_are_not_public(name):
     # the branch-overlap bound was 0 for every spec SuperpositionSpec admits
     assert name not in varsolid.__all__
     assert not hasattr(varsolid, name)
+
+
+@pytest.mark.parametrize("name", ["Cluster", "verify_com_on_cluster"])
+def test_cluster_check_has_one_home(name):
+    # the cluster Monte Carlo check is oracle.mc_com_variance, and a cluster
+    # is the bare (N, 3) array that build_cluster returns
+    assert name not in varsolid.__all__
+    assert not hasattr(varsolid, name)
+    assert "mc_com_variance" in varsolid.__all__
+
+
+def test_observables_imports_neither_oracle_nor_lattice():
+    tree = ast.parse((PACKAGE / "observables.py").read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert relative == {"units"}

@@ -96,7 +96,7 @@ def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
     shells = unit.scaled(1.0978)
     assert shells.counts_c is unit.counts_c
     assert shells.weights is unit.weights
-    assert shells.kind is unit.kind and shells.spacing_d == 1.0978
+    assert shells.spacing_d == 1.0978
     assert unit.weights.dtype == np.float64
     assert unit.weights.tolist() == (0.5 * unit.counts_c).tolist()
     for arr in (unit.weights, shells.distances_r):
@@ -110,11 +110,11 @@ def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
 def test_shells_from_caller_arrays_are_private_copies():
     r = np.array([1.0, math.sqrt(2.0)])
     c = np.array([12, 6])
-    shells = LatticeShells(LatticeKind.FCC, 1.0, r, c)
+    shells = LatticeShells(1.0, r, c)
     r[0] = 5.0
     assert shells.shells == ((1.0, 12), (math.sqrt(2.0), 6))
     with pytest.raises(ValueError):
-        LatticeShells(LatticeKind.FCC, 1.0, r, c[:1])
+        LatticeShells(1.0, r, c[:1])
 
 
 @given(d=st.floats(min_value=0.05, max_value=50.0),
@@ -138,6 +138,11 @@ def test_enumerate_shells_rejects_bad_arguments():
                             (math.nan, 2.0)):
         with pytest.raises(ValueError):
             enumerate_shells(LatticeKind.FCC, d, max_distance)
+    # a ratio max_distance/d whose square leaves the doubles once escaped as
+    # a bare OverflowError; these fail before any grid is built
+    for d, max_distance in ((5e-324, 1.0), (1e-200, 1.0), (1.0, 1e300)):
+        with pytest.raises(ValueError, match=f"spacing {d!r} is too small"):
+            enumerate_shells(LatticeKind.FCC, d, max_distance)
     # a non-finite rescaling was once accepted and failed later in pair_energy
     unit = enumerate_shells(LatticeKind.FCC, 1.0, 3.0)
     for bad in (math.nan, math.inf, 0.0, -1.0):
@@ -146,23 +151,23 @@ def test_enumerate_shells_rejects_bad_arguments():
 
 
 def test_cluster_n1_is_origin():
-    c = build_cluster(LatticeKind.FCC, 1.0, 1)
-    assert c.count_N == 1
-    np.testing.assert_allclose(c.sites, [[0.0, 0.0, 0.0]], atol=1e-12)
+    c = build_cluster(1.0, 1)
+    assert c.shape == (1, 3)
+    np.testing.assert_allclose(c, [[0.0, 0.0, 0.0]], atol=1e-12)
 
 
 def test_cluster_n2():
-    c = build_cluster(LatticeKind.FCC, 1.0, 2)
-    assert c.count_N == 2
-    assert np.linalg.norm(c.sites[0] - c.sites[1]) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(c.sites.mean(axis=0), 0.0, atol=1e-9)
+    c = build_cluster(1.0, 2)
+    assert c.shape == (2, 3)
+    assert np.linalg.norm(c[0] - c[1]) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(c.mean(axis=0), 0.0, atol=1e-9)
 
 
 def test_cluster_n13_is_origin_plus_nearest_shell():
-    c = build_cluster(LatticeKind.FCC, 1.0, 13)
+    c = build_cluster(1.0, 13)
     # the 12-site nearest shell is symmetric, so the centroid was already 0
     # and the central site survives at the origin
-    r = np.linalg.norm(c.sites, axis=1)
+    r = np.linalg.norm(c, axis=1)
     assert np.sum(r < 1e-9) == 1
     np.testing.assert_allclose(np.sort(r)[1:], 1.0, atol=1e-12)
 
@@ -170,8 +175,8 @@ def test_cluster_n13_is_origin_plus_nearest_shell():
 def test_cluster_201_contains_ten_complete_shells():
     # 1 + 12 + 6 + 24 + 12 + 24 + 8 + 48 + 6 + 36 + 24 = 201: the cluster
     # ends exactly at a shell boundary, so no tie-splitting is involved.
-    c = build_cluster(LatticeKind.FCC, 1.0, 201)
-    r = np.linalg.norm(c.sites, axis=1)
+    c = build_cluster(1.0, 201)
+    r = np.linalg.norm(c, axis=1)
     assert np.sum(r < 1e-9) == 1
     shells = enumerate_shells(LatticeKind.FCC, 1.0, math.sqrt(10.0) + 1e-9)
     expected = np.sort(np.repeat(shells.distances_r, shells.counts_c))
@@ -181,11 +186,13 @@ def test_cluster_201_contains_ten_complete_shells():
 
 @pytest.mark.parametrize("N", [1, 2, 5, 13, 87, 201])
 def test_cluster_invariants(N):
-    c = build_cluster(LatticeKind.FCC, 0.9, N)
-    assert c.count_N == N == len(c.sites)
-    np.testing.assert_allclose(c.sites.mean(axis=0), 0.0, atol=1e-9)
+    c = build_cluster(0.9, N)
+    assert c.shape == (N, 3) and c.dtype == np.float64
+    np.testing.assert_allclose(c.mean(axis=0), 0.0, atol=1e-9)
+    with pytest.raises(ValueError):  # read-only, as the shells' arrays are
+        c[0, 0] = 1.0
     if N > 1:
-        diff = c.sites[:, None, :] - c.sites[None, :, :]
+        diff = c[:, None, :] - c[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(dist, np.inf)
         assert dist.min() >= 0.9 - 1e-9
@@ -193,9 +200,9 @@ def test_cluster_invariants(N):
 
 def test_cluster_deterministic_tie_breaking():
     # N = 5 cuts into the 12-fold shell; the selection must still be stable
-    a = build_cluster(LatticeKind.FCC, 1.0, 5)
-    b = build_cluster(LatticeKind.FCC, 1.0, 5)
-    np.testing.assert_array_equal(a.sites, b.sites)
+    a = build_cluster(1.0, 5)
+    b = build_cluster(1.0, 5)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_cluster_rejects_nonpositive_n():
@@ -203,10 +210,10 @@ def test_cluster_rejects_nonpositive_n():
     # escaped as a TypeError from slicing
     for bad in (0, -3, math.nan, math.inf, -math.inf, 2.5, 13.0, True, np.bool_(True)):
         with pytest.raises(ValueError, match="cluster size must be an integer >= 1"):
-            build_cluster(LatticeKind.FCC, 1.0, bad)
-    assert build_cluster(LatticeKind.FCC, 1.0, np.int64(13)).count_N == 13
+            build_cluster(1.0, bad)
+    assert build_cluster(1.0, np.int64(13)).shape == (13, 3)
     # a non-finite spacing once reached math.ceil as "cannot convert float
     # NaN to integer"
     for bad in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {bad}"):
-            build_cluster(LatticeKind.FCC, bad, 5)
+            build_cluster(bad, 5)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varsolid import (LatticeKind, SuperpositionSpec, build_cluster,
-                      com_statistics, free_spread, galilean_boost,
-                      superposition_spread, verify_com_on_cluster)
+from varsolid import (SuperpositionSpec, com_statistics, free_spread,
+                      galilean_boost, superposition_spread)
 from varsolid.observables import MAX_DISPLACEMENT
 
 HBAR_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -64,29 +63,6 @@ def test_com_statistics_rejects_bad_input():
     for lam, n in ((1e-200, 3), (1e300, 3), (1e-160, 1.0)):
         with pytest.raises(ValueError, match="lam=.*N="):
             com_statistics(lam, n)
-
-
-# ----------------------------------------------------------------------
-# Monte Carlo verification on explicit clusters
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("n_sites", [1, 13])
-def test_com_variance_on_cluster(n_sites):
-    lam = 7.0
-    cluster = build_cluster(LatticeKind.FCC, 1.0, n_sites)
-    est = verify_com_on_cluster(lam, cluster, samples=20_000, seed=5)
-    want = 4.0 / (lam * lam * n_sites)
-    assert est.chi_std_error is not None
-    assert abs(est.chi - want) <= 4.0 * est.chi_std_error
-
-
-def test_com_variance_scales_with_lambda():
-    cluster = build_cluster(LatticeKind.FCC, 1.0, 13)
-    a = verify_com_on_cluster(4.0, cluster, samples=20_000, seed=9)
-    b = verify_com_on_cluster(8.0, cluster, samples=20_000, seed=10)
-    # doubling lambda quarters the spread, within MC error
-    se = math.hypot(b.chi_std_error, a.chi_std_error / 4.0)
-    assert abs(b.chi - a.chi / 4.0) <= 4.0 * se
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from varsolid import OrbitalParams, TwoYukawaParams, density_fourier
+from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
+                      density_fourier)
 from varsolid.oracle import (MC_BLOCK, QuadratureError, _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
-                             exp_density_sampler, mc_momentum_axis_variance,
-                             mc_pair_energy, mc_pair_integral,
+                             exp_density_sampler, mc_com_variance,
+                             mc_momentum_axis_variance, mc_pair_energy,
+                             mc_pair_integral,
                              pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check, sample_exponential_cloud,
@@ -104,6 +106,7 @@ def test_minimum_sample_count_enforced():
 
 
 _SAMPLER = exp_density_sampler(1.0)
+_SITES = build_cluster(1.0, 13)
 
 
 @pytest.mark.parametrize("call,name", [
@@ -123,10 +126,29 @@ _SAMPLER = exp_density_sampler(1.0)
                             samples=1000), "separation"),
     (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.inf,
                             samples=1000), "separation"),
+    # verify_com_on_cluster, mc_com_variance's forerunner, warned and gave a
+    # NaN error at 1 sample and raised TypeError at samples=True
+    *((lambda kw=kw: mc_com_variance(**{"lam": 7.0, "sites": _SITES,
+                                       "samples": 1000, **kw}), name)
+      for kw, name in (
+          ({"samples": 1}, "samples"), ({"samples": 999}, "samples"),
+          ({"samples": True}, "samples"), ({"samples": 2000.0}, "samples"),
+          ({"lam": math.nan}, "lam"), ({"lam": math.inf}, "lam"),
+          ({"lam": 0.0}, "lam"), ({"lam": -7.0}, "lam"),
+          ({"sites": np.zeros((0, 3))}, "sites"),
+          ({"sites": np.zeros(3)}, "sites"),
+          ({"sites": np.zeros((4, 2))}, "sites"),
+          ({"sites": np.zeros((2, 2, 3))}, "sites"),
+          ({"sites": [[0.0, 0.0, math.nan]]}, "sites"),
+          ({"sites": [[0.0, -math.inf, 0.0]]}, "sites"))),
 ], ids=["cloud-rate-nan", "cloud-rate-inf", "beta-nan", "beta-inf",
         "momentum-samples-1", "momentum-samples-0", "momentum-samples-999",
         "momentum-samples-float", "pair-samples-float", "separation-nan",
-        "separation-inf"])
+        "separation-inf", "com-samples-1", "com-samples-999",
+        "com-samples-true", "com-samples-float", "com-lam-nan", "com-lam-inf",
+        "com-lam-0", "com-lam-negative", "com-sites-empty", "com-sites-1d",
+        "com-sites-2-columns", "com-sites-3d", "com-sites-nan",
+        "com-sites-inf"])
 def test_mc_boundaries_fail_closed(call, name):
     with pytest.raises(ValueError, match=name):
         call()
@@ -177,7 +199,8 @@ def _traced_peak_mb(call) -> float:
     lambda n: mc_pair_energy(OrbitalParams(91.33), POT, 1.0981, samples=n,
                              seed=5),
     lambda n: mc_momentum_axis_variance(45.665, samples=n, seed=5),
-], ids=["pair_energy", "momentum_variance"])
+    lambda n: mc_com_variance(7.0, build_cluster(1.0, 2), samples=n, seed=5),
+], ids=["pair_energy", "momentum_variance", "com_variance"])
 def test_mc_memory_does_not_grow_with_samples(estimate):
     # numpy reports its buffers to tracemalloc; drawing every sample at
     # once peaks at ~30-43 MB for 400k samples
@@ -222,6 +245,53 @@ def test_momentum_variance_streams_blocks_of_the_sampler():
     assert est.mean == pytest.approx(sq.mean(), rel=1e-13, abs=0.0)
     want_se = math.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0
     assert est.std_error == pytest.approx(want_se, rel=1e-13, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# the CoM variance on an explicit cluster
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_sites", [1, 13])
+def test_com_variance_on_cluster(n_sites):
+    lam = 7.0
+    est = mc_com_variance(lam, build_cluster(1.0, n_sites), samples=20_000,
+                          seed=5)
+    want = 4.0 / (lam * lam * n_sites)
+    assert abs(est.mean - want) <= 4.0 * est.std_error
+
+
+def test_com_variance_scales_with_lambda():
+    cluster = build_cluster(1.0, 13)
+    a = mc_com_variance(4.0, cluster, samples=20_000, seed=9)
+    b = mc_com_variance(8.0, cluster, samples=20_000, seed=10)
+    # doubling lambda quarters the spread, within MC error
+    se = math.hypot(b.std_error, a.std_error / 4.0)
+    assert abs(b.mean - a.mean / 4.0) <= 4.0 * se
+
+
+def test_com_variance_block_merge_matches_the_whole_sample():
+    # the particles are drawn site by site within each block, placed at
+    # their sites, and the CoM is measured from the sites' exact centroid
+    lam, samples, seed = 5.0, 2 * MC_BLOCK + 11, 3
+    sites = build_cluster(1.3, 5)
+    rng = np.random.default_rng(seed)
+    offsets = []
+    for start in range(0, samples, MC_BLOCK):
+        k = min(MC_BLOCK, samples - start)
+        particles = np.stack([site + sample_exponential_cloud(lam, k, rng)
+                              for site in sites])
+        offsets.append(particles.mean(axis=0) - sites.mean(axis=0))
+    sq = np.concatenate(offsets) ** 2
+    est = mc_com_variance(lam, sites, samples=samples, seed=seed)
+    assert (est.samples, est.seed) == (samples, seed)
+    assert est.mean == pytest.approx(sq.mean(), rel=1e-12, abs=0.0)
+    want_se = math.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0
+    assert est.std_error == pytest.approx(want_se, rel=1e-10, abs=0.0)
+    # the sites enter through their count: a translated or shuffled body
+    # gives the same draws
+    moved = mc_com_variance(lam, sites[::-1] + [1e3, -2.0, 0.5],
+                            samples=samples, seed=seed)
+    assert (moved.mean, moved.std_error) == (est.mean, est.std_error)
 
 
 def test_estimate_fields():

@@ -8,14 +8,15 @@ variance beta^2/3 (hbar = 1) by sampling the orbital's momentum distribution.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varsolid import (BosonSolution, boson_energy, boson_solve, fermion_solve,
-                      fermion_tf_energy)
+from varsolid import (BosonSolution, boson_energy, boson_solve,
+                      com_statistics, fermion_solve, fermion_tf_energy)
 from varsolid.oracle import (coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_momentum_axis_variance,
@@ -41,6 +42,30 @@ def test_boson_energy_rejects_negative_or_nan_beta():
             boson_energy(bad, 10)
 
 
+@pytest.mark.parametrize("energy,name", [(boson_energy, "beta"),
+                                         (fermion_tf_energy, "gamma")])
+@pytest.mark.parametrize("rate", [math.inf, 1e308, 1e200])
+def test_energies_fail_closed_past_the_doubles(energy, name, rate):
+    # an infinite rate once gave inf - inf = NaN, and 1e308 a bare
+    # OverflowError from rate**2; 1e200 overflows it as well
+    with pytest.raises(ValueError, match=re.escape(f"{name}={rate!r}")):
+        energy(rate, 10)
+    # a finite energy keeps its value
+    assert math.isfinite(energy(1e100, 10))
+
+
+def test_selfgrav_com_statistics_come_from_com_statistics():
+    # the boson density e^{-2 beta r} is the exponential orbital at
+    # lam = 2 beta; the fermion density is the one at lam = gamma
+    for n, kappa, mu in ((2, 1.0, 1.0), (37, 2.0, 0.5), (10**6, 0.7, 1.3)):
+        sol = boson_solve(n, kappa, mu)
+        com = com_statistics(2.0 * sol.beta_star, n)
+        assert (sol.chi, sol.omega, sol.product_hbar) == (
+            com.chi, com.omega, com.product)
+        fsol = fermion_solve(n, kappa=kappa, mu=mu)
+        assert fsol.chi == com_statistics(fsol.gamma_star, n).chi
+
+
 def test_boson_pair_potential_against_mc():
     # the -5 kappa N(N-1) beta/16 term is N(N-1)/2 pairs at -5 kappa beta/8
     # each; pin the per-pair value by direct 6-D Monte Carlo
@@ -59,8 +84,7 @@ def test_boson_solve_n2_exact_values():
     sol = boson_solve(2)
     assert sol.beta_star == pytest.approx(5.0 / 16.0, rel=1e-15)
     assert sol.energy == pytest.approx(-0.09765625, rel=1e-13)
-    assert sol.chi == pytest.approx(5.12, rel=1e-13)
-    assert sol.g_const == pytest.approx(3.2, rel=1e-15)
+    assert sol.chi == pytest.approx(5.12, rel=1e-13)  # g^2/(N(N-1)^2), g = 3.2
 
 
 def test_boson_solution_invariants():
@@ -83,7 +107,8 @@ def test_boson_minimum_certificate():
 
 def test_boson_chi_matches_g_formula():
     sol = boson_solve(37, kappa=2.0, mu=0.5)
-    want = sol.g_const**2 / (37 * 36**2)
+    g = 16.0 / (5.0 * 2.0 * 0.5)
+    want = g**2 / (37 * 36**2)
     assert sol.chi == pytest.approx(want, rel=1e-14)
     # equivalently 1/(beta*^2 N)
     assert sol.chi == pytest.approx(1.0 / (sol.beta_star**2 * 37), rel=1e-14)
@@ -163,7 +188,8 @@ def test_boson_closed_forms_property(kappa, mu, n):
     sol = boson_solve(n, kappa=kappa, mu=mu)
     assert sol.beta_star == pytest.approx(5 * kappa * mu * (n - 1) / 16.0,
                                           rel=1e-12)
-    assert sol.g_const == pytest.approx(16.0 / (5.0 * kappa * mu), rel=1e-12)
+    g = 16.0 / (5.0 * kappa * mu)
+    assert sol.chi == pytest.approx(g * g / (n * (n - 1) ** 2), rel=1e-12)
     assert sol.product_hbar == pytest.approx(HBAR_OVER_SQRT3, abs=1e-12)
 
 
