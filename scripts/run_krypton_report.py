@@ -11,11 +11,11 @@ import argparse
 import json
 import math
 
-from varsolid import (LatticeKind, OptimizeOptions, OrbitalParams,
-                      TwoYukawaParams, com_statistics, enumerate_shells,
+from varsolid import (OrbitalParams, TwoYukawaParams, com_statistics,
                       free_spread, make_krypton_units, minimum_certificate,
                       same_site_W, solve_solid)
 from varsolid.cli import EXPERIMENT_KRYPTON
+from varsolid.optimize import unit_shells
 
 
 def main():
@@ -29,17 +29,15 @@ def main():
 
     units = make_krypton_units()
     pot = TwoYukawaParams()
-    opts = OptimizeOptions()
 
     print(f"two-Yukawa potential: b={pot.b}, m={pot.m}, n={pot.n} "
           f"(eps={units.epsilon_K} K, sigma={units.sigma_angstrom} A)")
     print(f"Lambda = hbar^2/(mu sigma^2 eps) = {units.coupling:.10e}")
     print()
 
-    sol = solve_solid(pot, units, opts)
-    ok = minimum_certificate(sol, pot, units, opts)
-    shells = enumerate_shells(LatticeKind.FCC, 1.0,
-                              opts.shell_cutoff_factor).scaled(sol.d_star)
+    sol = solve_solid(pot, units)
+    ok = minimum_certificate(sol, pot, units)
+    shells = unit_shells().scaled(sol.d_star)
     w = same_site_W(OrbitalParams(sol.lambda_star), pot, shells, units)
 
     print(f"optimum ({sol.iterations} iterations, "
@@ -89,7 +87,7 @@ def main():
             "experiment": EXPERIMENT_KRYPTON,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(f"\nwrote {args.json}")
 

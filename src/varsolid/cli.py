@@ -33,7 +33,7 @@ from .model import OrbitalParams, TwoYukawaParams
 from .observables import (SuperpositionSpec, com_statistics, free_spread,
                           galilean_boost, superposition_spread)
 from .optimize import (SEARCH_BOX, ConvergenceError, OptimizeOptions,
-                       SolidSolution, _unit_shells, in_search_box, solve_solid)
+                       SolidSolution, in_search_box, solve_solid, unit_shells)
 from .oracle import QuadratureError, verify_checks
 from .selfgrav import boson_solve, fermion_solve
 from .units import (KRYPTON_EPSILON_K, KRYPTON_MASS_U, KRYPTON_SIGMA_M,
@@ -65,9 +65,10 @@ class RunConfig:
     (`TwoYukawaParams`, `units.KRYPTON_*`, `OptimizeOptions`), and those
     objects validate their fields.  Every field is a float and takes a
     finite int or float (stored as float), never a bool.  The values no run
-    varies are constants, not fields: the Nelder-Mead cap
-    `optimize.MAX_ITER`, the verify battery's `oracle.VERIFY_SEED` and
-    `oracle.VERIFY_MC_SAMPLES`; the selfgrav N list is its `--N-list` flag.
+    varies are constants, not fields: the shell sum's 12 d cutoff
+    (`optimize.unit_shells`), the Nelder-Mead cap `optimize.MAX_ITER`, the
+    verify battery's `oracle.VERIFY_SEED` and `oracle.VERIFY_MC_SAMPLES`;
+    the selfgrav N list is its `--N-list` flag.
     """
 
     b: float = TwoYukawaParams.b
@@ -78,7 +79,6 @@ class RunConfig:
     mass_u: float = KRYPTON_MASS_U
     lambda_init: float = OptimizeOptions.lambda_init
     d_init: float = OptimizeOptions.d_init
-    shell_cutoff_factor: float = OptimizeOptions.shell_cutoff_factor
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
@@ -173,7 +173,7 @@ def _write_csv(rows: list[dict[str, Any]], path: str,
 
 def _solution_payload(sol: SolidSolution, cfg: RunConfig,
                       units: UnitSystem) -> dict[str, Any]:
-    shells = _unit_shells(cfg.shell_cutoff_factor).scaled(sol.d_star)
+    shells = unit_shells().scaled(sol.d_star)
     w = energy_mod.same_site_W(OrbitalParams(sol.lambda_star), cfg.potential(),
                                shells, units)
     payload: dict[str, Any] = {
@@ -319,13 +319,13 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise CliInputError(f"need lo < hi in {SEARCH_BOX[args.param]} and num >= 2")
     units = cfg.units()
     pot = cfg.potential()
-    unit_shells = _unit_shells(cfg.shell_cutoff_factor)
+    shells = unit_shells()
     rows = []
     for value in np.linspace(lo, hi, num):
         lam = float(value) if args.param == "lambda" else cfg.lambda_init
         d = float(value) if args.param == "d" else cfg.d_init
         breakdown = energy_mod.energy_per_particle(
-            OrbitalParams(lam), pot, unit_shells.scaled(d), units)
+            OrbitalParams(lam), pot, shells.scaled(d), units)
         rows.append({"lambda_per_sigma": lam, "d_sigma": d,
                      "u_epsilon": breakdown.total,
                      "u_cal_per_mole": units.energy_to_cal_per_mole(breakdown.total)})

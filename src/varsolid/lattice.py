@@ -138,20 +138,25 @@ def build_cluster(d: float, N: int) -> np.ndarray:
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"cluster size must be an integer >= 1, got {N!r}")
 
-    # FCC site density is sqrt(2)/d^3; start from the radius enclosing N
-    # sites on average and grow until enough candidates are inside.
-    radius = d * ((3.0 * N / (4.0 * math.pi * math.sqrt(2.0))) ** (1.0 / 3.0) + 2.0)
+    # FCC site density is sqrt(2)/d^3; start from the radius, in units of
+    # d, enclosing N sites on average and grow until enough candidates are
+    # inside.  The sites chosen do not depend on d, which scales them last.
+    radius = (3.0 * N / (4.0 * math.pi * math.sqrt(2.0))) ** (1.0 / 3.0) + 2.0
     while True:
-        cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * radius / d) + 1)
+        cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * radius) + 1)
         m = cx * cx + cy * cy + cz * cz
-        keep = m <= math.floor(2.0 * (radius / d) ** 2)
+        keep = m <= math.floor(2.0 * radius**2)
         if int(np.count_nonzero(keep)) >= N:
             break
         radius *= 1.3
 
     order = sorted(zip(m[keep], cx[keep], cy[keep], cz[keep]))
     chosen = np.array([(x, y, z) for _, x, y, z in order[:N]], dtype=float)
-    sites = chosen * (d / math.sqrt(2.0))
-    sites -= sites.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        sites = chosen * (d / math.sqrt(2.0))
+        sites -= sites.mean(axis=0)
+    if not np.isfinite(sites).all():
+        raise ValueError(f"spacing {d!r} puts the cluster's sites or their "
+                         "centroid beyond the doubles")
     sites.flags.writeable = False
     return sites

@@ -144,6 +144,11 @@ MAX_EXPONENT = math.log(sys.float_info.max)
 #: binary exponent of the largest Yukawa weight the float jets take (_lam_rows)
 WEIGHT_EXP = 512
 
+#: the potential exponent n past which e^n exceeds 2^WEIGHT_EXP (~354.9):
+#: only there can a pair energy leave the doubles (from n ~ 700 on), and
+#: only there does pair_energy check that it has not
+HEAVY_N = WEIGHT_EXP * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class OrbitalParams:
@@ -186,12 +191,14 @@ class TwoYukawaParams:
 def density_fourier(p: OrbitalParams, k):
     """n~(k) = (1 + (k/lam)^2)^{-2}, the transform of lam^3 e^{-lam r}/(8 pi).
 
-    n~(0) = 1 by normalization and n~ decreases monotonically to 0.
+    n~(0) = 1 by normalization and n~ decreases monotonically to 0.  From
+    k = 2^511 lam, where (k/lam)^2 nears the top of the doubles, n~ is 0.0,
+    the value it underflows to there.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
-    out = (1.0 + (k / p.lam) ** 2) ** -2
+    out = (1.0 + (np.where(k < 2.0**511 * p.lam, k, np.inf) / p.lam) ** 2) ** -2
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,16 +206,25 @@ def two_yukawa(r, p: TwoYukawaParams = TwoYukawaParams()):
     """Two-Yukawa potential at separation r (> 0); accepts arrays.
 
     A float takes the same expression without the array round trip, which
-    costs the quadrature oracles most of each call; np.exp keeps it bitwise.
+    costs the quadrature oracles most of each call; np.exp keeps it bitwise,
+    and Python float arithmetic overflows to inf without a warning.  An r
+    so small that the value leaves the doubles raises ValueError naming it.
     """
     if isinstance(r, float):
         if not r > 0.0:  # NaN fails it too
             raise ValueError("two_yukawa is defined for r > 0 only")
-        return float(-p.b * (np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r)
+        out = -p.b * float(np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r
+        if not math.isfinite(out):
+            raise ValueError(f"two_yukawa at r={r!r} leaves the doubles")
+        return out
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):  # NaN fails it too
         raise ValueError("two_yukawa is defined for r > 0 only")
-    out = -p.b * (np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r
+    with np.errstate(over="ignore"):  # checked below
+        out = -p.b * (np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"two_yukawa at r={float(r[~np.isfinite(out)].flat[0])!r} "
+                         "leaves the doubles")
     return float(out) if out.ndim == 0 else out
 
 
@@ -217,11 +233,13 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
 
     Follows from int e^{-a r}/r e^{-i k.r} d^3r = 4 pi/(k^2 + a^2) applied to
     each Yukawa piece (with its e^{+a} offset absorbing the r - 1 shift).
+    From k = 2^512, where k^2 leaves the doubles, v~ is its k -> inf limit
+    0.0.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
-    ks2 = k**2
+    ks2 = np.where(k < 2.0**512, k, np.inf) ** 2
     out = -4.0 * np.pi * p.b * (
         np.exp(p.m) / (ks2 + p.m**2) - np.exp(p.n) / (ks2 + p.n**2))
     return float(out) if out.ndim == 0 else out
@@ -525,7 +543,8 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
     beyond FAR_LAM_S, the terms e^{-lam s} P(s) of every row are 0.0 (the
     polynomials P may overflow there, and 0.0 * inf would be NaN), and the
     core terms are those of the real s.  The default path pays one scalar
-    test for it.
+    test for it.  For n > HEAVY_N, where the value can overflow, a row
+    entry that is not finite raises ValueError naming lam and n.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -542,6 +561,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
         raise ValueError(f"lam must lie in [{LAM_RANGE[0]:.6g}, {LAM_RANGE[1]:.6g}], "
                          f"where lam^8 and lam^5 are normal doubles, got {lam!r}")
     gap = min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n)
+    heavy = pot.n > HEAVY_N
     if gap < DEGENERACY_WINDOW:
         # 4 digits per decade lost to cancellation (~ gap^-3), one more per
         # derivative order; an exact coincidence is nudged by 1e-30
@@ -558,7 +578,8 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
                                factored=True).astype(float)
     else:
         pieces = ((math.exp(pot.m), pot.m), (math.exp(pot.n), pot.n))
-        if smax * lam <= FAR_LAM_S:
+        far = smax * lam > FAR_LAM_S
+        if not (far or heavy):
             out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order)
         else:
             # past FAR_LAM_S, e^{-lam s} is 0.0 but the polynomials it
@@ -567,10 +588,14 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
             # with e^{-lam s} is still 0.0.  The cores keep the real s; an
             # exponent argument that overflows there is -inf, whose exp is
             # 0.0 and expm1 -1.0, as for any argument past the floors, and
-            # an overflowed s |lam - alpha| of the s -> 0 mask is not small
-            with np.errstate(over="ignore"):
+            # an overflowed s |lam - alpha| of the s -> 0 mask is not small.
+            # Past HEAVY_N an overflow is caught below, not warned of
+            with np.errstate(over="ignore", invalid="ignore" if heavy else None):
                 out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order,
-                                   poly_s=np.minimum(flat, FAR_LAM_S / lam))
+                                   poly_s=np.minimum(flat, FAR_LAM_S / lam) if far else None)
+    if heavy and not np.isfinite(out).all():
+        raise ValueError(f"lam={lam!r} with n={pot.n!r} gives a pair energy "
+                         "beyond the doubles")
     if order:
         return out.reshape((order + 1, *arr.shape))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -44,7 +44,11 @@ def com_statistics(lam: float, N: float) -> ComStatistics:
     """Exact CoM statistics for N particles at orbital decay rate lam."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive and finite, got {lam}")
-    if not (math.isfinite(N) and N >= 1):
+    try:
+        n_ok = math.isfinite(N) and N >= 1
+    except OverflowError:  # an int beyond the doubles
+        raise ValueError("particle count N is an int beyond the doubles") from None
+    if not n_ok:
         raise ValueError(f"particle count must be finite and >= 1, got {N}")
     lam2_n = lam * lam * N
     chi = 4.0 / lam2_n if lam2_n > 0.0 else math.inf

@@ -27,7 +27,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 from .energy import energy_per_particle
 from .lattice import LatticeKind, LatticeShells, enumerate_shells
@@ -51,10 +51,6 @@ class ConvergenceError(RuntimeError):
         self.best_u = best_u
         self.u_t = u_t
 
-
-#: largest shell_cutoff_factor accepted; the enumeration box grows like its
-#: cube (about 1.6M sites at 40, against 133 shells at the default 12)
-MAX_SHELL_CUTOFF_FACTOR = 40.0
 
 #: open intervals of lam (1/sigma) and d (sigma) that the objective searches;
 #: it is +inf outside them, and a start or a sweep must lie inside
@@ -97,15 +93,16 @@ def _on_box_edge(name: str, value: float) -> bool:
 class OptimizeOptions:
     lambda_init: float = 50.0
     d_init: float = 1.1
-    shell_cutoff_factor: float = 12.0  # shells out to this multiple of d
+
+    #: shells out to this multiple of d, a class constant, not a field: the
+    #: sum has converged far below 1e-9 there (133 shells), and only
+    #: perfbench reads it off an instance
+    shell_cutoff_factor: ClassVar[float] = 12.0
 
     def __post_init__(self) -> None:
         for name, box in (("lambda_init", "lambda"), ("d_init", "d")):
             if not in_search_box(box, value := getattr(self, name)):
                 raise ValueError(f"{name} must lie in {SEARCH_BOX[box]}, got {value!r}")
-        if not 0.0 < self.shell_cutoff_factor <= MAX_SHELL_CUTOFF_FACTOR:
-            raise ValueError(f"shell_cutoff_factor must lie in (0, {MAX_SHELL_CUTOFF_FACTOR:g}], "
-                             f"got {self.shell_cutoff_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -130,20 +127,22 @@ class SolidSolution:
     bulk: BulkModulusResult | None = None
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_shells(cutoff_factor: float) -> LatticeShells:
-    """Shells at d = 1, enumerated once per cutoff; safe to share because
-    LatticeShells is frozen and its arrays are read-only."""
-    return enumerate_shells(LatticeKind.FCC, 1.0, cutoff_factor)
+@functools.cache
+def unit_shells() -> LatticeShells:
+    """The FCC shells out to OptimizeOptions.shell_cutoff_factor at d = 1,
+    enumerated once per process; safe to share because LatticeShells is
+    frozen and its arrays are read-only."""
+    return enumerate_shells(LatticeKind.FCC, 1.0, OptimizeOptions.shell_cutoff_factor)
 
 
-def _objective(pot: TwoYukawaParams, units: UnitSystem,
-               unit_shells: LatticeShells) -> Callable[[float, float], float]:
+def _objective(pot: TwoYukawaParams, units: UnitSystem) -> Callable[[float, float], float]:
+    shells = unit_shells()
+
     def u_of(lam: float, d: float) -> float:
         if not (in_search_box("lambda", lam) and in_search_box("d", d)):
             return math.inf
         breakdown = energy_per_particle(OrbitalParams(lam), pot,
-                                        unit_shells.scaled(d), units)
+                                        shells.scaled(d), units)
         return breakdown.total
     return u_of
 
@@ -256,8 +255,7 @@ def minimize_solid(pot: TwoYukawaParams, units: UnitSystem,
     simplex stalls, stops on a SEARCH_BOX edge, or the converged point is
     not a bound solid.
     """
-    unit_shells = _unit_shells(opts.shell_cutoff_factor)
-    u_of = _objective(pot, units, unit_shells)
+    u_of = _objective(pot, units)
 
     res = _nelder_mead(lambda x: u_of(math.exp(x[0]), x[1]),
                        (math.log(opts.lambda_init), opts.d_init),
@@ -378,18 +376,17 @@ class _RelaxedCurve:
 
 
 def relaxed_energy_curve(sol: SolidSolution, pot: TwoYukawaParams,
-                         units: UnitSystem,
-                         opts: OptimizeOptions = OptimizeOptions()) -> _RelaxedCurve:
+                         units: UnitSystem) -> _RelaxedCurve:
     """u(d) with lam re-optimized (Newton in ln lam) at each spacing.
 
     The result is callable and memoized by d; its n_evaluations counts the
     energy evaluations it has made.
     """
-    unit_shells = _unit_shells(opts.shell_cutoff_factor)
+    shells = unit_shells()
 
     def rows(lam: float, d: float) -> tuple[float, float, float]:
         breakdown = energy_per_particle(OrbitalParams(lam), pot,
-                                        unit_shells.scaled(d), units, order=2)
+                                        shells.scaled(d), units, order=2)
         return (breakdown.total, *breakdown.lam_derivatives)
 
     return _RelaxedCurve(rows, sol.d_star, sol.lambda_star)
@@ -411,8 +408,8 @@ def _curvature_wrt_volume(u_of_d: Callable[[float], float], d0: float,
     return (d2u - du * vpp / vp) / vp**2
 
 
-def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams, units: UnitSystem,
-                 opts: OptimizeOptions = OptimizeOptions()) -> BulkModulusResult:
+def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams,
+                 units: UnitSystem) -> BulkModulusResult:
     """B = v d^2u/dv^2 at the optimum on the relaxed curve, Richardson-checked
     with half the step."""
     if not in_search_box("d", sol.d_star * (1.0 - 2.0 * FD_STEP_REL),
@@ -420,7 +417,7 @@ def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams, units: UnitSystem,
         raise ValueError(f"d*={sol.d_star!r}: the bulk stencil "
                          f"d*(1 +- {2.0 * FD_STEP_REL:g}) leaves the d box")
     # the two stencils share d* and d*(1 +- h); the curve memoizes them
-    curve = relaxed_energy_curve(sol, pot, units, opts)
+    curve = relaxed_energy_curve(sol, pot, units)
     v0 = sol.d_star**3 / math.sqrt(2.0)
     b_h = v0 * _curvature_wrt_volume(curve, sol.d_star, FD_STEP_REL)
     b_h2 = v0 * _curvature_wrt_volume(curve, sol.d_star, FD_STEP_REL / 2.0)
@@ -436,15 +433,13 @@ def solve_solid(pot: TwoYukawaParams, units: UnitSystem,
                 opts: OptimizeOptions = OptimizeOptions()) -> SolidSolution:
     """minimize_solid plus the bulk modulus, as one record."""
     sol = minimize_solid(pot, units, opts)
-    return replace(sol, bulk=bulk_modulus(sol, pot, units, opts))
+    return replace(sol, bulk=bulk_modulus(sol, pot, units))
 
 
 def minimum_certificate(sol: SolidSolution, pot: TwoYukawaParams,
-                        units: UnitSystem,
-                        opts: OptimizeOptions = OptimizeOptions()) -> bool:
+                        units: UnitSystem) -> bool:
     """True iff +-1% moves in lam* and d* never lower the energy."""
-    unit_shells = _unit_shells(opts.shell_cutoff_factor)
-    u_of = _objective(pot, units, unit_shells)
+    u_of = _objective(pot, units)
     u0 = u_of(sol.lambda_star, sol.d_star)
     for flam, fd in ((1.01, 1.0), (0.99, 1.0), (1.0, 1.01), (1.0, 0.99)):
         if u_of(sol.lambda_star * flam, sol.d_star * fd) < u0:

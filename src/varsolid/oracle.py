@@ -13,7 +13,8 @@ merged into the running totals by the update of Chan, Golub & LeVeque
 (Am. Stat. 37, 242 (1983)).  The estimate is still the sample mean with the
 unbiased standard error, and memory is O(MC_BLOCK) whatever `samples` is.
 The draws of one block all come before those of the next, so a fixed seed
-and sample count replay bit for bit.
+and sample count replay bit for bit.  A rate or separation whose draws,
+distances or squared draws leave the doubles raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ class QuadratureError(RuntimeError):
 class McEstimate:
     mean: float
     std_error: float
-    samples: int
-    seed: int
 
 
 # ----------------------------------------------------------------------
@@ -77,26 +76,31 @@ def _check_samples(samples: int) -> None:
                          f"got {samples!r}")
 
 
-def _streamed_moments(draw: Callable[[int], np.ndarray],
-                      samples: int) -> tuple[Any, Any]:
+def _streamed_moments(draw: Callable[[int], np.ndarray], samples: int,
+                      source: str) -> tuple[Any, Any]:
     """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
 
     draw(k) returns the next k rows.  Each block's mean and M2 (sum of
     squared deviations from its mean) merge into the totals by Chan, Golub
     & LeVeque: with delta the gap between the means, the merged M2 is
-    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).
+    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).  If a row, its square or
+    a sum leaves the doubles, ValueError names `source` ("beta=1e+200").
     """
     n, mean, m2 = 0, 0.0, 0.0
-    for start in range(0, samples, MC_BLOCK):
-        k = min(MC_BLOCK, samples - start)
-        x = draw(k)
-        block_mean = x.mean(axis=0)
-        dev = x - block_mean
-        total = n + k
-        delta = block_mean - mean
-        mean = mean + delta * (k / total)
-        m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (n * k / total)
-        n = total
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start in range(0, samples, MC_BLOCK):
+            k = min(MC_BLOCK, samples - start)
+            x = draw(k)
+            block_mean = x.mean(axis=0)
+            dev = x - block_mean
+            total = n + k
+            delta = block_mean - mean
+            mean = mean + delta * (k / total)
+            m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (n * k / total)
+            n = total
+    if not (np.isfinite(mean).all() and np.isfinite(m2).all()):
+        raise ValueError(f"{source}: the Monte Carlo draws or their squares "
+                         "leave the doubles")
     return mean, m2
 
 
@@ -119,6 +123,8 @@ def sample_exponential_cloud(rate: float, samples: int,
     """
     _check_positive("rate", rate)
     r = rng.gamma(3.0, 1.0 / rate, size=samples)
+    if not np.isfinite(r).all():  # 1/rate or a radius overflowed
+        raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
     u = rng.normal(size=(samples, 3))
     u /= _row_norms(u)[:, None]
     return r[:, None] * u
@@ -140,23 +146,25 @@ def sample_orbital_momentum(beta: float, samples: int,
     """
     _check_positive("beta", beta)
     u = rng.beta(1.5, 2.5, size=samples)
-    q = beta * np.sqrt(u / (1.0 - u))
+    with np.errstate(over="ignore"):  # checked below
+        q = beta * np.sqrt(u / (1.0 - u))
+    if not np.isfinite(q).all():
+        raise ValueError(f"beta={beta!r} draws momenta beyond the doubles")
     d = rng.normal(size=(samples, 3))
     d /= _row_norms(d)[:, None]
     return q[:, None] * d
 
 
 def _pooled_axis_variance(draw: Callable[[np.random.Generator, int], np.ndarray],
-                          samples: int, seed: int) -> McEstimate:
+                          samples: int, seed: int, source: str) -> McEstimate:
     """Per-axis variance of zero-mean (k, 3) rows from draw(rng, k), pooled
     over the three axes: the mean of the squares, streamed in MC_BLOCK
     blocks, with the standard error of the pooled mean."""
     _check_samples(samples)
     rng = np.random.default_rng(seed)
-    mean, m2 = _streamed_moments(lambda k: draw(rng, k) ** 2, samples)
+    mean, m2 = _streamed_moments(lambda k: draw(rng, k) ** 2, samples, source)
     se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
-    return McEstimate(mean=float(mean.mean()), std_error=se,
-                      samples=samples, seed=seed)
+    return McEstimate(mean=float(mean.mean()), std_error=se)
 
 
 def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
@@ -168,7 +176,8 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
     drawn as sample_orbital_momentum draws it (beta(k), then normal(k, 3)).
     """
     return _pooled_axis_variance(
-        lambda rng, k: sample_orbital_momentum(beta, k, rng), samples, seed)
+        lambda rng, k: sample_orbital_momentum(beta, k, rng), samples, seed,
+        f"beta={beta!r}")
 
 
 def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
@@ -187,7 +196,7 @@ def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
     return _pooled_axis_variance(
         lambda rng, k: sum(sample_exponential_cloud(lam, k, rng)
                            for _ in range(len(sites))) / len(sites),
-        samples, seed)
+        samples, seed, f"lam={lam!r}")
 
 
 # ----------------------------------------------------------------------
@@ -218,12 +227,15 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
         r = density(rng, k)
         diff = r - density(rng, k)
         diff[:, 2] += separation
-        return np.asarray(kernel(_row_norms(diff)), dtype=float)
+        dist = _row_norms(diff)
+        if not np.isfinite(dist).all():  # a square overflowed
+            raise ValueError(f"separation={separation!r}: a distance "
+                             "|r - r' + s z^| leaves the doubles")
+        return np.asarray(kernel(dist), dtype=float)
 
-    mean, m2 = _streamed_moments(draw, samples)
+    mean, m2 = _streamed_moments(draw, samples, f"separation={separation!r}")
     se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-    return McEstimate(mean=float(mean), std_error=se, samples=samples,
-                      seed=seed)
+    return McEstimate(mean=float(mean), std_error=se)
 
 
 def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,

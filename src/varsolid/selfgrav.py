@@ -52,7 +52,6 @@ class BosonSolution:
     chi: float  # per-axis CoM position variance
     omega: float  # per-axis total-momentum variance
     product_hbar: float  # sqrt(chi * omega), in units of hbar
-    N: int
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,6 @@ class FermionSolution:
     f_factor: float
     energy: float
     chi: float
-    q: int
-    e_coeff: float
-    N: int
 
 
 def _fails_closed(f):
@@ -112,8 +108,7 @@ def boson_solve(N: int, kappa: float = 1.0, mu: float = 1.0) -> BosonSolution:
                          energy=boson_energy(beta_star, N, kappa, mu),
                          chi=com.chi,
                          omega=com.omega,
-                         product_hbar=com.product,
-                         N=N)
+                         product_hbar=com.product)
 
 
 @_fails_closed
@@ -149,7 +144,4 @@ def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
                            f_factor=f,
                            energy=fermion_tf_energy(gamma_star, N, q, kappa,
                                                     mu, e_coeff),
-                           chi=com_statistics(gamma_star, N).chi,
-                           q=q,
-                           e_coeff=e_coeff,
-                           N=N)
+                           chi=com_statistics(gamma_star, N).chi)

@@ -97,12 +97,13 @@ def test_config_rejects_bad_values(tmp_path):
                                         ("mc_samples", 200_000),
                                         ("seed", 20260815),
                                         ("n_list", [100, 10_000, 1_000_000]),
-                                        ("max_iter", 600)])
+                                        ("max_iter", 600),
+                                        ("shell_cutoff_factor", 12.0)])
 def test_removed_config_keys_exit_1(tmp_path, capsys, key, value):
-    # the solver tolerances, the iteration cap, the stencil step and the
-    # verify seed and budgets are constants now, the selfgrav N list is a
-    # flag, and the bulk modulus is always the relaxed one: even the old
-    # defaults are refused
+    # the solver tolerances, the iteration cap, the stencil step, the shell
+    # cutoff and the verify seed and budgets are constants now, the
+    # selfgrav N list is a flag, and the bulk modulus is always the relaxed
+    # one: even the old defaults are refused
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     assert run_cli("--config", str(cfg), "optimize") == EXIT_INPUT
@@ -114,10 +115,10 @@ def test_removed_config_keys_exit_1(tmp_path, capsys, key, value):
 
 def test_config_ints_widen_to_float_fields(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"lambda_init": 80, "shell_cutoff_factor": 10}))
+    p.write_text(json.dumps({"lambda_init": 80, "d_init": 1}))
     cfg = RunConfig.from_file(str(p))
     assert type(cfg.lambda_init) is float and cfg.lambda_init == 80.0
-    assert type(cfg.shell_cutoff_factor) is float and cfg.shell_cutoff_factor == 10.0
+    assert type(cfg.d_init) is float and cfg.d_init == 1.0
 
 
 @pytest.mark.parametrize("bad", FAIL_OPEN_CONFIGS)

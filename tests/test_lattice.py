@@ -198,6 +198,18 @@ def test_cluster_invariants(N):
         assert dist.min() >= 0.9 - 1e-9
 
 
+def test_cluster_is_chosen_in_units_of_the_spacing():
+    # the start radius d (...) once overflowed before math.ceil at d = 1e308,
+    # a bare OverflowError; the sites are picked at d = 1 and scaled last
+    np.testing.assert_array_equal(build_cluster(1e308, 1), [[0.0, 0.0, 0.0]])
+    for d in (1e-200, 1e100):
+        np.testing.assert_allclose(build_cluster(d, 43) / d, build_cluster(1.0, 43),
+                                   rtol=1e-15, atol=1e-15)
+    # five sites at 1e308 sum past the doubles in the centroid
+    with pytest.raises(ValueError, match=r"spacing 1e\+308"):
+        build_cluster(1e308, 5)
+
+
 def test_cluster_deterministic_tie_breaking():
     # N = 5 cuts into the 12-fold shell; the selection must still be stable
     a = build_cluster(1.0, 5)

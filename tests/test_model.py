@@ -109,6 +109,11 @@ def test_two_yukawa_rejects_nonpositive_r():
     with pytest.raises(ValueError):
         two_yukawa(np.array([1.1, math.nan]), POT)
     assert two_yukawa(math.inf, POT) == 0.0
+    # b (e^n - e^m)/r overflowed the divide, with a warning, and gave inf
+    for r in (5e-324, np.array([1.1, 5e-324])):
+        with pytest.raises(ValueError, match=r"two_yukawa at r=5e-324 leaves the doubles"):
+            two_yukawa(r, POT)
+    assert math.isfinite(two_yukawa(1e-300, POT))
 
 
 def test_two_yukawa_of_a_float_is_bitwise_the_array_form():
@@ -132,6 +137,14 @@ def test_fourier_transforms_reject_negative_or_nan_k(bad):
 def test_fourier_transforms_keep_the_infinite_k_limit():
     assert density_fourier(OrbitalParams(7.3), math.inf) == 0.0
     assert two_yukawa_fourier(math.inf, POT) == 0.0
+    # (k/lam)^2 and k^2 overflowed, with a warning, on their way to 0.0;
+    # below the switch every value keeps its bits
+    for lam in (7.3, 1e-300):
+        k = np.array([1e308, 2.0**512, 2.0**511 * lam, 2.0**511 * lam * (1 - 2.0**-52), 1e150])
+        got = density_fourier(OrbitalParams(lam), k)
+        assert got.tolist() == [0.0, 0.0, 0.0, 0.0, (1.0 + (1e150 / lam) ** 2) ** -2]
+    assert two_yukawa_fourier(1e308, POT) == 0.0
+    assert two_yukawa_fourier(2.0**512 * (1 - 2.0**-53), POT) != 0.0
 
 
 def test_two_yukawa_params_validation():
@@ -501,6 +514,18 @@ def test_same_site_energy_of_a_huge_lam_is_finite(lam):
         warnings.simplefilter("error")
         rows = pair_energy(OrbitalParams(lam), POT, np.array([0.0, 1e-300, 1.0 / lam]), order=2)
     assert np.isfinite(rows).all()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("lam,n,s", [(1e3, 709.0, 0.0), (1e6, 700.0, 0.0),
+                                     (716.09, 709.0, [0.0, 0.01])],
+                         ids=["float-709", "float-700", "window-709"])
+def test_pair_energy_fails_closed_past_the_doubles(lam, n, s, order):
+    # a weight e^n ~ 1e304 times a steep orbital leaves the doubles: the
+    # float branch warned of an overflow and returned inf, and the mpmath
+    # window returned inf silently
+    with pytest.raises(ValueError, match=rf"lam={lam!r} with n={n!r}"):
+        pair_energy(OrbitalParams(lam), TwoYukawaParams(n=n), s, order=order)
 
 
 @pytest.mark.parametrize("lam", [5e-324, 1e-300, 1e308])

@@ -14,7 +14,7 @@ import pytest
 
 from varsolid import TwoYukawaParams, UnitSystem
 from varsolid.optimize import (ENERGY_TOL, MAX_ITER, PARAM_TOL, _nelder_mead,
-                               _objective, _unit_shells)
+                               _objective)
 
 #: as in test_optimize: no bound solid exists at this mass
 LIGHT_UNITS = UnitSystem(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=8.3798e-11)
@@ -56,7 +56,7 @@ def _assert_same(got, ref):
 
 def _solid_objective(pot, units):
     """The function minimize_solid hands the simplex: u over (ln lam, d)."""
-    u_of = _objective(pot, units, _unit_shells(12.0))
+    u_of = _objective(pot, units)
     return lambda x: u_of(math.exp(x[0]), x[1])
 
 

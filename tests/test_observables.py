@@ -63,6 +63,10 @@ def test_com_statistics_rejects_bad_input():
     for lam, n in ((1e-200, 3), (1e300, 3), (1e-160, 1.0)):
         with pytest.raises(ValueError, match="lam=.*N="):
             com_statistics(lam, n)
+    # math.isfinite(10**400) raised a bare OverflowError
+    with pytest.raises(ValueError, match="particle count N is an int beyond the doubles"):
+        com_statistics(91.0, 10**400)
+    assert com_statistics(91.0, 10**300).chi == 4.0 / (91.0 * 91.0 * 1e300)
 
 
 # ----------------------------------------------------------------------

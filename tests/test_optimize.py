@@ -9,9 +9,8 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, UnitSystem, bulk_modulus,
                       enumerate_shells, minimize_solid, minimum_certificate,
                       solve_solid)
-from varsolid.optimize import (FD_STEP_REL, MAX_SHELL_CUTOFF_FACTOR, SEARCH_BOX,
-                               _curvature_wrt_volume, _objective, _unit_shells,
-                               relaxed_energy_curve)
+from varsolid.optimize import (FD_STEP_REL, SEARCH_BOX, _curvature_wrt_volume,
+                               _objective, relaxed_energy_curve, unit_shells)
 
 #: a mass 12 orders of magnitude lighter than Krypton's: the kinetic term
 #: wins, and no bound solid exists
@@ -69,7 +68,7 @@ def test_one_pair_energy_call_per_energy_evaluation(potential, krypton_units,
 def test_solve_enumerates_shells_at_most_once(potential, krypton_units,
                                               monkeypatch):
     # the unit shells are read-only, so one enumeration serves the
-    # minimization, the bulk modulus and every later solve with that cutoff
+    # minimization, the bulk modulus and every later solve
     from varsolid import optimize
     calls = []
 
@@ -78,7 +77,7 @@ def test_solve_enumerates_shells_at_most_once(potential, krypton_units,
         return enumerate_shells(*args)
 
     monkeypatch.setattr(optimize, "enumerate_shells", counted)
-    optimize._unit_shells.cache_clear()
+    optimize.unit_shells.cache_clear()
     solve_solid(potential, krypton_units, OptimizeOptions())
     assert len(calls) == 1
     solve_solid(potential, krypton_units, OptimizeOptions(lambda_init=80.0))
@@ -118,8 +117,7 @@ def test_bulk_modulus_matches_reference(solid, krypton_units):
 
 def _frozen_curve(solid, potential, krypton_units):
     """u(d) at fixed lam = lam*, the curve the relaxed one must lie under."""
-    u_of = _objective(potential, krypton_units,
-                      _unit_shells(OptimizeOptions().shell_cutoff_factor))
+    u_of = _objective(potential, krypton_units)
     return lambda d: u_of(solid.lambda_star, d)
 
 
@@ -141,14 +139,13 @@ def test_frozen_curvature_exceeds_relaxed(solid, potential, krypton_units):
     frozen = v0 * _curvature_wrt_volume(
         _frozen_curve(solid, potential, krypton_units), solid.d_star,
         FD_STEP_REL / 2.0)
-    relaxed = bulk_modulus(solid, potential, krypton_units, OptimizeOptions())
+    relaxed = bulk_modulus(solid, potential, krypton_units)
     assert relaxed.value == solid.bulk.value
     assert frozen >= relaxed.value > 0.0
 
 
 def test_energy_curves_agree_at_the_optimum(solid, potential, krypton_units):
-    u_rel = relaxed_energy_curve(solid, potential, krypton_units,
-                                 OptimizeOptions())
+    u_rel = relaxed_energy_curve(solid, potential, krypton_units)
     u_frz = _frozen_curve(solid, potential, krypton_units)
     assert u_rel(solid.d_star) == pytest.approx(solid.u_min, abs=1e-9)
     assert u_frz(solid.d_star) == pytest.approx(solid.u_min, abs=1e-11)
@@ -200,24 +197,18 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
     ("lambda_init", math.nan), ("lambda_init", -1.0), ("d_init", math.inf),
     ("d_init", 0.0), ("lambda_init", 1e300), ("lambda_init", 1e6),
     ("lambda_init", 1e-2), ("d_init", 0.3), ("d_init", 20.0),
-    ("shell_cutoff_factor", math.inf),
-    ("shell_cutoff_factor", MAX_SHELL_CUTOFF_FACTOR * 1.01),
 ])
 def test_optimize_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         OptimizeOptions(**{field: value})
 
 
-def test_optimize_options_accept_the_cutoff_ceiling():
-    assert OptimizeOptions(shell_cutoff_factor=MAX_SHELL_CUTOFF_FACTOR) \
-        .shell_cutoff_factor == MAX_SHELL_CUTOFF_FACTOR
-
-
 @pytest.mark.parametrize("field", ["param_tol", "energy_tol", "fd_step_rel",
-                                   "relaxed_bulk", "max_iter"])
+                                   "relaxed_bulk", "max_iter",
+                                   "shell_cutoff_factor"])
 def test_optimize_options_have_no_tolerance_switches(field):
-    # the tolerances, the iteration cap and the stencil step are module
-    # constants, and the bulk modulus always runs the relaxed curve
+    # the tolerances, the iteration cap, the stencil step and the shell
+    # cutoff are constants, and the bulk modulus always runs the relaxed curve
     with pytest.raises(TypeError):
         OptimizeOptions(**{field: 1.0})
 
@@ -233,7 +224,7 @@ def test_minimum_on_the_search_box_edge_raises(krypton_units):
 
 def _scan_ln_lambda(potential, units, d, lo, hi, num):
     """(ln lam, u) on an even grid of ln lam at spacing d."""
-    u_of = _objective(potential, units, _unit_shells(OptimizeOptions().shell_cutoff_factor))
+    u_of = _objective(potential, units)
     ts = np.linspace(lo, hi, num)
     return ts, np.array([u_of(math.exp(t), d) for t in ts.tolist()])
 
@@ -252,7 +243,7 @@ def test_relaxed_curve_finds_the_minimum_beyond_the_old_bracket(solid, potential
     # at most u_tt (0.0025)^2 / 2 with u_tt ~ 2
     assert u >= us[i] - 1e-5
     assert u == pytest.approx(-4.87733, abs=1e-5)
-    edge = _objective(potential, krypton_units, _unit_shells(12.0))(
+    edge = _objective(potential, krypton_units)(
         math.exp(t_star - 0.7), 1.3)
     assert u < edge - 0.01
 

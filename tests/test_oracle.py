@@ -141,6 +141,17 @@ _SITES = build_cluster(1.0, 13)
           ({"sites": np.zeros((2, 2, 3))}, "sites"),
           ({"sites": [[0.0, 0.0, math.nan]]}, "sites"),
           ({"sites": [[0.0, -math.inf, 0.0]]}, "sites"))),
+    # the draws (inf positions), their squares or the distances (overflow
+    # warnings) left the doubles
+    (lambda: sample_exponential_cloud(5e-324, 3, np.random.default_rng(0)), "rate=5e-324"),
+    (lambda: mc_com_variance(5e-324, np.zeros((1, 3)), 1000), "rate=5e-324"),
+    (lambda: mc_com_variance(1e-200, np.zeros((1, 3)), 1000), "lam=1e-200"),
+    (lambda: mc_momentum_axis_variance(1e200, 1000), "beta=1e\\+200"),
+    (lambda: mc_momentum_axis_variance(1e308, 1000), "beta=1e\\+308"),
+    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, 1e308, samples=1000),
+     "separation=1e\\+308"),
+    (lambda: mc_pair_integral(_SAMPLER, lambda r: r, -1e308, samples=1000, seed=0),
+     "separation=-1e\\+308"),
 ], ids=["cloud-rate-nan", "cloud-rate-inf", "beta-nan", "beta-inf",
         "momentum-samples-1", "momentum-samples-0", "momentum-samples-999",
         "momentum-samples-float", "pair-samples-float", "separation-nan",
@@ -148,7 +159,9 @@ _SITES = build_cluster(1.0, 13)
         "com-samples-true", "com-samples-float", "com-lam-nan", "com-lam-inf",
         "com-lam-0", "com-lam-negative", "com-sites-empty", "com-sites-1d",
         "com-sites-2-columns", "com-sites-3d", "com-sites-nan",
-        "com-sites-inf"])
+        "com-sites-inf", "cloud-rate-tiny", "com-rate-tiny", "com-squares",
+        "momentum-squares", "momentum-draws", "pair-separation-huge",
+        "integral-separation-huge"])
 def test_mc_boundaries_fail_closed(call, name):
     with pytest.raises(ValueError, match=name):
         call()
@@ -283,7 +296,6 @@ def test_com_variance_block_merge_matches_the_whole_sample():
         offsets.append(particles.mean(axis=0) - sites.mean(axis=0))
     sq = np.concatenate(offsets) ** 2
     est = mc_com_variance(lam, sites, samples=samples, seed=seed)
-    assert (est.samples, est.seed) == (samples, seed)
     assert est.mean == pytest.approx(sq.mean(), rel=1e-12, abs=0.0)
     want_se = math.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0
     assert est.std_error == pytest.approx(want_se, rel=1e-10, abs=0.0)
@@ -296,8 +308,6 @@ def test_com_variance_block_merge_matches_the_whole_sample():
 
 def test_estimate_fields():
     est = mc_pair_energy(OrbitalParams(50.0), POT, 1.2, samples=2_000, seed=7)
-    assert est.samples == 2_000
-    assert est.seed == 7
     assert est.std_error >= 0.0
 
 

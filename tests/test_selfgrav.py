@@ -237,7 +237,6 @@ def test_fermion_solve_structure():
                                            rel=1e-12)
     assert sol.chi == pytest.approx(4.0 / (sol.gamma_star**2 * 1000), rel=1e-14)
     assert sol.energy < 0.0
-    assert sol.q == 2 and sol.e_coeff == 5.0
 
 
 def test_fermion_minimum_certificate():
