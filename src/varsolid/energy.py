@@ -89,8 +89,13 @@ def same_site_W(p: OrbitalParams, pot: TwoYukawaParams,
     The ratio compares W against |potential energy per particle| (the
     interaction part alone, not the total): at the solid's optimum it is of
     order 1e7, which is what forbids multiply-occupied sites energetically.
+    A potential energy of 0.0, or one so small that the ratio overflows,
+    raises ValueError.
     """
     w = pair_energy(p, pot, 0.0)
     potential = energy_per_particle(p, pot, shells, units).potential_total
-    ratio = math.inf if potential == 0.0 else w / abs(potential)
+    ratio = w / abs(potential) if potential else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"lam={p.lam!r} with b={pot.b!r}: W = {w!r} has no finite "
+                         f"ratio to the potential energy {potential!r}")
     return SameSiteW(W=w, ratio=ratio)

@@ -45,7 +45,8 @@ class LatticeShells:
     its counts.  `weights` holds the shell-sum weights 0.5 c_n (the 1/2
     stops double counting) as a read-only float array, made once and
     shared by every rescaled copy.  Equality is identity: arrays have no
-    single truth value.
+    single truth value.  A spacing that is not positive and finite, or
+    distances that are not finite, >= 0 and ascending, raise ValueError.
     """
 
     spacing_d: float
@@ -54,10 +55,15 @@ class LatticeShells:
     weights: np.ndarray = field(init=False, repr=False)  # 0.5 * counts_c
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.spacing_d) and self.spacing_d > 0.0):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing_d}")
         r = _read_only(self.distances_r, float)
         c = _read_only(self.counts_c, np.int64)
         if r.shape != c.shape:
             raise ValueError(f"{r.size} distances but {c.size} counts")
+        if not (np.isfinite(r).all() and np.all(r[1:] >= r[:-1]) and np.all(r >= 0.0)):
+            raise ValueError(f"shell distances must be finite, >= 0 and ascending, "
+                             f"got {r.tolist()}")
         object.__setattr__(self, "distances_r", r)
         object.__setattr__(self, "counts_c", c)
         object.__setattr__(self, "weights", _read_only(0.5 * c, float))
@@ -74,11 +80,15 @@ class LatticeShells:
         linearly.  Used by the optimizer to avoid re-enumerating while d
         moves, once per energy evaluation, so the copy skips
         __post_init__: its arrays are this structure's own, already
-        checked, and it shares the counts and weights.
+        checked, and it shares the counts and weights.  A spacing whose
+        largest distance, the last, leaves the doubles raises ValueError.
         """
         if not (math.isfinite(new_d) and new_d > 0.0):
             raise ValueError(f"spacing must be positive and finite, got {new_d}")
-        distances = self.distances_r * (new_d / self.spacing_d)
+        ratio = new_d / self.spacing_d
+        if self.distances_r.size and not math.isfinite(float(self.distances_r[-1]) * ratio):
+            raise ValueError(f"spacing {new_d!r} puts the shell distances beyond the doubles")
+        distances = self.distances_r * ratio
         distances.flags.writeable = False
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, spacing_d=new_d, distances_r=distances)

@@ -144,9 +144,10 @@ MAX_EXPONENT = math.log(sys.float_info.max)
 #: binary exponent of the largest Yukawa weight the float jets take (_lam_rows)
 WEIGHT_EXP = 512
 
-#: the potential exponent n past which e^n exceeds 2^WEIGHT_EXP (~354.9):
-#: only there can a pair energy leave the doubles (from n ~ 700 on), and
-#: only there does pair_energy check that it has not
+#: ln b + n past which the potential's largest weight b e^n exceeds
+#: 2^WEIGHT_EXP (~354.9): only there can a pair energy leave the doubles
+#: (from n ~ 700 at the default b, or b ~ 1e300 at the default n), and only
+#: there does pair_energy check that it has not
 HEAVY_N = WEIGHT_EXP * math.log(2.0)
 
 
@@ -233,15 +234,23 @@ def two_yukawa_fourier(k, p: TwoYukawaParams = TwoYukawaParams()):
 
     Follows from int e^{-a r}/r e^{-i k.r} d^3r = 4 pi/(k^2 + a^2) applied to
     each Yukawa piece (with its e^{+a} offset absorbing the r - 1 shift).
-    From k = 2^512, where k^2 leaves the doubles, v~ is its k -> inf limit
-    0.0.
+    From k = 2^512, where k^2 leaves the doubles and m^2, n^2 are below its
+    rounding, v~ is the tail -4 pi b (e^m - e^n)/k/k, 0.0 at k = inf.  A b
+    and n whose v~ leaves the doubles raise ValueError naming them.
     """
     k = np.asarray(k, dtype=float)
     if not np.all(k >= 0.0):  # NaN fails it too
         raise ValueError("wavenumber must be >= 0")
-    ks2 = np.where(k < 2.0**512, k, np.inf) ** 2
-    out = -4.0 * np.pi * p.b * (
-        np.exp(p.m) / (ks2 + p.m**2) - np.exp(p.n) / (ks2 + p.n**2))
+    near = k < 2.0**512
+    ks2 = np.where(near, k, 0.0) ** 2
+    far_k = np.where(near, 1.0, k)
+    with np.errstate(over="ignore"):  # checked below
+        out = -4.0 * np.pi * p.b * np.where(
+            near, np.exp(p.m) / (ks2 + p.m**2) - np.exp(p.n) / (ks2 + p.n**2),
+            (np.exp(p.m) - np.exp(p.n)) / far_k / far_k)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"two_yukawa_fourier with b={p.b!r} and n={p.n!r} "
+                         "leaves the doubles")
     return float(out) if out.ndim == 0 else out
 
 
@@ -543,8 +552,8 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
     beyond FAR_LAM_S, the terms e^{-lam s} P(s) of every row are 0.0 (the
     polynomials P may overflow there, and 0.0 * inf would be NaN), and the
     core terms are those of the real s.  The default path pays one scalar
-    test for it.  For n > HEAVY_N, where the value can overflow, a row
-    entry that is not finite raises ValueError naming lam and n.
+    test for it.  For ln b + n > HEAVY_N, where the value can overflow, a
+    row entry that is not finite raises ValueError naming lam, n and b.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -561,7 +570,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
         raise ValueError(f"lam must lie in [{LAM_RANGE[0]:.6g}, {LAM_RANGE[1]:.6g}], "
                          f"where lam^8 and lam^5 are normal doubles, got {lam!r}")
     gap = min(abs(lam - pot.m) / pot.m, abs(lam - pot.n) / pot.n)
-    heavy = pot.n > HEAVY_N
+    heavy = math.log(pot.b) + pot.n > HEAVY_N
     if gap < DEGENERACY_WINDOW:
         # 4 digits per decade lost to cancellation (~ gap^-3), one more per
         # derivative order; an exact coincidence is nudged by 1e-30
@@ -594,8 +603,8 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
                 out = _closed_form(lam, pot, pieces, flat, smin, _FLOAT_OPS, order,
                                    poly_s=np.minimum(flat, FAR_LAM_S / lam) if far else None)
     if heavy and not np.isfinite(out).all():
-        raise ValueError(f"lam={lam!r} with n={pot.n!r} gives a pair energy "
-                         "beyond the doubles")
+        raise ValueError(f"lam={lam!r} with n={pot.n!r} and b={pot.b!r} gives a "
+                         "pair energy beyond the doubles")
     if order:
         return out.reshape((order + 1, *arr.shape))
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -49,7 +49,7 @@ def com_statistics(lam: float, N: float) -> ComStatistics:
     except OverflowError:  # an int beyond the doubles
         raise ValueError("particle count N is an int beyond the doubles") from None
     if not n_ok:
-        raise ValueError(f"particle count must be finite and >= 1, got {N}")
+        raise ValueError(f"particle count N must be finite and >= 1, got {N}")
     lam2_n = lam * lam * N
     chi = 4.0 / lam2_n if lam2_n > 0.0 else math.inf
     if not (math.isfinite(lam2_n) and math.isfinite(chi)):
@@ -128,12 +128,12 @@ class SuperpositionSpec:
         if len(weights) > 1:
             if math.isinf(self.cutoff_a):
                 raise ValueError("multi-branch superpositions need a finite "
-                                 "orbital cutoff for the supports to disjoin")
+                                 "orbital cutoff cutoff_a for the supports to disjoin")
             sep = self.min_separation()
             if sep < 2.0 * self.cutoff_a:
                 raise ValueError(
                     f"branch separation {sep:.6g} is below the non-overlap "
-                    f"threshold 2a = {2 * self.cutoff_a:.6g}")
+                    f"threshold 2 cutoff_a = {2 * self.cutoff_a:.6g}")
 
     def min_separation(self) -> float:
         disp = self.displacements

@@ -84,6 +84,13 @@ def in_search_box(name: str, *values: float) -> bool:
     return all(lo < value < hi for value in values)
 
 
+def _check_in_box(sol: SolidSolution) -> None:
+    """ValueError naming lam* or d* of sol if it lies outside SEARCH_BOX."""
+    for name, value in (("lambda", sol.lambda_star), ("d", sol.d_star)):
+        if not in_search_box(name, value):
+            raise ValueError(f"{name}*={value!r} lies outside {SEARCH_BOX[name]}")
+
+
 def _on_box_edge(name: str, value: float) -> bool:
     lo, hi = SEARCH_BOX[name]
     return value <= lo * (1.0 + BOX_EDGE_REL) or value >= hi * (1.0 - BOX_EDGE_REL)
@@ -411,7 +418,8 @@ def _curvature_wrt_volume(u_of_d: Callable[[float], float], d0: float,
 def bulk_modulus(sol: SolidSolution, pot: TwoYukawaParams,
                  units: UnitSystem) -> BulkModulusResult:
     """B = v d^2u/dv^2 at the optimum on the relaxed curve, Richardson-checked
-    with half the step."""
+    with half the step.  An optimum outside SEARCH_BOX raises ValueError."""
+    _check_in_box(sol)
     if not in_search_box("d", sol.d_star * (1.0 - 2.0 * FD_STEP_REL),
                          sol.d_star * (1.0 + 2.0 * FD_STEP_REL)):
         raise ValueError(f"d*={sol.d_star!r}: the bulk stencil "
@@ -438,7 +446,9 @@ def solve_solid(pot: TwoYukawaParams, units: UnitSystem,
 
 def minimum_certificate(sol: SolidSolution, pot: TwoYukawaParams,
                         units: UnitSystem) -> bool:
-    """True iff +-1% moves in lam* and d* never lower the energy."""
+    """True iff +-1% moves in lam* and d* never lower the energy; an optimum
+    outside SEARCH_BOX raises ValueError."""
+    _check_in_box(sol)
     u_of = _objective(pot, units)
     u0 = u_of(sol.lambda_star, sol.d_star)
     for flam, fd in ((1.01, 1.0), (0.99, 1.0), (1.0, 1.01), (1.0, 0.99)):

@@ -15,6 +15,9 @@ unbiased standard error, and memory is O(MC_BLOCK) whatever `samples` is.
 The draws of one block all come before those of the next, so a fixed seed
 and sample count replay bit for bit.  A rate or separation whose draws,
 distances or squared draws leave the doubles raises ValueError naming it.
+The quadrature oracles and mc_pair_energy fail closed as the self-gravity
+energies do (selfgrav._fails_closed): a rejected input, an overflow or a
+result beyond the doubles raises ValueError naming the call's arguments.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .lattice import build_cluster
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
                     pair_energy, two_yukawa, two_yukawa_fourier)
 from .observables import com_statistics
-from .selfgrav import (C_KIN, boson_energy, boson_solve, fermion_solve,
-                       fermion_tf_energy)
+from .selfgrav import (C_KIN, _check_positive, _fails_closed, boson_energy,
+                       boson_solve, fermion_solve, fermion_tf_energy)
 
 #: radius used to evaluate lim_{r->0} r*f(r) for kernels as singular as 1/r
 _TINY_R = 1e-280
@@ -58,11 +61,6 @@ class McEstimate:
 # ----------------------------------------------------------------------
 # input checks and the streamed moments
 # ----------------------------------------------------------------------
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
 
 def _check_separation(s: float) -> None:
     if not (math.isfinite(s) and s >= 0.0):
@@ -121,7 +119,7 @@ def sample_exponential_cloud(rate: float, samples: int,
 
     Radius ~ Gamma(shape 3, scale 1/rate) times an isotropic direction.
     """
-    _check_positive("rate", rate)
+    _check_positive(rate=rate)
     r = rng.gamma(3.0, 1.0 / rate, size=samples)
     if not np.isfinite(r).all():  # 1/rate or a radius overflowed
         raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
@@ -144,7 +142,7 @@ def sample_orbital_momentum(beta: float, samples: int,
     i.e. u ~ Beta(3/2, 5/2) and q = beta sqrt(u/(1-u)).  By construction
     <q^2> = hbar^2 beta^2 (= 2 mu times the kinetic energy).
     """
-    _check_positive("beta", beta)
+    _check_positive(beta=beta)
     u = rng.beta(1.5, 2.5, size=samples)
     with np.errstate(over="ignore"):  # checked below
         q = beta * np.sqrt(u / (1.0 - u))
@@ -187,7 +185,7 @@ def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
     4/(lam^2 N).  The CoM is measured from the sites' centroid, known
     exactly, so its offset is the mean of the particles' offsets from their
     sites, drawn site by site and summed so that no site rounds them away."""
-    _check_positive("lam", lam)
+    _check_positive(lam=lam)
     sites = np.asarray(sites, dtype=float)
     if not (sites.ndim == 2 and sites.shape[1] == 3 and len(sites) >= 1
             and np.isfinite(sites).all()):
@@ -238,6 +236,7 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
     return McEstimate(mean=float(mean), std_error=se)
 
 
+@_fails_closed
 def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
                    samples: int = 10**6, seed: int = 0) -> McEstimate:
     """MC version of model.pair_energy: two site clouds through the potential."""
@@ -276,10 +275,11 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
     the plain volume integral.  Oscillation is handled by the sine-weighted
     Clenshaw-Curtis rule on a finite interval chosen past the decay of f, so
     the relative tolerance 1e-10 is honored.  f may diverge at the origin as
-    fast as 1/r.
+    fast as 1/r.  k must be finite and >= 0; a transform that leaves the
+    doubles raises QuadratureError.
     """
-    if k < 0.0:
-        raise ValueError(f"wavenumber must be >= 0, got {k}")
+    if not 0.0 <= k < math.inf:  # NaN fails it too
+        raise ValueError(f"wavenumber must be finite and >= 0, got {k}")
     rtol = 1e-10
     rf = _times_r(f)
     try:
@@ -301,14 +301,17 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
         raise QuadratureError(
             f"radial transform at k={k:.6g}: integrand not evaluable "
             f"({exc})") from exc
-    if (not math.isfinite(val) or not math.isfinite(err)
+    # at a subnormal k, 4 pi/k is inf and scale * val NaN
+    if (not math.isfinite(scale * val) or not math.isfinite(err)
             or abs(err) > 100.0 * rtol * max(abs(val), 1e-300)):
         raise QuadratureError(
             f"radial transform at k={k:.6g}: error estimate {err:.3e} "
-            f"exceeds tolerance for value {val:.6e}")
+            f"exceeds tolerance for value {val:.6e}, or 4 pi/k times it "
+            "leaves the doubles")
     return scale * val
 
 
+@_fails_closed
 def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
                            s: float) -> tuple[float, float]:
     """Fourier-space pair energy by mapped adaptive quadrature, with its
@@ -343,6 +346,7 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
     return val / (2.0 * math.pi**2), err / (2.0 * math.pi**2)
 
 
+@_fails_closed
 def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
                                     s: float) -> float:
     """Non-oscillatory real-space reference for the pair energy.
@@ -366,7 +370,10 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
 
     def h(w: float) -> float:
         lw = lam * w
-        return lam**3 * math.exp(-lw) * (lw * lw + 3.0 * lw + 3.0) / (192.0 * math.pi)
+        decay = math.exp(-lw)
+        if decay == 0.0:  # (lam w)^2 may be inf there, and 0.0 * inf NaN
+            return 0.0
+        return lam**3 * decay * (lw * lw + 3.0 * lw + 3.0) / (192.0 * math.pi)
 
     if s == 0.0:
         hi = 760.0 / lam + 2.0
@@ -407,6 +414,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     return scale * val
 
 
+@_fails_closed
 def coulomb_self_energy_quadrature(rate: float) -> float:
     """int int rho rho'/|r-r'| for the unit-mass density rate^3 e^{-rate r}/(8 pi).
 
@@ -414,7 +422,7 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     (4 pi/r) int_0^r t^2 rho dt + 4 pi int_r^inf t rho dt.  Closed form says
     5 rate/16; this pins the Coulomb coefficients used by selfgrav.
     """
-    _check_positive("rate", rate)
+    _check_positive(rate=rate)
     rtol = 1e-11
 
     def rho(r: float) -> float:
@@ -435,14 +443,14 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     return val
 
 
+@_fails_closed
 def density_power_integral_quadrature(rate: float, mass: float,
                                       power: float) -> float:
     """int rho^power d^3r for rho = mass * rate^3 e^{-rate r}/(8 pi).
 
     Pins the Thomas-Fermi kinetic coefficient (power = 5/3).
     """
-    for name, value in (("rate", rate), ("mass", mass), ("power", power)):
-        _check_positive(name, value)
+    _check_positive(rate=rate, mass=mass, power=power)
 
     def rho(r: float) -> float:
         return mass * rate**3 * math.exp(-rate * r) / (8.0 * math.pi)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -63,21 +64,36 @@ class FermionSolution:
 
 
 def _fails_closed(f):
-    """`f`, raising ValueError naming its first argument (N, beta or gamma)
-    where its result, a float or a record of floats, leaves the doubles."""
-    name = f.__code__.co_varnames[0]
+    """`f`, raising ValueError that names the arguments of the call where f
+    raises ValueError, overflows or divides by zero, or returns a value (a
+    float, or a tuple or record of floats) that leaves the doubles."""
+    signature = inspect.signature(f)
 
     @functools.wraps(f)
-    def checked(x, *args, **kwargs):
+    def checked(*args, **kwargs):
         try:
-            out = f(x, *args, **kwargs)
+            out = f(*args, **kwargs)
+        except ValueError as exc:
+            reason = str(exc)
         except (OverflowError, ZeroDivisionError) as exc:  # x**2 overflow, 1/underflow
-            raise ValueError(f"{f.__name__}: {name}={x!r} leaves the doubles: {exc}") from exc
-        if not all(map(math.isfinite, dataclasses.astuple(out)  # inf - inf = NaN
-                       if dataclasses.is_dataclass(out) else (out,))):
-            raise ValueError(f"{f.__name__}: {name}={x!r} leaves the doubles: {out}")
-        return out
+            reason = f"leaves the doubles: {exc}"
+        else:
+            values = (dataclasses.astuple(out) if dataclasses.is_dataclass(out)
+                      else out if isinstance(out, tuple) else (out,))
+            if all(map(math.isfinite, values)):  # inf - inf = NaN fails too
+                return out
+            reason = f"leaves the doubles: {out}"
+        call = ", ".join(f"{name}={value!r}" for name, value
+                         in signature.bind(*args, **kwargs).arguments.items())
+        raise ValueError(f"{f.__name__}({call}): {reason}")
     return checked
+
+
+def _check_positive(**values: float) -> None:
+    """ValueError naming the first of `values` that is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @_fails_closed
@@ -92,6 +108,7 @@ def boson_energy(beta: float, N: int, kappa: float = 1.0,
         raise ValueError(f"beta must be >= 0, got {beta}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_positive(mu=mu)
     return N * beta**2 / (2.0 * mu) - 5.0 * kappa * N * (N - 1) * beta / 16.0
 
 
@@ -100,8 +117,7 @@ def boson_solve(N: int, kappa: float = 1.0, mu: float = 1.0) -> BosonSolution:
     """Variational optimum for N >= 2 self-gravitating bosons (hbar = 1)."""
     if N < 2:
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
-    if not all(math.isfinite(x) and x > 0.0 for x in (kappa, mu)):
-        raise ValueError("kappa and mu must be positive and finite (hbar = 1)")
+    _check_positive(kappa=kappa, mu=mu)
     beta_star = 5.0 * kappa * mu * (N - 1) / 16.0
     com = com_statistics(2.0 * beta_star, N)  # density e^{-2 beta r}
     return BosonSolution(beta_star=beta_star,
@@ -117,8 +133,9 @@ def fermion_tf_energy(gamma: float, N: int, q: int = 2, kappa: float = 1.0,
     """Thomas-Fermi energy of the exponential density at decay gamma (hbar = 1)."""
     if not gamma > 0.0:  # NaN fails it too
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if N < 1 or q < 1:
-        raise ValueError(f"need N >= 1 and q >= 1, got N={N}, q={q}")
+    if N < 1 or not 1 <= q < math.inf:
+        raise ValueError(f"need N >= 1 and a finite q >= 1, got N={N}, q={q}")
+    _check_positive(mu=mu, e_coeff=e_coeff)
     a_kin = e_coeff * C_KIN / (q ** (2.0 / 3.0) * mu)
     return a_kin * N ** (5.0 / 3.0) * gamma**2 - 5.0 / 32.0 * kappa * N**2 * gamma
 
@@ -136,8 +153,7 @@ def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
     if q < 1:
         raise ValueError(f"occupation must be >= 1, got {q}")
-    if not all(math.isfinite(x) and x > 0.0 for x in (kappa, mu, e_coeff)):
-        raise ValueError("kappa, mu, e_coeff must be positive and finite (hbar = 1)")
+    _check_positive(kappa=kappa, mu=mu, e_coeff=e_coeff)
     f = 5.0 * q ** (2.0 / 3.0) / (64.0 * e_coeff * C_KIN)
     gamma_star = f * kappa * mu * N ** (1.0 / 3.0)
     return FermionSolution(gamma_star=gamma_star,

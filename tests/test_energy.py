@@ -14,6 +14,7 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       enumerate_shells, kinetic_per_particle, pair_energy,
                       same_site_W)
 from varsolid.optimize import SEARCH_BOX
+from test_contract import cases_test
 
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6
@@ -90,17 +91,8 @@ def test_shell_sum_is_bitwise_the_per_shell_fsum(lam, d, order, krypton_units):
     assert got.lam_derivatives == tuple(k + v for k, v in zip(kinetic, want[1:]))
 
 
-@pytest.mark.parametrize("lam", [1e308, 5e-324])
-def test_energy_layer_rejects_a_lam_beyond_the_doubles(lam, potential, krypton_units):
-    # 1e308 once raised a bare OverflowError from lam**2, and 5e-324 gave
-    # NaN with an invalid-value warning; both name lam now
-    with pytest.raises(ValueError, match="lam"):
-        energy_per_particle(OrbitalParams(lam), potential, UNIT_SHELLS, krypton_units)
-    if lam > 1.0:
-        with pytest.raises(ValueError, match="lam"):
-            kinetic_per_particle(OrbitalParams(lam), krypton_units)
-    else:
-        assert kinetic_per_particle(OrbitalParams(lam), krypton_units) == 0.0
+test_energy_layer_rejects_a_lam_beyond_the_doubles = cases_test(
+    "test_energy_layer_rejects_a_lam_beyond_the_doubles")
 
 
 def test_far_shell_limit_is_kinetic_only(potential, krypton_units):
@@ -181,11 +173,7 @@ def test_same_site_w(potential, krypton_units):
                                             0.0), rel=1e-14)
 
 
-def test_empty_shells_rejected(potential, krypton_units):
-    from varsolid import LatticeShells
-    empty = LatticeShells(spacing_d=1.0, distances_r=(), counts_c=())
-    with pytest.raises(ValueError):
-        energy_per_particle(OrbitalParams(5.0), potential, empty, krypton_units)
+test_empty_shells_rejected = cases_test("test_empty_shells_rejected")
 
 
 @pytest.mark.parametrize("lam, d", [(LAM_KR, D_KR), (38.0, 1.3), (5.0, 1.1),

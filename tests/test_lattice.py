@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varsolid import LatticeKind, LatticeShells, build_cluster, enumerate_shells
+from test_contract import cases_test
 
 SQ2 = math.sqrt(2.0)
 
@@ -91,7 +92,8 @@ def test_shell_arrays_are_read_only():
 
 def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
     # scaled() skips __post_init__: its arrays are the unit shells' own,
-    # and it makes only the new distances
+    # and it makes only the new distances; its spacing check is a
+    # test_contract row
     unit = enumerate_shells(LatticeKind.FCC, 1.0, 12.0)
     shells = unit.scaled(1.0978)
     assert shells.counts_c is unit.counts_c
@@ -102,9 +104,6 @@ def test_scaled_shares_counts_and_weights_and_still_checks_the_spacing():
     for arr in (unit.weights, shells.distances_r):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
-            unit.scaled(bad)
 
 
 def test_shells_from_caller_arrays_are_private_copies():
@@ -128,26 +127,8 @@ def test_shell_invariants(d, factor):
     assert all(y > x for x, y in zip(dists, dists[1:]))
 
 
-def test_enumerate_shells_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        enumerate_shells(LatticeKind.FCC, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        enumerate_shells(LatticeKind.FCC, 1.0, 0.5)
-    # an infinite cutoff once reached math.floor as an OverflowError
-    for d, max_distance in ((1.0, math.inf), (1.0, math.nan), (math.inf, 2.0),
-                            (math.nan, 2.0)):
-        with pytest.raises(ValueError):
-            enumerate_shells(LatticeKind.FCC, d, max_distance)
-    # a ratio max_distance/d whose square leaves the doubles once escaped as
-    # a bare OverflowError; these fail before any grid is built
-    for d, max_distance in ((5e-324, 1.0), (1e-200, 1.0), (1.0, 1e300)):
-        with pytest.raises(ValueError, match=f"spacing {d!r} is too small"):
-            enumerate_shells(LatticeKind.FCC, d, max_distance)
-    # a non-finite rescaling was once accepted and failed later in pair_energy
-    unit = enumerate_shells(LatticeKind.FCC, 1.0, 3.0)
-    for bad in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {bad}"):
-            unit.scaled(bad)
+test_enumerate_shells_rejects_bad_arguments = cases_test(
+    "test_enumerate_shells_rejects_bad_arguments")
 
 
 def test_cluster_n1_is_origin():
@@ -200,14 +181,13 @@ def test_cluster_invariants(N):
 
 def test_cluster_is_chosen_in_units_of_the_spacing():
     # the start radius d (...) once overflowed before math.ceil at d = 1e308,
-    # a bare OverflowError; the sites are picked at d = 1 and scaled last
+    # a bare OverflowError; the sites are picked at d = 1 and scaled last.
+    # Five sites at 1e308, whose centroid leaves the doubles, are a
+    # test_contract row
     np.testing.assert_array_equal(build_cluster(1e308, 1), [[0.0, 0.0, 0.0]])
     for d in (1e-200, 1e100):
         np.testing.assert_allclose(build_cluster(d, 43) / d, build_cluster(1.0, 43),
                                    rtol=1e-15, atol=1e-15)
-    # five sites at 1e308 sum past the doubles in the centroid
-    with pytest.raises(ValueError, match=r"spacing 1e\+308"):
-        build_cluster(1e308, 5)
 
 
 def test_cluster_deterministic_tie_breaking():
@@ -217,15 +197,4 @@ def test_cluster_deterministic_tie_breaking():
     np.testing.assert_array_equal(a, b)
 
 
-def test_cluster_rejects_nonpositive_n():
-    # NaN and inf once grew the search radius until memory ran out, and 2.5
-    # escaped as a TypeError from slicing
-    for bad in (0, -3, math.nan, math.inf, -math.inf, 2.5, 13.0, True, np.bool_(True)):
-        with pytest.raises(ValueError, match="cluster size must be an integer >= 1"):
-            build_cluster(1.0, bad)
-    assert build_cluster(1.0, np.int64(13)).shape == (13, 3)
-    # a non-finite spacing once reached math.ceil as "cannot convert float
-    # NaN to integer"
-    for bad in (math.nan, math.inf, 0.0):
-        with pytest.raises(ValueError, match=f"spacing must be positive and finite, got {bad}"):
-            build_cluster(bad, 5)
+test_cluster_rejects_nonpositive_n = cases_test("test_cluster_rejects_nonpositive_n")

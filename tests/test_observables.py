@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from varsolid import (SuperpositionSpec, com_statistics, free_spread,
                       galilean_boost, superposition_spread)
 from varsolid.observables import MAX_DISPLACEMENT
+from test_contract import cases_test
 
 HBAR_OVER_SQRT3 = 1.0 / math.sqrt(3.0)
 SQRT_HALF = math.sqrt(0.5)
@@ -49,24 +50,8 @@ def test_scaling_in_n():
     assert b.omega == pytest.approx(a.omega * 4.0, rel=1e-14)
 
 
-def test_com_statistics_rejects_bad_input():
-    with pytest.raises(ValueError):
-        com_statistics(0.0, 10)
-    with pytest.raises(ValueError):
-        com_statistics(5.0, 0)
-    # com_statistics(nan, 10) once returned NaNs, (5, inf) a NaN product
-    for lam, n in ((math.nan, 10), (math.inf, 10), (5.0, math.inf), (5.0, math.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            com_statistics(lam, n)
-    # finite inputs whose lam^2 N underflows to 0 (once a ZeroDivisionError)
-    # or overflows (once an infinite omega and a NaN product)
-    for lam, n in ((1e-200, 3), (1e300, 3), (1e-160, 1.0)):
-        with pytest.raises(ValueError, match="lam=.*N="):
-            com_statistics(lam, n)
-    # math.isfinite(10**400) raised a bare OverflowError
-    with pytest.raises(ValueError, match="particle count N is an int beyond the doubles"):
-        com_statistics(91.0, 10**400)
-    assert com_statistics(91.0, 10**300).chi == 4.0 / (91.0 * 91.0 * 1e300)
+test_com_statistics_rejects_bad_input = cases_test(
+    "test_com_statistics_rejects_bad_input")
 
 
 # ----------------------------------------------------------------------
@@ -134,20 +119,12 @@ def test_free_spread_monotone_and_convex(t1, dt):
     assert mid <= 0.5 * (lo + hi) + 8 * math.ulp(hi)
 
 
-def test_free_spread_rejects_negative_time(krypton_units):
-    with pytest.raises(ValueError):
-        free_spread(com_statistics(10.0, 10), -1.0, krypton_units)
+test_free_spread_rejects_negative_time = cases_test(
+    "test_free_spread_rejects_negative_time")
 
 
-def test_boost_and_spread_reject_non_finite_results(krypton_units):
-    # each once returned inf or NaN, caught only by the CLI's JSON writer
-    with pytest.raises(ValueError, match="mean momentum"):
-        galilean_boost(com_statistics(1e6, 3), [math.nan, 1.0, 1.0], krypton_units)
-    with pytest.raises(ValueError, match="mean momentum"):
-        galilean_boost(com_statistics(1.0, 1e300), [1e300, 0.0, 0.0], krypton_units)
-    for t in (1e300, math.inf, math.nan):
-        with pytest.raises(ValueError, match="spread"):
-            free_spread(com_statistics(1.0, 1e300), t, krypton_units)
+test_boost_and_spread_reject_non_finite_results = cases_test(
+    "test_boost_and_spread_reject_non_finite_results")
 
 
 # ----------------------------------------------------------------------
@@ -209,18 +186,11 @@ def test_complex_weights_use_modulus():
     assert var[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_unnormalized_weights_rejected():
-    with pytest.raises(ValueError):
-        SuperpositionSpec(displacements=np.zeros((2, 3)) + [[0, 0, 0], [9, 0, 0]],
-                          weights=np.array([1.0, 1.0]), cutoff_a=1.0)
+test_unnormalized_weights_rejected = cases_test("test_unnormalized_weights_rejected")
 
 
-@pytest.mark.parametrize("far", [1e300, -1e151, math.inf, math.nan])
-def test_huge_or_non_finite_displacements_rejected(far):
-    # their squares once overflowed the mixture variance to infinity
-    with pytest.raises(ValueError, match="displacements must be finite"):
-        SuperpositionSpec(displacements=np.array([[0.0, 0.0, 0.0], [far, 0.0, 0.0]]),
-                          weights=np.array([SQRT_HALF, SQRT_HALF]), cutoff_a=1.0)
+test_huge_or_non_finite_displacements_rejected = cases_test(
+    "test_huge_or_non_finite_displacements_rejected")
 
 
 def test_largest_displacement_gives_finite_spreads():
@@ -233,10 +203,7 @@ def test_largest_displacement_gives_finite_spreads():
     assert var[0] == pytest.approx(MAX_DISPLACEMENT**2, rel=1e-12)
 
 
-def test_non_finite_weights_rejected():
-    with pytest.raises(ValueError, match="normalized"):
-        SuperpositionSpec(displacements=np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0]]),
-                          weights=np.array([math.nan, SQRT_HALF]), cutoff_a=1.0)
+test_non_finite_weights_rejected = cases_test("test_non_finite_weights_rejected")
 
 
 def test_overlapping_branches_rejected():

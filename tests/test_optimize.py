@@ -11,6 +11,7 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       solve_solid)
 from varsolid.optimize import (FD_STEP_REL, SEARCH_BOX, _curvature_wrt_volume,
                                _objective, relaxed_energy_curve, unit_shells)
+from test_contract import cases_test
 
 #: a mass 12 orders of magnitude lighter than Krypton's: the kinetic term
 #: wins, and no bound solid exists
@@ -193,14 +194,8 @@ def test_objective_perturbation_from_quoted_point(potential, krypton_units,
     assert u(solid.lambda_star, solid.d_star * 0.99) > u0
 
 
-@pytest.mark.parametrize("field, value", [
-    ("lambda_init", math.nan), ("lambda_init", -1.0), ("d_init", math.inf),
-    ("d_init", 0.0), ("lambda_init", 1e300), ("lambda_init", 1e6),
-    ("lambda_init", 1e-2), ("d_init", 0.3), ("d_init", 20.0),
-])
-def test_optimize_options_reject_bad_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        OptimizeOptions(**{field: value})
+test_optimize_options_reject_bad_values = cases_test(
+    "test_optimize_options_reject_bad_values")
 
 
 @pytest.mark.parametrize("field", ["param_tol", "energy_tol", "fd_step_rel",

@@ -19,6 +19,7 @@ from varsolid.oracle import (MC_BLOCK, QuadratureError, _row_norms,
                              pair_energy_realspace_reference,
                              radial_transform_check, sample_exponential_cloud,
                              sample_orbital_momentum)
+from test_contract import cases_test
 
 POT = TwoYukawaParams()
 
@@ -47,10 +48,7 @@ def test_exponential_cloud_moments():
     assert np.all(np.abs(pts.mean(axis=0)) < 5.0 * r.std() / math.sqrt(len(r)))
 
 
-def test_sampler_rejects_bad_rate():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_exponential_cloud(0.0, 100, rng)
+test_sampler_rejects_bad_rate = cases_test("test_sampler_rejects_bad_rate")
 
 
 def test_momentum_sampler_second_moment():
@@ -105,97 +103,11 @@ def test_minimum_sample_count_enforced():
         mc_pair_integral(s, lambda r: r, 0.0, samples=999, seed=0)
 
 
-_SAMPLER = exp_density_sampler(1.0)
-_SITES = build_cluster(1.0, 13)
+test_mc_boundaries_fail_closed = cases_test("test_mc_boundaries_fail_closed")
 
 
-@pytest.mark.parametrize("call,name", [
-    (lambda: sample_exponential_cloud(math.nan, 100, np.random.default_rng(0)),
-     "rate"),
-    (lambda: sample_exponential_cloud(math.inf, 100, np.random.default_rng(0)),
-     "rate"),
-    (lambda: mc_momentum_axis_variance(math.nan, samples=1000), "beta"),
-    (lambda: mc_momentum_axis_variance(math.inf, samples=1000), "beta"),
-    (lambda: mc_momentum_axis_variance(4.0, samples=1), "samples"),
-    (lambda: mc_momentum_axis_variance(4.0, samples=0), "samples"),
-    (lambda: mc_momentum_axis_variance(4.0, samples=999), "samples"),
-    (lambda: mc_momentum_axis_variance(4.0, samples=1000.5), "samples"),
-    (lambda: mc_pair_integral(_SAMPLER, lambda r: r, 0.0,
-                              samples=2000.0, seed=0), "samples"),
-    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.nan,
-                            samples=1000), "separation"),
-    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, math.inf,
-                            samples=1000), "separation"),
-    # verify_com_on_cluster, mc_com_variance's forerunner, warned and gave a
-    # NaN error at 1 sample and raised TypeError at samples=True
-    *((lambda kw=kw: mc_com_variance(**{"lam": 7.0, "sites": _SITES,
-                                       "samples": 1000, **kw}), name)
-      for kw, name in (
-          ({"samples": 1}, "samples"), ({"samples": 999}, "samples"),
-          ({"samples": True}, "samples"), ({"samples": 2000.0}, "samples"),
-          ({"lam": math.nan}, "lam"), ({"lam": math.inf}, "lam"),
-          ({"lam": 0.0}, "lam"), ({"lam": -7.0}, "lam"),
-          ({"sites": np.zeros((0, 3))}, "sites"),
-          ({"sites": np.zeros(3)}, "sites"),
-          ({"sites": np.zeros((4, 2))}, "sites"),
-          ({"sites": np.zeros((2, 2, 3))}, "sites"),
-          ({"sites": [[0.0, 0.0, math.nan]]}, "sites"),
-          ({"sites": [[0.0, -math.inf, 0.0]]}, "sites"))),
-    # the draws (inf positions), their squares or the distances (overflow
-    # warnings) left the doubles
-    (lambda: sample_exponential_cloud(5e-324, 3, np.random.default_rng(0)), "rate=5e-324"),
-    (lambda: mc_com_variance(5e-324, np.zeros((1, 3)), 1000), "rate=5e-324"),
-    (lambda: mc_com_variance(1e-200, np.zeros((1, 3)), 1000), "lam=1e-200"),
-    (lambda: mc_momentum_axis_variance(1e200, 1000), "beta=1e\\+200"),
-    (lambda: mc_momentum_axis_variance(1e308, 1000), "beta=1e\\+308"),
-    (lambda: mc_pair_energy(OrbitalParams(50.0), POT, 1e308, samples=1000),
-     "separation=1e\\+308"),
-    (lambda: mc_pair_integral(_SAMPLER, lambda r: r, -1e308, samples=1000, seed=0),
-     "separation=-1e\\+308"),
-], ids=["cloud-rate-nan", "cloud-rate-inf", "beta-nan", "beta-inf",
-        "momentum-samples-1", "momentum-samples-0", "momentum-samples-999",
-        "momentum-samples-float", "pair-samples-float", "separation-nan",
-        "separation-inf", "com-samples-1", "com-samples-999",
-        "com-samples-true", "com-samples-float", "com-lam-nan", "com-lam-inf",
-        "com-lam-0", "com-lam-negative", "com-sites-empty", "com-sites-1d",
-        "com-sites-2-columns", "com-sites-3d", "com-sites-nan",
-        "com-sites-inf", "cloud-rate-tiny", "com-rate-tiny", "com-squares",
-        "momentum-squares", "momentum-draws", "pair-separation-huge",
-        "integral-separation-huge"])
-def test_mc_boundaries_fail_closed(call, name):
-    with pytest.raises(ValueError, match=name):
-        call()
-
-
-@pytest.mark.parametrize("call,message", [
-    (lambda: pair_energy_realspace_reference(OrbitalParams(50.0), POT, -1.0),
-     "separation must be finite and >= 0, got -1.0"),
-    (lambda: pair_energy_realspace_reference(OrbitalParams(50.0), POT,
-                                             math.nan),
-     "separation must be finite and >= 0, got nan"),
-    (lambda: pair_energy_quadrature(OrbitalParams(50.0), POT, -1.0),
-     "separation must be finite and >= 0, got -1.0"),
-    (lambda: pair_energy_quadrature(OrbitalParams(50.0), POT, math.nan),
-     "separation must be finite and >= 0, got nan"),
-    (lambda: density_power_integral_quadrature(math.nan, 1.0, 1.0),
-     "rate must be finite and positive, got nan"),
-    (lambda: density_power_integral_quadrature(1.0, math.nan, 1.0),
-     "mass must be finite and positive, got nan"),
-    (lambda: density_power_integral_quadrature(1.0, 1.0, math.nan),
-     "power must be finite and positive, got nan"),
-    (lambda: density_power_integral_quadrature(-1.0, 1.0, 1.0),
-     "rate must be finite and positive, got -1.0"),
-    (lambda: density_power_integral_quadrature(1.0, -1.0, 5.0 / 3.0),
-     "mass must be finite and positive, got -1.0"),
-], ids=["realspace-s-negative", "realspace-s-nan", "fourier-s-negative",
-        "fourier-s-nan", "power-rate-nan", "power-mass-nan", "power-power-nan",
-        "power-rate-negative", "power-mass-negative"])
-def test_quadrature_boundaries_fail_closed(call, message):
-    # the quadrature oracles reject what pair_energy rejects, by name and
-    # value; at -1 the real-space reference once returned 2.82e12 and the
-    # Fourier one the value at +1
-    with pytest.raises(ValueError, match=message):
-        call()
+test_quadrature_boundaries_fail_closed = cases_test(
+    "test_quadrature_boundaries_fail_closed")
 
 
 def _traced_peak_mb(call) -> float:
@@ -349,9 +261,7 @@ def test_transform_k_zero_is_volume_integral():
     assert got == pytest.approx(1.0, rel=1e-10)
 
 
-def test_transform_rejects_negative_k():
-    with pytest.raises(ValueError):
-        radial_transform_check(lambda r: math.exp(-r), -1.0)
+test_transform_rejects_negative_k = cases_test("test_transform_rejects_negative_k")
 
 
 def test_divergent_integrand_raises():
@@ -395,6 +305,5 @@ def test_density_power_integral_unit_power():
         7.0, rel=1e-11)
 
 
-def test_coulomb_quadrature_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        coulomb_self_energy_quadrature(-1.0)
+test_coulomb_quadrature_rejects_bad_rate = cases_test(
+    "test_coulomb_quadrature_rejects_bad_rate")

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from varsolid import UnitSystem, make_krypton_units
+from test_contract import cases_test
 
 HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23  # J/K
@@ -67,19 +68,7 @@ def test_coupling_scaling_laws(sigma, eps, mass):
     assert u.coupling == pytest.approx(4.0 * w.coupling, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [
-    dict(sigma_m=0.0, epsilon_K=170.0, mass_u=83.798),
-    dict(sigma_m=3.6e-10, epsilon_K=-1.0, mass_u=83.798),
-    dict(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=0.0),
-    dict(sigma_m=3.6e-10, epsilon_K=math.inf, mass_u=83.798),
-    # scales whose kinetic coupling is not a positive finite number
-    dict(sigma_m=1e298, epsilon_K=170.0, mass_u=83.798),  # sigma^2 overflows
-    dict(sigma_m=1e-310, epsilon_K=170.0, mass_u=83.798),  # sigma^2 underflows
-    dict(sigma_m=1.0, epsilon_K=1e308, mass_u=1e308),  # coupling -> 0
-])
-def test_nonpositive_parameters_rejected(bad):
-    with pytest.raises(ValueError):
-        UnitSystem(**bad)
+test_nonpositive_parameters_rejected = cases_test("test_nonpositive_parameters_rejected")
 
 
 def test_natural_hbar_is_sqrt_coupling():
