@@ -25,6 +25,16 @@ class LatticeKind(enum.Enum):
     FCC = "fcc"
 
 
+#: the largest max_distance/d enumerate_shells takes: its integer box holds
+#: (2 ceil(sqrt(2) ratio) + 3)^3 sites, 3e6 (~0.2 GB at peak) at 50, where
+#: the default cutoff asks for 12
+MAX_SHELL_RATIO = 50.0
+
+#: the largest cluster build_cluster takes: its integer box holds ~4.5 N
+#: sites, ~0.25 GB at 10^6
+MAX_CLUSTER_SIZE = 10**6
+
+
 def _read_only(values, dtype) -> np.ndarray:
     """`values` as a write-protected 1-D array: a read-only array of the
     right dtype is kept as it is, anything else is copied first."""
@@ -107,7 +117,9 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
 
     Brute-force enumeration over a padded integer box.  A site at distance r
     has m = 2 (r/d)^2 <= m_max; each of n1, n2, n3 is bounded by
-    sqrt(6)/2 * r/d < sqrt(2) * r/d, so the box below is safely padded.
+    sqrt(6)/2 * r/d < sqrt(2) * r/d, so the box below is safely padded.  A
+    ratio max_distance/d above MAX_SHELL_RATIO raises ValueError before the
+    box is built.
     """
     if kind is not LatticeKind.FCC:
         raise ValueError(f"unsupported lattice kind: {kind}")
@@ -123,6 +135,9 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
     except OverflowError as exc:  # (max_distance/d)^2 is past the doubles
         raise ValueError(f"spacing {d!r} is too small for max_distance "
                          f"{max_distance!r}") from exc
+    if max_distance / d > MAX_SHELL_RATIO:
+        raise ValueError(f"max_distance {max_distance!r} is more than {MAX_SHELL_RATIO:g} "
+                         f"spacings {d!r}")
     cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * max_distance / d) + 1)
     m = cx * cx + cy * cy + cz * cz
     m = m[(m > 0) & (m <= m_max)]
@@ -139,7 +154,8 @@ def build_cluster(d: float, N: int) -> np.ndarray:
 
     Ordering is by squared distance, with exact lexicographic tie-breaking
     on the integer coordinates (which order identically to the Cartesian
-    ones, so the result is platform-independent).
+    ones, so the result is platform-independent).  N above
+    MAX_CLUSTER_SIZE raises ValueError.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"spacing must be positive and finite, got {d}")
@@ -147,6 +163,8 @@ def build_cluster(d: float, N: int) -> np.ndarray:
     # infinite N never allows
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"cluster size must be an integer >= 1, got {N!r}")
+    if N > MAX_CLUSTER_SIZE:
+        raise ValueError(f"cluster size N={N!r} is above {MAX_CLUSTER_SIZE}")
 
     # FCC site density is sqrt(2)/d^3; start from the radius, in units of
     # d, enclosing N sites on average and grow until enough candidates are
@@ -160,8 +178,9 @@ def build_cluster(d: float, N: int) -> np.ndarray:
             break
         radius *= 1.3
 
-    order = sorted(zip(m[keep], cx[keep], cy[keep], cz[keep]))
-    chosen = np.array([(x, y, z) for _, x, y, z in order[:N]], dtype=float)
+    m, cx, cy, cz = m[keep], cx[keep], cy[keep], cz[keep]
+    order = np.lexsort((cz, cy, cx, m))[:N]  # by m, then x, y and z
+    chosen = np.stack((cx[order], cy[order], cz[order]), axis=1).astype(float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         sites = chosen * (d / math.sqrt(2.0))
         sites -= sites.mean(axis=0)

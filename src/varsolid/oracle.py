@@ -23,6 +23,7 @@ result beyond the doubles raises ValueError naming the call's arguments.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -284,7 +285,9 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
     rf = _times_r(f)
     try:
         hi = _decay_cutoff(rf)
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise"), warnings.catch_warnings():
+            # QUADPACK's roundoff notes; the error guard below decides
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
             if k == 0.0:
                 val, err = integrate.quad(lambda r: 4.0 * math.pi * r * rf(r),
                                           0.0, hi, epsabs=1e-300, epsrel=rtol,
@@ -336,9 +339,11 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
         k = lam * t / (1.0 - t)
         jac = lam / (1.0 - t) ** 2
         nk = (1.0 + (k / lam) ** 2) ** -2
-        return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(k * s) * jac
+        ks = k * s
+        if ks == math.inf:  # sin(inf) is a math domain error
+            raise ValueError(f"s makes k*s leave the doubles at k={k!r}")
+        return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(ks) * jac
 
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
@@ -367,6 +372,9 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     _check_separation(s)
     lam = p.lam
     b, m_, n_ = pot.b, pot.m, pot.n
+    reach = 760.0 / lam  # past it e^{-lam w} < 1e-330 underflows to 0.0
+    if reach == math.inf:
+        raise ValueError("lam makes the integration range 760/lam leave the doubles")
 
     def h(w: float) -> float:
         lw = lam * w
@@ -376,7 +384,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
         return lam**3 * decay * (lw * lw + 3.0 * lw + 3.0) / (192.0 * math.pi)
 
     if s == 0.0:
-        hi = 760.0 / lam + 2.0
+        hi = reach + 2.0
         val, err = integrate.quad(
             lambda w: 4.0 * math.pi * w * w * h(w)
             * float(two_yukawa(max(w, _TINY_R), pot)),
@@ -393,12 +401,11 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
                     math.exp(-a * lo) - math.exp(-a * up)) / a
             return tot
 
-        hi = s + 3.0 + 760.0 / lam
+        hi = s + 3.0 + reach
         pts = sorted(pt for pt in {1.0 / lam, 10.0 / lam, 30.0 / lam, s,
                                    abs(s - 1.0 / n_), s + 1.0 / n_,
                                    abs(s - 1.0), s + 1.0, s + 3.0}
                      if 0.0 < pt < hi)
-        import warnings
         with warnings.catch_warnings():
             # roundoff chatter near machine-precision convergence; accuracy
             # is enforced by the explicit error guard below

@@ -3,7 +3,6 @@ format guarantees (bit-exact JSON round trips, 17-digit CSV floats)."""
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from varsolid import OptimizeOptions, TwoYukawaParams, make_krypton_units
 from varsolid.cli import (EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK,
                           CliInputError, RunConfig, main)
+from test_golden import golden_test
 
 
 def run_cli(*argv):
@@ -321,26 +321,10 @@ def test_sweep_csv_has_full_precision(tmp_path):
         assert float(got["d_sigma"]) == want["d_sigma"]
 
 
-@pytest.mark.parametrize("lam_range,digest", [
-    ("2.6:2.8:5", "bd87d8604771990c76e1ccc0318569f59a496e6933a940eb558197f4a02bf1d7"),
-    ("14.0:15.4:5", "5a78e161c9a775bd6e6641afa2c447d66f2c1d3cac77bb55a8460dda36c442d4"),
-])
-def test_window_sweep_stdout_is_recorded(capsys, lam_range, digest):
-    # every lambda lies in the degeneracy window (14.7 is exact coincidence),
-    # so the mpmath branch runs end to end; the digests are of the stdout of
-    # the term-by-term window form with mpmath's own exp and expm1
-    assert run_cli("sweep", "--param", "lambda", "--range", lam_range) == EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+test_window_sweep_stdout_is_recorded = golden_test("test_window_sweep_stdout_is_recorded")
 
 
-def test_default_optimize_stdout_is_recorded(capsys):
-    # every pair energy of the default solve runs on the float branch, so
-    # this digest pins that branch's every bit: lambda*, d*, U and B
-    assert run_cli("optimize") == EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "48e63979c219097c2cba045d57902045fc6908ac77cc25a30e81437c76a83822")
+test_default_optimize_stdout_is_recorded = golden_test("test_default_optimize_stdout_is_recorded")
 
 
 def test_selfgrav_default_n_list(capsys):

@@ -8,8 +8,9 @@ test_contract tries every row at PROBES, and at ARRAY where the argument
 takes arrays.  A valid probe returns only finite values, or raises the
 row's documented error (ConvergenceError of the solver, QuadratureError of a
 quadrature oracle); any other probe raises ValueError naming the argument.
-pytest's filter fails a RuntimeWarning.  Each public callable has rows, or a
-reason in NOT_PROBED.
+A warning that escapes a probe fails the row.  Each public callable has
+rows, or a reason in NOT_PROBED.  The lattice builders' size ceilings are
+probed in a child process capped at 1 GB of address space.
 
 CASES holds the checks that are not such a probe (sample counts such as 999
 and True, array shapes, unnormalized weights, values by the edge of the
@@ -19,7 +20,10 @@ doubles), keyed by the test id each runs as, in the module of its callable
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,6 +44,7 @@ from varsolid import (ConvergenceError, LatticeKind, LatticeShells, OptimizeOpti
                       two_yukawa_fourier)
 from varsolid.oracle import (coulomb_self_energy_quadrature,
                              density_power_integral_quadrature, exp_density_sampler)
+from test_golden import GOLDEN
 
 PROBES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1.0, "0": 0.0,
           "5e-324": 5e-324, "1e308": 1e308}
@@ -164,10 +169,12 @@ ROWS = [
           Q, k=("0 5e-324 1e308", "wavenumber")),
     *rows("pair_energy_quadrature", lambda s=0.0, lam=91.2, b=2.026, m=2.69:
           pair_energy_quadrature(p(lam), v(b, m), s),
-          Q, s=("0 5e-324", r"separation|\bs="), lam="5e-324", b="5e-324", m="5e-324"),
+          Q, s=("0 5e-324", r"separation must|s makes k\*s leave the doubles"), lam="5e-324",
+          b="5e-324", m="5e-324"),
     *rows("pair_energy_realspace_reference", lambda s=1.1, lam=91.2, b=2.026, m=2.69:
           pair_energy_realspace_reference(p(lam), v(b, m), s),
-          Q, s=("0 1e308", r"separation|\bs="), lam="", b="5e-324", m="5e-324"),
+          Q, s=("0 1e308", r"separation|\bs="), b="5e-324", m="5e-324",
+          lam=("", r"lam must|lam makes the integration range 760/lam leave|leaves the doubles")),
     *rows("coulomb_self_energy_quadrature", coulomb_self_energy_quadrature, Q, rate="5e-324"),
     *rows("density_power_integral_quadrature", lambda rate=1.0, mass=1.0, power=1.0:
           density_power_integral_quadrature(rate, mass, power),
@@ -217,9 +224,7 @@ def outcome(row: Row, probe: str) -> str | None:
     return None if valid and finite(out) else f"returned {out!r}"
 
 
-# QUADPACK's own roundoff warning at k = 1e308, where the outcome is a
-# QuadratureError
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")  # a warning that escapes a probe fails its row
 @pytest.mark.parametrize("row", ROWS, ids=[f"{row.name}-{row.arg}" for row in ROWS])
 def test_contract(row):
     probes = [*PROBES, *(["array"] if "array" in row.valid else [])]
@@ -232,6 +237,30 @@ def test_every_public_callable_has_a_row():
     assert public - probed == NOT_PROBED.keys()
     assert probed - public == {"coulomb_self_energy_quadrature",
                                "density_power_integral_quadrature"}
+
+
+def test_lattice_builders_fail_closed_on_size():
+    # each call once built its integer box first (~0.5 TB at a ratio of 1e3);
+    # in a child capped at 1 GB of address space, one that does again fails
+    # in seconds.  One BLAS thread keeps numpy's own reservation small
+    code = """import resource
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from varsolid import LatticeKind, build_cluster, enumerate_shells
+for call in (lambda: enumerate_shells(LatticeKind.FCC, 1.0, 1e3),
+             lambda: enumerate_shells(LatticeKind.FCC, 1e-6, 1.0),
+             lambda: build_cluster(1.0, 10**7), lambda: build_cluster(1.0, 10**9)):
+    try:
+        print("returned", call())
+    except ValueError as exc:
+        print(exc)"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                          "PYTHONPATH": str(Path(varsolid.__file__).parents[1])})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "max_distance 1000.0 is more than 50 spacings 1.0",
+        "max_distance 1.0 is more than 50 spacings 1e-06",
+        "cluster size N=10000000 is above 1000000", "cluster size N=1000000000 is above 1000000"]
 
 
 def _raises(call, match=""):
@@ -457,6 +486,9 @@ def cases_test(test: str) -> Callable:
 
 
 def test_every_case_runs_in_a_test():
-    bound = {name for path in Path(__file__).parent.glob("test_*.py") for name in
-             re.findall(r'^(test_\w+) = cases_test\(\s*"\1"\)$', path.read_text(), re.M)}
-    assert {key.partition("[")[0] for key in CASES} == bound
+    # as do the GOLDEN records named for a test id; test_golden runs the rest
+    bound = {found for path in Path(__file__).parent.glob("test_*.py") for found in re.findall(
+        r'^(test_\w+) = (cases|golden)_test\(\s*"\1"\)$', path.read_text(), re.M)}
+    tests = {(key.partition("[")[0], "cases") for key in CASES}
+    tests |= {(key.partition("[")[0], "golden") for key in GOLDEN if key.startswith("test_")}
+    assert tests == bound

@@ -36,12 +36,11 @@ from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check)
 from test_contract import cases_test
+from test_golden import UNIT_SHELLS, golden_test, in_window
 
 LAM_KR = 91.33
 D_KR = 3.953 / 3.6  # nearest-neighbor distance in sigma units
 POT = TwoYukawaParams()
-#: the 133 shell distances of the default 12 d cutoff, at d = 1
-UNIT_SHELLS = enumerate_shells(LatticeKind.FCC, 1.0, 12.0).distances_r
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +289,6 @@ def test_pair_energy_of_no_separations_is_empty(lam):
 # array kernel
 # ----------------------------------------------------------------------
 
-def _in_window(lam):
-    return min(abs(lam - POT.m) / POT.m, abs(lam - POT.n) / POT.n) < DEGENERACY_WINDOW
-
-
 def _pair_energy_python_floats(lam, s):
     """The float closed form in Python floats, one separation at a time."""
     def smeared(alpha):
@@ -316,7 +311,7 @@ def _pair_energy_python_floats(lam, s):
         math.exp(POT.m) * smeared(POT.m) - math.exp(POT.n) * smeared(POT.n))
 
 
-@given(lam=st.floats(*SEARCH_BOX["lambda"]).filter(lambda v: not _in_window(v)),
+@given(lam=st.floats(*SEARCH_BOX["lambda"]).filter(lambda v: not in_window(v)),
        d=st.floats(*SEARCH_BOX["d"]))
 @settings(max_examples=60, deadline=None)
 @example(lam=30.0, d=1.1)  # expm1 saturated at the far shells only
@@ -369,41 +364,12 @@ def test_pair_energy_array_inside_window_matches_reference(lam):
         assert value == pair_energy(p, POT, x)
 
 
-#: in-window pair energies (lam, s, float.hex) of the former per-separation
-#: mpmath kernel: exact coincidence with both exponents, a 1e-12 gap, s = 0,
-#: and lam on either side of each exponent
-WINDOW_VALUES = [
-    (2.69, 1.1, "0x1.324bd632e7bb4p+13"),
-    (14.7, 1.1, "0x1.a967afc19c03dp+6"),
-    (2.6900000000026902, 1.1, "0x1.324bd632e97b1p+13"),
-    (14.6999999999853, 1.1, "0x1.a967afc1ab9cap+6"),
-    (2.69, 0.0, "0x1.a2881d944f4fep+14"),
-    (14.7, 0.0, "0x1.57e8a815a493ap+21"),
-    (2.6900000000026902, 0.0, "0x1.a2881d94549a5p+14"),
-    (2.7707, 1.5556349186104048, "0x1.24242f9a77b63p+12"),
-    (14.258999999999999, 0.5, "0x1.a2a8ea4f6dc84p+16"),
-    (2.5824, 3.0, "0x1.33255f433558bp+8"),
-    (15.288, 2.0, "-0x1.3d7664ebe58bcp-4"),
-]
+test_pair_energy_window_values_are_recorded_bitwise = golden_test(
+    "test_pair_energy_window_values_are_recorded_bitwise")
 
 
-@pytest.mark.parametrize("lam,s,want", WINDOW_VALUES)
-def test_pair_energy_window_values_are_recorded_bitwise(lam, s, want):
-    assert _in_window(lam)
-    assert pair_energy(OrbitalParams(lam), POT, s).hex() == want
-    assert pair_energy(OrbitalParams(lam), POT, np.array([s]))[0].hex() == want
-
-
-def test_pair_energy_window_shell_array_is_recorded_bitwise():
-    # the 133 shells at d = 1.1 with lam 1% above n, one object-array call
-    lam = 14.70 * 1.01
-    got = pair_energy(OrbitalParams(lam), POT, UNIT_SHELLS * 1.1)
-    assert got.shape == (133,)
-    assert math.fsum(got.tolist()).hex() == "0x1.85c40fd284e2fp+6"
-    assert got[0].hex() == "0x1.86a626211eaabp+6"
-    assert got[-1].hex() == "-0x1.1a8f897ad5146p-50"
-    assert got.tolist() == [pair_energy(OrbitalParams(lam), POT, x)
-                            for x in (UNIT_SHELLS * 1.1).tolist()]
+test_pair_energy_window_shell_array_is_recorded_bitwise = golden_test(
+    "test_pair_energy_window_shell_array_is_recorded_bitwise")
 
 
 test_pair_energy_array_rejects_non_finite_or_negative = cases_test(
@@ -428,36 +394,8 @@ def test_far_separation_is_the_limit_zero_in_every_row(order):
     assert [x.hex() for x in np.ravel(got[..., 1:])] == [x.hex() for x in np.ravel(near)]
 
 
-#: (lam, potential, separations) with lam s past FAR_LAM_S at the first
-#: entry, where e^{-lam s} is 0.0 but e^{-alpha s} of a piece is not, and
-#: the order-2 rows there, recorded as float.hex before the far path
-#: existed (the polynomials were finite at these entries)
-FAR_CORE_CASES = [
-    (1e30, POT, [1e-9, 1e-21],
-     [["0x1.16e5f70247cd6p+52", "0x1.fb5024b9a8f5dp+91"],
-      ["-0x1.df8f0a9674169p-237", "-0x1.b427f9add9bb5p-197"],
-      ["0x1.c7ef49061ca6ap-335", "0x1.9eab92b600adcp-295"]]),
-    (2.0, TwoYukawaParams(m=1e-20), [1e21, 1.0],
-     [["-0x1.c776d4318bf99p-84", "0x1.9d190cb8255d5p+12"],
-      ["0x1.eff4e1aaa206ap-217", "0x1.ac38bfc5ab39ep+12"],
-      ["-0x1.73f7a93ff9850p-216", "0x1.3f5f055551a82p+10"]]),
-]
-
-
-@pytest.mark.parametrize("lam,pot,s,recorded", FAR_CORE_CASES)
-def test_far_separation_keeps_its_core_terms(lam, pot, s, recorded):
-    # past FAR_LAM_S only the e^{-lam s} P(s) terms vanish; the core terms
-    # (e^{-alpha s} - e^{-lam s})/s are ~1/s at lam = 1e30, s = 1e-9 and
-    # e^{-1e-20 s}/s for a small m, and must keep their bits
-    assert lam * s[0] > FAR_LAM_S
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for order in (0, 1, 2):
-            got = pair_energy(OrbitalParams(lam), pot, np.array(s), order=order)
-            want = recorded[0] if order == 0 else recorded[:order + 1]
-            assert np.vectorize(float.hex)(got).tolist() == want
-            one = pair_energy(OrbitalParams(lam), pot, s[0], order=order)
-            assert np.ravel(one).tolist() == np.ravel(got[..., 0]).tolist()
+test_far_separation_keeps_its_core_terms = golden_test(
+    "test_far_separation_keeps_its_core_terms")
 
 
 @pytest.mark.parametrize("lam", [1e6, LAM_KR, 1e30])
@@ -528,7 +466,7 @@ def _assert_rows_match_mp_diff(lam, s, rel, pot=POT):
         assert abs(got[k] - want[k]) <= rel(k) * scale, (k, got[k], want[k])
 
 
-@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not in_window(v)),
        s=st.just(0.0) | st.floats(min_value=0.0, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 @example(lam=14.70 * (1.0 + DEGENERACY_WINDOW), s=0.0)  # the window edge
@@ -550,44 +488,15 @@ def test_float_branch_lam_rows_match_mp_diff(lam, s):
 @example(alpha=2.69, rel_gap=1e-9, s=0.0)
 def test_window_branch_lam_rows_match_mp_diff(alpha, rel_gap, s):
     lam = alpha * (1.0 + rel_gap)
-    assert _in_window(lam)
+    assert in_window(lam)
     _assert_rows_match_mp_diff(lam, s, lambda k: 1e-12)
 
 
-#: float-branch derivative rows (lam, s, d/dlam, d2/dlam2 as float.hex) of
-#: the term-by-term closed form with per-array exp maps, on each core path:
-#: lam below both exponents, between them, general expm1 for both, both
-#: expm1 saturated, s = 0, a subnormal s and the search box's corners
-FLOAT_LAM_ROWS = [
-    (2.0, 1.1, "0x1.6a1d57d534a13p+12", "0x1.87e448c29ee46p+7"),
-    (2.0, 60.0, "-0x1.65adb7fd3667cp-142", "0x1.41338a88f501fp-136"),
-    (8.0, 1.1, "-0x1.004f3b2cc2a86p+11", "0x1.583c9777a643cp+9"),
-    (30.0, 1.1, "-0x1.a94fe0f42c5abp-4", "0x1.622f32541ae79p-6"),
-    (30.0, 3.0, "0x1.d22e2cf632694p-18", "-0x1.7f0535ffb97f0p-21"),
-    (91.2, 1.1, "-0x1.044ea5f8625a0p-10", "0x1.2cee1e932f71ap-15"),
-    (91.2, 0.0, "0x1.4e7c638522e32p+20", "0x1.525bf87b48345p+11"),
-    (1.0, 5e-324, "0x1.080a80a03e457p+12", "0x1.0617d9102b2b6p+13"),
-    (91.2, 5e-324, "0x1.4e7c638522e32p+20", "0x1.525bf87b48345p+11"),
-    (500.0, 0.3, "-0x1.616ef02b1e28fp+1", "0x1.1038351cb3d24p-6"),
-    (1e6, 0.3, "-0x1.79dbe006fcac9p-32", "0x1.29290ac45ae31p-50"),
-    (0.01, 20.0, "0x1.af15f5bf133c7p-2", "0x1.4d17d04267819p+6"),
-]
+test_float_branch_lam_rows_are_recorded_bitwise = golden_test(
+    "test_float_branch_lam_rows_are_recorded_bitwise")
 
 
-@pytest.mark.parametrize("lam,s,d1,d2", FLOAT_LAM_ROWS)
-def test_float_branch_lam_rows_are_recorded_bitwise(lam, s, d1, d2):
-    assert not _in_window(lam)
-    p = OrbitalParams(lam)
-    rows = pair_energy(p, POT, s, order=2)
-    assert [rows[1].hex(), rows[2].hex()] == [d1, d2]
-    assert pair_energy(p, POT, s, order=1)[1].hex() == d1
-    # the same entries inside an array of all the recorded separations
-    seps = np.array(sorted({x for _, x, _, _ in FLOAT_LAM_ROWS}))
-    got = pair_energy(p, POT, seps, order=2)[:, seps.tolist().index(s)]
-    assert [got[1].hex(), got[2].hex()] == [d1, d2]
-
-
-@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not _in_window(v)),
+@given(lam=st.floats(min_value=1.0, max_value=500.0).filter(lambda v: not in_window(v)),
        d=st.floats(min_value=0.3, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 def test_value_row_is_bitwise_the_order_0_result(lam, d):
@@ -638,7 +547,7 @@ def test_window_rows_round_to_the_term_by_term_form(alpha, rel_gap):
     # and expm1 through libmp; rounded to doubles, its rows are those of the
     # term-by-term closed form with mpmath's own exp and expm1
     lam = alpha * (1.0 + rel_gap)
-    assert _in_window(lam)
+    assert in_window(lam)
     p, s = OrbitalParams(lam), WINDOW_SEPARATIONS
     for order in (0, 1, 2):
         got = pair_energy(p, POT, s, order=order)
@@ -660,7 +569,7 @@ def test_window_makes_three_exponentials_per_separation(monkeypatch, lam, order)
         return mpf_exp(*args)
 
     monkeypatch.setattr("varsolid.model.mpf_exp", counted)
-    assert _in_window(lam)
+    assert in_window(lam)
     pair_energy(OrbitalParams(lam), POT, UNIT_SHELLS * 1.1, order=order)
     assert len(calls) == 3 * UNIT_SHELLS.size
 
