@@ -375,36 +375,43 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     reach = 760.0 / lam  # past it e^{-lam w} < 1e-330 underflows to 0.0
     if reach == math.inf:
         raise ValueError("lam makes the integration range 760/lam leave the doubles")
+    try:  # h(w) <= lam^3/(64 pi): finite wherever lam^3 is
+        scale_h = lam**3 / (192.0 * math.pi)
+    except OverflowError:
+        raise ValueError(f"lam={lam!r} makes lam^3 leave the doubles") from None
 
     def h(w: float) -> float:
         lw = lam * w
         decay = math.exp(-lw)
         if decay == 0.0:  # (lam w)^2 may be inf there, and 0.0 * inf NaN
             return 0.0
-        return lam**3 * decay * (lw * lw + 3.0 * lw + 3.0) / (192.0 * math.pi)
+        return scale_h * decay * (lw * lw + 3.0 * lw + 3.0)
 
+    # h's own scale: QUADPACK misses a peak of width 1/lam in an interval
+    # of width 1 unless the break points resolve its decay out to reach
+    near = {1.0 / lam, 10.0 / lam, 30.0 / lam, 100.0 / lam, reach}
     if s == 0.0:
         hi = reach + 2.0
         val, err = integrate.quad(
             lambda w: 4.0 * math.pi * w * w * h(w)
             * float(two_yukawa(max(w, _TINY_R), pot)),
             0.0, hi, epsabs=1e-300, epsrel=1e-12, limit=800,
-            points=[1.0 / lam, 10.0 / lam, min(1.0, 0.5 * hi)])
+            points=sorted(near | {min(1.0, 0.5 * hi)}))
         scale = 1.0
     else:
         def inner(w: float) -> float:
-            lo, up = abs(s - w), s + w
+            # e^{-a|s-w|} - e^{-a(s+w)}, factored: the two terms are equal
+            # doubles once w < ulp(s), and a sinh form overflows past a s ~ 710
             tot = 0.0
             for sign, a in ((1.0, m_), (-1.0, n_)):
                 ea = math.exp(a)  # e^{m} offset of the potential
-                tot += -sign * b * ea * (
-                    math.exp(-a * lo) - math.exp(-a * up)) / a
+                tot += -sign * b * ea * math.exp(-a * abs(s - w)) * -math.expm1(
+                    -2.0 * a * min(s, w)) / a
             return tot
 
         hi = s + 3.0 + reach
-        pts = sorted(pt for pt in {1.0 / lam, 10.0 / lam, 30.0 / lam, s,
-                                   abs(s - 1.0 / n_), s + 1.0 / n_,
-                                   abs(s - 1.0), s + 1.0, s + 3.0}
+        pts = sorted(pt for pt in near | {s, abs(s - 1.0 / n_), s + 1.0 / n_,
+                                          abs(s - 1.0), s + 1.0, s + 3.0}
                      if 0.0 < pt < hi)
         with warnings.catch_warnings():
             # roundoff chatter near machine-precision convergence; accuracy
@@ -427,13 +434,15 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
 
     Nested shell-theorem quadrature: the inner potential at radius r is
     (4 pi/r) int_0^r t^2 rho dt + 4 pi int_r^inf t rho dt.  Closed form says
-    5 rate/16; this pins the Coulomb coefficients used by selfgrav.
+    5 rate/16; this pins the Coulomb coefficients used by selfgrav.  It is
+    integrated in x = rate r, exactly rate times the rate-1 integral: QUADPACK's
+    map of [0, inf) misses a peak of width 1/rate and can report error 0.
     """
     _check_positive(rate=rate)
     rtol = 1e-11
 
     def rho(r: float) -> float:
-        return rate**3 * math.exp(-rate * r) / (8.0 * math.pi)
+        return math.exp(-r) / (8.0 * math.pi)
 
     def potential(r: float) -> float:
         inner_mass, _ = integrate.quad(lambda t: t * t * rho(t), 0.0, r,
@@ -447,7 +456,7 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
         0.0, np.inf, epsabs=1e-300, epsrel=rtol, limit=200)
     if abs(err) > 1e-6 * abs(val):
         raise QuadratureError(f"nested Coulomb quadrature error {err:.3e} too large")
-    return val
+    return rate * val
 
 
 @_fails_closed
@@ -455,18 +464,20 @@ def density_power_integral_quadrature(rate: float, mass: float,
                                       power: float) -> float:
     """int rho^power d^3r for rho = mass * rate^3 e^{-rate r}/(8 pi).
 
-    Pins the Thomas-Fermi kinetic coefficient (power = 5/3).
+    Pins the Thomas-Fermi kinetic coefficient (power = 5/3).  Integrated in
+    x = rate r, as coulomb_self_energy_quadrature is: exactly
+    rate^(3 power - 3) times the rate-1 integral.
     """
     _check_positive(rate=rate, mass=mass, power=power)
 
-    def rho(r: float) -> float:
-        return mass * rate**3 * math.exp(-rate * r) / (8.0 * math.pi)
+    def rho(x: float) -> float:
+        return mass * math.exp(-x) / (8.0 * math.pi)
 
-    val, err = integrate.quad(lambda r: 4.0 * math.pi * r * r * rho(r) ** power,
+    val, err = integrate.quad(lambda x: 4.0 * math.pi * x * x * rho(x) ** power,
                               0.0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=400)
     if abs(err) > 1e-6 * abs(val):
         raise QuadratureError(f"density power integral error {err:.3e} too large")
-    return val
+    return rate ** (3.0 * power - 3.0) * val
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,19 @@ format guarantees (bit-exact JSON round trips, 17-digit CSV floats)."""
 
 import csv
 import dataclasses
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import varsolid
 from varsolid import OptimizeOptions, TwoYukawaParams, make_krypton_units
 from varsolid.cli import (EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK,
                           CliInputError, RunConfig, main)
@@ -461,6 +467,41 @@ def test_optimize_payload_fields(tmp_path):
         "bulk_modulus_kbar": 34.3}
     assert payload["same_site_W_over_potential"] > 1e6
     assert 0 < payload["bulk_n_evaluations"] <= 24
+
+
+# ----------------------------------------------------------------------
+# the process entry point
+# ----------------------------------------------------------------------
+
+def cold(*argv):
+    """A fresh interpreter running `python *argv` on this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(varsolid.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, timeout=120,
+                          env=env, check=False)
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_main_leaves_the_collector_alone(command, capsys):
+    # tests, library callers and the traced benchmark run main in process
+    frozen = gc.get_freeze_count()
+    assert run_cli(command) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_imports_in_its_own_process():
+    run = cold("-c", "import gc, sys\n"
+                     "from varsolid.__main__ import entry\n"
+                     "sys.argv = ['varsolid', 'optimize']\n"
+                     "print(entry(), gc.get_freeze_count() > 0, file=sys.stderr)")
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.decode().split() == ["0", "True"]
+
+
+def test_python_m_varsolid_prints_what_main_prints(capsys):
+    run = cold("-m", "varsolid", "optimize")
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run_cli("optimize") == EXIT_OK
+    assert run.stdout == capsys.readouterr().out.encode()
 
 
 # ----------------------------------------------------------------------

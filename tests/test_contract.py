@@ -174,11 +174,11 @@ ROWS = [
     *rows("pair_energy_realspace_reference", lambda s=1.1, lam=91.2, b=2.026, m=2.69:
           pair_energy_realspace_reference(p(lam), v(b, m), s),
           Q, s=("0 1e308", r"separation|\bs="), b="5e-324", m="5e-324",
-          lam=("", r"lam must|lam makes the integration range 760/lam leave|leaves the doubles")),
-    *rows("coulomb_self_energy_quadrature", coulomb_self_energy_quadrature, Q, rate="5e-324"),
+          lam=("", r"lam must|lam makes the integration range 760/lam leave|lam\^3 leave")),
+    *rows("coulomb_self_energy_quadrature", coulomb_self_energy_quadrature, Q, rate="5e-324 1e308"),
     *rows("density_power_integral_quadrature", lambda rate=1.0, mass=1.0, power=1.0:
           density_power_integral_quadrature(rate, mass, power),
-          Q, rate="5e-324", mass="5e-324", power="5e-324 1e308"),
+          Q, rate="5e-324 1e308", mass="5e-324", power="5e-324 1e308"),
     # selfgrav
     *rows("boson_energy", lambda beta=1.0, N=10, **kw: boson_energy(beta, N, **kw),
           beta="0 5e-324", N="", kappa="-1 0 5e-324", mu="1e308"),

@@ -199,6 +199,9 @@ def test_pair_energy_continuity_in_s():
 @pytest.mark.parametrize("lam,s", [
     (91.33, 0.0), (91.33, 1.0981), (91.33, 2.1962), (50.0, 1.3),
     (200.0, 0.9), (5.0, 2.0), (30.0, 0.05),
+    # narrow densities: unfactored, the reference's e^{-a|s-w|} - e^{-a(s+w)}
+    # cancels to 0.0, and its quadrature needs break points on the 1/lam peak
+    (1e6, 1.1), (1e10, 1.1), (1e20, 1.1), (1e30, 3.0), (1e6, 0.0),
 ])
 def test_pair_energy_matches_realspace_reference(lam, s):
     cf = pair_energy(OrbitalParams(lam), POT, s)

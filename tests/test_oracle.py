@@ -294,15 +294,17 @@ def test_three_oracles_meet_at_the_physical_point():
 # ----------------------------------------------------------------------
 
 def test_coulomb_self_energy_closed_form():
-    for rate in (0.5, 2.0, 11.0):
+    # a steep density: QUADPACK's [0, inf) map misses a peak of width 1/rate
+    for rate in (0.5, 2.0, 11.0, 1e5, 1e6, 1e100):
         assert coulomb_self_energy_quadrature(rate) == pytest.approx(
             5.0 * rate / 16.0, rel=1e-9)
 
 
 def test_density_power_integral_unit_power():
-    # power 1 is just the mass itself
-    assert density_power_integral_quadrature(3.0, 7.0, 1.0) == pytest.approx(
-        7.0, rel=1e-11)
+    # power 1 is just the mass itself, however steep the density
+    for rate in (3.0, 1e5):
+        assert density_power_integral_quadrature(rate, 7.0, 1.0) == pytest.approx(
+            7.0, rel=1e-11)
 
 
 test_coulomb_quadrature_rejects_bad_rate = cases_test(
