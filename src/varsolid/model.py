@@ -121,7 +121,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import fone, fzero, mpf_exp, mpf_sub
+from mpmath.libmp import fone, from_float, fzero, mpf_exp, mpf_sub
 
 #: relative |lam - alpha|/alpha below which pair_energy uses mpmath
 DEGENERACY_WINDOW = 0.05
@@ -286,6 +286,11 @@ EXPM1_GUARD_BITS = 10
 def _mp_exp(x):
     """mp.exp of an mpf, the libmp call mp.exp makes, without its dispatch."""
     return mp.mp.make_mpf(mpf_exp(x._mpf_, *mp.mp._prec_rounding))
+
+
+def _mp_float(x):
+    """mp.mpf of a double, the exact libmp conversion, without its dispatch."""
+    return mp.mp.make_mpf(from_float(x))
 
 
 def _mp_expm1(x):
@@ -582,7 +587,7 @@ def pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s, order: int = 0):
             if lam_mp == am or lam_mp == an:
                 lam_mp = lam_mp * (1 + mp.mpf(10) ** -30)
             pieces = ((mp.exp(pot.m), am), (mp.exp(pot.n), an))
-            s_mp = np.frompyfunc(mp.mpf, 1, 1)(flat)
+            s_mp = np.frompyfunc(_mp_float, 1, 1)(flat)
             out = _closed_form(lam_mp, pot, pieces, s_mp, smin, _MP_OPS, order,
                                factored=True).astype(float)
     else:

@@ -28,7 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
-from scipy import integrate
+# the bare package: scipy's module __getattr__ imports scipy.integrate, and
+# with it scipy.optimize and scipy.special (~0.6 s), at the first quadrature,
+# so a process that never integrates (`optimize`, a solve) never loads it
+import scipy
 
 from .lattice import build_cluster
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
@@ -287,16 +290,16 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
         hi = _decay_cutoff(rf)
         with np.errstate(over="raise"), warnings.catch_warnings():
             # QUADPACK's roundoff notes; the error guard below decides
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
             if k == 0.0:
-                val, err = integrate.quad(lambda r: 4.0 * math.pi * r * rf(r),
-                                          0.0, hi, epsabs=1e-300, epsrel=rtol,
-                                          limit=800)
+                val, err = scipy.integrate.quad(
+                    lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi,
+                    epsabs=1e-300, epsrel=rtol, limit=800)
                 scale = 1.0
             else:
-                val, err = integrate.quad(rf, 0.0, hi, weight="sin", wvar=k,
-                                          epsabs=1e-300, epsrel=rtol,
-                                          limit=800, maxp1=100)
+                val, err = scipy.integrate.quad(
+                    rf, 0.0, hi, weight="sin", wvar=k, epsabs=1e-300,
+                    epsrel=rtol, limit=800, maxp1=100)
                 scale = 4.0 * math.pi / k
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         # f grew faster than the advertised 1/r origin bound (or blew up
@@ -345,9 +348,9 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
         return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(ks) * jac
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
-                                  epsrel=1e-10, limit=2000)
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, err = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
+                                        epsrel=1e-10, limit=2000)
     return val / (2.0 * math.pi**2), err / (2.0 * math.pi**2)
 
 
@@ -392,7 +395,7 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     near = {1.0 / lam, 10.0 / lam, 30.0 / lam, 100.0 / lam, reach}
     if s == 0.0:
         hi = reach + 2.0
-        val, err = integrate.quad(
+        val, err = scipy.integrate.quad(
             lambda w: 4.0 * math.pi * w * w * h(w)
             * float(two_yukawa(max(w, _TINY_R), pot)),
             0.0, hi, epsabs=1e-300, epsrel=1e-12, limit=800,
@@ -416,10 +419,10 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
         with warnings.catch_warnings():
             # roundoff chatter near machine-precision convergence; accuracy
             # is enforced by the explicit error guard below
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(lambda w: w * h(w) * inner(w), 0.0, hi,
-                                      epsabs=1e-300, epsrel=1e-12, limit=800,
-                                      points=pts)
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            val, err = scipy.integrate.quad(
+                lambda w: w * h(w) * inner(w), 0.0, hi, epsabs=1e-300,
+                epsrel=1e-12, limit=800, points=pts)
         scale = 2.0 * math.pi / s
     if abs(err) > 1e-6 * max(abs(val), 1e-300):
         raise QuadratureError(
@@ -445,13 +448,14 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
         return math.exp(-r) / (8.0 * math.pi)
 
     def potential(r: float) -> float:
-        inner_mass, _ = integrate.quad(lambda t: t * t * rho(t), 0.0, r,
-                                       epsabs=1e-300, epsrel=rtol, limit=200)
-        outer, _ = integrate.quad(lambda t: t * rho(t), r, np.inf,
-                                  epsabs=1e-300, epsrel=rtol, limit=200)
+        inner_mass, _ = scipy.integrate.quad(
+            lambda t: t * t * rho(t), 0.0, r, epsabs=1e-300, epsrel=rtol,
+            limit=200)
+        outer, _ = scipy.integrate.quad(lambda t: t * rho(t), r, np.inf,
+                                        epsabs=1e-300, epsrel=rtol, limit=200)
         return 4.0 * math.pi * (inner_mass / r + outer)
 
-    val, err = integrate.quad(
+    val, err = scipy.integrate.quad(
         lambda r: 4.0 * math.pi * r * r * rho(r) * potential(max(r, 1e-12)),
         0.0, np.inf, epsabs=1e-300, epsrel=rtol, limit=200)
     if abs(err) > 1e-6 * abs(val):
@@ -473,8 +477,9 @@ def density_power_integral_quadrature(rate: float, mass: float,
     def rho(x: float) -> float:
         return mass * math.exp(-x) / (8.0 * math.pi)
 
-    val, err = integrate.quad(lambda x: 4.0 * math.pi * x * x * rho(x) ** power,
-                              0.0, np.inf, epsabs=1e-300, epsrel=1e-12, limit=400)
+    val, err = scipy.integrate.quad(
+        lambda x: 4.0 * math.pi * x * x * rho(x) ** power, 0.0, np.inf,
+        epsabs=1e-300, epsrel=1e-12, limit=400)
     if abs(err) > 1e-6 * abs(val):
         raise QuadratureError(f"density power integral error {err:.3e} too large")
     return rate ** (3.0 * power - 3.0) * val
@@ -533,7 +538,7 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
            density_fourier(p0, 10.0), 1e-9)
 
     # Plancherel: (1/2 pi^2) int k^2 n~^2 dk = int n^2 d^3r = lam^3/(64 pi)
-    plancherel, _ = integrate.quad(
+    plancherel, _ = scipy.integrate.quad(
         lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
         epsabs=1e-13, epsrel=1e-12, limit=400)
     record("Plancherel norm of site density", plancherel / (2.0 * math.pi**2),

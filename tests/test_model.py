@@ -30,7 +30,7 @@ from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams,
                       enumerate_shells, make_krypton_units, pair_energy,
                       two_yukawa, two_yukawa_fourier)
 from varsolid.model import (_FLOAT_OPS, _MP_OPS, EXPM1_FLOOR, FAR_LAM_S,
-                            _closed_form, _mp_exp, _mp_expm1)
+                            _closed_form, _mp_exp, _mp_expm1, _mp_float)
 from varsolid.optimize import SEARCH_BOX
 from varsolid.oracle import (mc_pair_energy, pair_energy_quadrature,
                              pair_energy_realspace_reference,
@@ -590,6 +590,15 @@ def test_libmp_maps_match_mpmath(dps, x):
             ulp = mp.mpf(2) ** (mp.mag(want) - mp.mp.prec)
             assert abs(got - want) <= ulp
         assert float(got) == float(want)
+
+
+@pytest.mark.parametrize("dps", [30, 150])
+def test_window_separations_convert_exactly(dps):
+    # the window's libmp conversion of the separations is mp.mpf's, bit for bit
+    with mp.workdps(dps):
+        got = np.frompyfunc(_mp_float, 1, 1)(WINDOW_SEPARATIONS)
+        want = np.frompyfunc(mp.mpf, 1, 1)(WINDOW_SEPARATIONS)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 def test_lam_rows_stay_finite_for_a_huge_coupling():
