@@ -291,14 +291,12 @@ def _cmd_selfgrav(args: argparse.Namespace, cfg: RunConfig) -> int:
             s = boson_solve(n, kappa=args.kappa, mu=args.mu)
             rows.append({"N": n, "beta_star": s.beta_star, "energy": s.energy,
                          "chi": s.chi, "product_hbar": s.product_hbar})
-    elif args.kind == "fermion":
+    else:  # argparse's choices admit only boson and fermion
         for n in n_list:
             s = fermion_solve(n, q=args.q, kappa=args.kappa, mu=args.mu,
                               e_coeff=args.e_coeff)
             rows.append({"N": n, "gamma_star": s.gamma_star, "energy": s.energy,
                          "chi": s.chi, "f_factor": s.f_factor})
-    else:
-        raise CliInputError(f"unknown selfgrav kind {args.kind!r}")
     payload = {"kind": args.kind, "kappa": args.kappa, "mu": args.mu,
                "rows": rows}
     _write_json(payload, args.output)
@@ -308,8 +306,6 @@ def _cmd_selfgrav(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.param not in ("lambda", "d"):
-        raise CliInputError(f"--param must be lambda or d, got {args.param!r}")
     try:
         lo_s, hi_s, num_s = args.range.split(":")
         lo, hi, num = float(lo_s), float(hi_s), int(num_s)
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sg.add_argument("--csv", help="also write the table as CSV")
 
     p_sw = sub.add_parser("sweep", help="energy scan over lambda or d")
-    p_sw.add_argument("--param", required=True)
+    p_sw.add_argument("--param", required=True, choices=("lambda", "d"))
     p_sw.add_argument("--range", required=True, help="lo:hi:num")
     p_sw.add_argument("--csv", help="also write the table as CSV")
 

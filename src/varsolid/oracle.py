@@ -16,12 +16,15 @@ The draws of one block all come before those of the next, so a fixed seed
 and sample count replay bit for bit.  A rate or separation whose draws,
 distances or squared draws leave the doubles raises ValueError naming it.
 The quadrature oracles and mc_pair_energy fail closed as the self-gravity
-energies do (selfgrav._fails_closed): a rejected input, an overflow or a
-result beyond the doubles raises ValueError naming the call's arguments.
+energies do (selfgrav._fails_closed): a rejected input or a result beyond
+the doubles raises ValueError naming the call's arguments.  Every quadrature
+is trusted by one rule, `_quad`'s: an integrand that overflows, or an error
+estimate above QUAD_TRUST = 1e-8 of a finite value, raises QuadratureError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,6 +46,9 @@ from .selfgrav import (C_KIN, _check_positive, _fails_closed, boson_energy,
 #: radius used to evaluate lim_{r->0} r*f(r) for kernels as singular as 1/r
 _TINY_R = 1e-280
 
+#: -ln of half the least subnormal double: e^{-x} rounds to 0.0 past it
+_UNDERFLOW_X = 1075.0 * math.log(2.0)
+
 #: seed of every random draw in verify_checks, and the samples of each of
 #: its Monte Carlo checks
 VERIFY_SEED = 20260815
@@ -51,9 +57,21 @@ VERIFY_MC_SAMPLES = 200_000
 #: samples drawn and reduced at a time by every Monte Carlo estimate
 MC_BLOCK = 2**14
 
+#: the most of its value a quadrature's error estimate may be, in every
+#: oracle; every legitimate call measured is at least 27x inside it
+QUAD_TRUST = 1e-8
+
+#: the largest lam pair_energy_quadrature takes.  At s = 0 it is right to
+#: 1e-15 up to 1.335e6; from 1.34e6 its map k = lam t/(1-t) squeezes the
+#: structure at k ~ m, n into t ~ 1e-6, and it misses 3.5e-5 of the value
+#: with an error estimate of 1e-10.  At s = 0.2, QUAD_TRUST refuses it
+#: from lam ~ 1.2e4 on
+FOURIER_MAX_LAM = 1e6
+
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach its requested tolerance."""
+    """A quadrature that cannot be trusted: its integrand overflowed, or its
+    error estimate or a known loss is more than QUAD_TRUST of its value."""
 
 
 @dataclass(frozen=True)
@@ -252,6 +270,32 @@ def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
 # quadrature verifiers
 # ----------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _evaluable(what: str):
+    """Raise QuadratureError naming `what` where an integrand overflows."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        raise QuadratureError(f"{what}: integrand not evaluable ({exc})") from exc
+
+
+def _quad(what: str, f: Callable[[float], float], a: float, b: float, *,
+          epsrel: float, epsabs: float = 1e-300, **kw: Any) -> tuple[float, float]:
+    """scipy.integrate.quad(f, a, b), with QUADPACK's IntegrationWarning
+    silenced: an integrand that overflows, or a finite value whose error
+    estimate is more than QUAD_TRUST of it, raises QuadratureError naming
+    `what`.  A non-finite value is returned, for the caller to name its
+    argument."""
+    with _evaluable(what), warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        val, err = scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, **kw)
+    if math.isfinite(val) and not abs(err) <= QUAD_TRUST * abs(val):  # NaN err too
+        raise QuadratureError(f"{what}: error estimate {err:.3e} is more than "
+                              f"{QUAD_TRUST:g} of the value {val:.6e}")
+    return val, err
+
+
 def _times_r(f: Callable[[float], float]) -> Callable[[float], float]:
     """r*f(r), evaluable at r = 0 for f at most as singular as 1/r."""
     def rf(r: float) -> float:
@@ -284,37 +328,20 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
     """
     if not 0.0 <= k < math.inf:  # NaN fails it too
         raise ValueError(f"wavenumber must be finite and >= 0, got {k}")
-    rtol = 1e-10
+    what = f"radial transform at k={k:.6g}"
     rf = _times_r(f)
-    try:
+    with _evaluable(what):  # f may grow faster than the advertised 1/r
         hi = _decay_cutoff(rf)
-        with np.errstate(over="raise"), warnings.catch_warnings():
-            # QUADPACK's roundoff notes; the error guard below decides
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            if k == 0.0:
-                val, err = scipy.integrate.quad(
-                    lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi,
-                    epsabs=1e-300, epsrel=rtol, limit=800)
-                scale = 1.0
-            else:
-                val, err = scipy.integrate.quad(
-                    rf, 0.0, hi, weight="sin", wvar=k, epsabs=1e-300,
-                    epsrel=rtol, limit=800, maxp1=100)
-                scale = 4.0 * math.pi / k
-    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-        # f grew faster than the advertised 1/r origin bound (or blew up
-        # elsewhere); report it as a failed transform, not a stray overflow
-        raise QuadratureError(
-            f"radial transform at k={k:.6g}: integrand not evaluable "
-            f"({exc})") from exc
-    # at a subnormal k, 4 pi/k is inf and scale * val NaN
-    if (not math.isfinite(scale * val) or not math.isfinite(err)
-            or abs(err) > 100.0 * rtol * max(abs(val), 1e-300)):
-        raise QuadratureError(
-            f"radial transform at k={k:.6g}: error estimate {err:.3e} "
-            f"exceeds tolerance for value {val:.6e}, or 4 pi/k times it "
-            "leaves the doubles")
-    return scale * val
+    if k == 0.0:
+        out, _ = _quad(what, lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi,
+                       epsrel=1e-10, limit=800)
+    else:
+        val, _ = _quad(what, rf, 0.0, hi, weight="sin", wvar=k, epsrel=1e-10,
+                       limit=800, maxp1=100)
+        out = 4.0 * math.pi / k * val
+    if not math.isfinite(out):  # at a subnormal k, 4 pi/k is inf
+        raise QuadratureError(f"{what}: the transform leaves the doubles")
+    return out
 
 
 @_fails_closed
@@ -328,9 +355,13 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
     well-separated sites the integrand oscillates with enormous cancellation,
     and the returned estimate grows to dominate the value itself — that
     regime is exactly why the production path uses the closed form instead.
+    A lam above FOURIER_MAX_LAM raises ValueError.
     """
     _check_separation(s)
     lam = p.lam
+    if lam > FOURIER_MAX_LAM:
+        raise ValueError(f"lam={lam!r} is above {FOURIER_MAX_LAM:g}, where the "
+                         "k map misses the low-k part of the integrand")
 
     def j0(x: float) -> float:
         if abs(x) < 1e-4:
@@ -347,10 +378,8 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
             raise ValueError(f"s makes k*s leave the doubles at k={k!r}")
         return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(ks) * jac
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, err = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
-                                        epsrel=1e-10, limit=2000)
+    val, err = _quad(f"Fourier pair integral at s={s:.6g}", integrand, 0.0, 1.0,
+                     epsabs=1e-13, epsrel=1e-10, limit=2000)
     return val / (2.0 * math.pi**2), err / (2.0 * math.pi**2)
 
 
@@ -390,17 +419,17 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
             return 0.0
         return scale_h * decay * (lw * lw + 3.0 * lw + 3.0)
 
+    what = f"real-space pair integral at s={s:.6g}"
     # h's own scale: QUADPACK misses a peak of width 1/lam in an interval
     # of width 1 unless the break points resolve its decay out to reach
     near = {1.0 / lam, 10.0 / lam, 30.0 / lam, 100.0 / lam, reach}
     if s == 0.0:
         hi = reach + 2.0
-        val, err = scipy.integrate.quad(
-            lambda w: 4.0 * math.pi * w * w * h(w)
-            * float(two_yukawa(max(w, _TINY_R), pot)),
-            0.0, hi, epsabs=1e-300, epsrel=1e-12, limit=800,
-            points=sorted(near | {min(1.0, 0.5 * hi)}))
-        scale = 1.0
+        val, _ = _quad(what, lambda w: 4.0 * math.pi * w * w * h(w)
+                       * float(two_yukawa(max(w, _TINY_R), pot)),
+                       0.0, hi, epsrel=1e-12, limit=800,
+                       points=sorted(near | {min(1.0, 0.5 * hi)}))
+        return val
     else:
         def inner(w: float) -> float:
             # e^{-a|s-w|} - e^{-a(s+w)}, factored: the two terms are equal
@@ -416,19 +445,9 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
         pts = sorted(pt for pt in near | {s, abs(s - 1.0 / n_), s + 1.0 / n_,
                                           abs(s - 1.0), s + 1.0, s + 3.0}
                      if 0.0 < pt < hi)
-        with warnings.catch_warnings():
-            # roundoff chatter near machine-precision convergence; accuracy
-            # is enforced by the explicit error guard below
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            val, err = scipy.integrate.quad(
-                lambda w: w * h(w) * inner(w), 0.0, hi, epsabs=1e-300,
-                epsrel=1e-12, limit=800, points=pts)
-        scale = 2.0 * math.pi / s
-    if abs(err) > 1e-6 * max(abs(val), 1e-300):
-        raise QuadratureError(
-            f"real-space pair integral at s={s:.6g}: error {err:.3e} "
-            f"too large for value {val:.6e}")
-    return scale * val
+        val, _ = _quad(what, lambda w: w * h(w) * inner(w), 0.0, hi,
+                       epsrel=1e-12, limit=800, points=pts)
+        return 2.0 * math.pi / s * val
 
 
 @_fails_closed
@@ -442,24 +461,20 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     map of [0, inf) misses a peak of width 1/rate and can report error 0.
     """
     _check_positive(rate=rate)
-    rtol = 1e-11
 
     def rho(r: float) -> float:
         return math.exp(-r) / (8.0 * math.pi)
 
     def potential(r: float) -> float:
-        inner_mass, _ = scipy.integrate.quad(
-            lambda t: t * t * rho(t), 0.0, r, epsabs=1e-300, epsrel=rtol,
-            limit=200)
-        outer, _ = scipy.integrate.quad(lambda t: t * rho(t), r, np.inf,
-                                        epsabs=1e-300, epsrel=rtol, limit=200)
+        inner_mass, _ = _quad("Coulomb inner mass", lambda t: t * t * rho(t),
+                              0.0, r, epsrel=1e-11, limit=200)
+        outer, _ = _quad("Coulomb outer potential", lambda t: t * rho(t),
+                         r, np.inf, epsrel=1e-11, limit=200)
         return 4.0 * math.pi * (inner_mass / r + outer)
 
-    val, err = scipy.integrate.quad(
-        lambda r: 4.0 * math.pi * r * r * rho(r) * potential(max(r, 1e-12)),
-        0.0, np.inf, epsabs=1e-300, epsrel=rtol, limit=200)
-    if abs(err) > 1e-6 * abs(val):
-        raise QuadratureError(f"nested Coulomb quadrature error {err:.3e} too large")
+    val, _ = _quad("nested Coulomb quadrature",
+                   lambda r: 4.0 * math.pi * r * r * rho(r) * potential(max(r, 1e-12)),
+                   0.0, np.inf, epsrel=1e-11, limit=200)
     return rate * val
 
 
@@ -470,18 +485,26 @@ def density_power_integral_quadrature(rate: float, mass: float,
 
     Pins the Thomas-Fermi kinetic coefficient (power = 5/3).  Integrated in
     x = rate r, as coulomb_self_energy_quadrature is: exactly
-    rate^(3 power - 3) times the rate-1 integral.
+    rate^(3 power - 3) times the rate-1 integral.  rho underflows to 0.0
+    past x = X, and the part of the integral it loses there is the fraction
+    e^{-z}(1 + z + z^2/2) with z = power X; where that is more than
+    QUAD_TRUST, QuadratureError names the power.
     """
     _check_positive(rate=rate, mass=mass, power=power)
 
     def rho(x: float) -> float:
         return mass * math.exp(-x) / (8.0 * math.pi)
 
-    val, err = scipy.integrate.quad(
-        lambda x: 4.0 * math.pi * x * x * rho(x) ** power, 0.0, np.inf,
-        epsabs=1e-300, epsrel=1e-12, limit=400)
-    if abs(err) > 1e-6 * abs(val):
-        raise QuadratureError(f"density power integral error {err:.3e} too large")
+    # mass e^{-x}/(8 pi) rounds to 0.0 below half the least subnormal, and
+    # e^{-x} itself past the same point
+    z = power * max(0.0, _UNDERFLOW_X + min(0.0, math.log(mass) - math.log(8.0 * math.pi)))
+    lost = math.exp(-z) * (1.0 + z + 0.5 * z * z)
+    if lost > QUAD_TRUST:
+        raise QuadratureError(
+            f"density power integral at power={power!r}: rho underflows to 0.0 "
+            f"where {lost:.3e} of the integral lies")
+    val, _ = _quad("density power integral", lambda x: 4.0 * math.pi * x * x * rho(x) ** power,
+                   0.0, np.inf, epsrel=1e-12, limit=400)
     return rate ** (3.0 * power - 3.0) * val
 
 
@@ -538,9 +561,9 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
            density_fourier(p0, 10.0), 1e-9)
 
     # Plancherel: (1/2 pi^2) int k^2 n~^2 dk = int n^2 d^3r = lam^3/(64 pi)
-    plancherel, _ = scipy.integrate.quad(
-        lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
-        epsabs=1e-13, epsrel=1e-12, limit=400)
+    plancherel, _ = _quad("Plancherel norm",
+                          lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
+                          epsabs=1e-13, epsrel=1e-12, limit=400)
     record("Plancherel norm of site density", plancherel / (2.0 * math.pi**2),
            lam0**3 / (64.0 * math.pi), 1e-9)
 

@@ -203,6 +203,13 @@ def test_missing_arguments_exit_1():
     assert run_cli("selfgrav", "--kind", "boson", "--N-list", "1") == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [("sweep", "--param", "x", "--range", "1:2:2"),
+                                  ("selfgrav", "--kind", "x")])
+def test_argparse_refuses_a_fixed_choice_it_does_not_list(argv, capsys):
+    assert run_cli(*argv) == EXIT_INPUT
+    assert "invalid choice: 'x'" in capsys.readouterr().err
+
+
 def test_successful_observables_exits_0(tmp_path, capsys):
     out = tmp_path / "obs.json"
     code = run_cli("--output", str(out), "observables",

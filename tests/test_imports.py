@@ -1,7 +1,7 @@
 """The solver's own modules import no scipy; only the oracle battery does,
 as the bare package, so that a process loads `scipy.integrate` when its
-first quadrature runs and not before.  The package exposes no name that no
-user path reaches."""
+first quadrature runs and not before, and every quadrature goes through
+`oracle._quad`.  The package exposes no name that no user path reaches."""
 
 import ast
 import json
@@ -54,6 +54,24 @@ def test_only_oracle_imports_scipy_and_only_the_bare_package():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {stem: imports for stem, imports in found.items() if imports} == {
         "oracle": [("import scipy", True)]}
+
+
+def _quadpack_names(path):
+    """(module, top-level def, name) of each scipy.integrate.quad and each
+    IntegrationWarning that `path` names."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            name = ast.unparse(node) if isinstance(node, (ast.Attribute, ast.Name)) else ""
+            if name == "scipy.integrate.quad" or name.split(".")[-1] == "IntegrationWarning":
+                yield path.stem, getattr(top, "name", None), name
+
+
+def test_every_quadrature_goes_through_one_gate():
+    # oracle._quad is the one home of the rule for trusting QUADPACK: it
+    # alone calls quad, once, and silences its IntegrationWarning
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _quadpack_names(path)]
+    assert sorted(found) == [("oracle", "_quad", "scipy.integrate.IntegrationWarning"),
+                             ("oracle", "_quad", "scipy.integrate.quad")]
 
 
 #: what a cold process has loaded of scipy after `import varsolid.cli`,

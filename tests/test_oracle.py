@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
-                      density_fourier)
-from varsolid.oracle import (MC_BLOCK, QuadratureError, _row_norms,
+                      density_fourier, pair_energy)
+from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_TRUST, QuadratureError, _quad,
+                             _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_com_variance,
@@ -264,6 +265,30 @@ def test_transform_k_zero_is_volume_integral():
 test_transform_rejects_negative_k = cases_test("test_transform_rejects_negative_k")
 
 
+# ----------------------------------------------------------------------
+# the one trust rule of every quadrature
+# ----------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")  # QUADPACK's IntegrationWarning must not escape
+@pytest.mark.parametrize("f, reason", [
+    (lambda x: math.sin(1.0 / x), "error estimate"),  # QUADPACK cannot resolve it
+    (lambda x: 1.0 / x, "error estimate"),  # divergent
+    (lambda x: math.exp(1e3 * x), "not evaluable"),  # OverflowError
+    (lambda x: float(np.exp(np.float64(1e3) * x)), "not evaluable"),  # numpy's overflow
+], ids=["oscillating", "divergent", "overflow", "numpy-overflow"])
+def test_quad_refuses_what_it_cannot_trust(f, reason):
+    with pytest.raises(QuadratureError, match=f"^probe: .*{reason}"):
+        _quad("probe", f, 0.0, 1.0, epsrel=1e-10, limit=50)
+
+
+def test_quad_returns_a_trusted_or_non_finite_value():
+    val, err = _quad("probe", math.exp, 0.0, 1.0, epsrel=1e-12)
+    assert val == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert abs(err) <= QUAD_TRUST * val
+    # the caller's _fails_closed names the argument that sent it there
+    assert _quad("probe", lambda x: math.inf, 0.0, 1.0, epsrel=1e-10)[0] == math.inf
+
+
 def test_divergent_integrand_raises():
     # 1/r^3 is not transformable: the quadrature must refuse, not return junk
     with pytest.raises(QuadratureError):
@@ -280,6 +305,20 @@ def test_realspace_and_fourier_routes_agree():
         ref = pair_energy_realspace_reference(p, POT, s)
         val, err = pair_energy_quadrature(p, POT, s)
         assert abs(val - ref) <= max(3.0 * err, 1e-8 * abs(ref))
+
+
+def test_fourier_route_is_right_up_to_its_largest_lam():
+    p = OrbitalParams(FOURIER_MAX_LAM)
+    val, _ = pair_energy_quadrature(p, POT, 0.0)
+    assert val == pytest.approx(pair_energy(p, POT, 0.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [3e6, 1e8])
+def test_fourier_route_rejects_a_narrow_density(lam):
+    # its map missed 1.6e-5 and 4.7e-7 of the value here, with error
+    # estimates of 1e-10 and 4e-12
+    with pytest.raises(ValueError, match=rf"lam={lam!r} is above"):
+        pair_energy_quadrature(OrbitalParams(lam), POT, 0.0)
 
 
 def test_three_oracles_meet_at_the_physical_point():
@@ -305,6 +344,24 @@ def test_density_power_integral_unit_power():
     for rate in (3.0, 1e5):
         assert density_power_integral_quadrature(rate, 7.0, 1.0) == pytest.approx(
             7.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("power", [0.05, 1.0, 5.0 / 3.0, 4.0])
+@pytest.mark.parametrize("rate, mass", [(1.0, 1.0), (3.0, 7.0)])
+def test_density_power_integral_matches_its_closed_form(rate, mass, power):
+    # int 4 pi x^2 (mass e^{-x}/8 pi)^p dx = 8 pi (mass/8 pi)^p / p^3
+    want = (8.0 * math.pi * (mass / (8.0 * math.pi)) ** power / power**3
+            * rate ** (3.0 * power - 3.0))
+    got = density_power_integral_quadrature(rate, mass, power)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("power", [1e-3, 1e-2, 0.02, 0.03])
+def test_density_power_integral_fails_closed_where_rho_underflows(power):
+    # rho is 0.0 past x ~ 742, where 96%, 2.2%, 4.5e-5 and 5.8e-8 of these
+    # integrals lie; each passed the old 1e-6 error guard
+    with pytest.raises(QuadratureError, match=rf"power={power!r}"):
+        density_power_integral_quadrature(1.0, 1.0, power)
 
 
 test_coulomb_quadrature_rejects_bad_rate = cases_test(
