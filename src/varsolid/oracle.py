@@ -1,8 +1,8 @@
 """Independent brute-force verifiers for every closed form in the package.
 
 Nothing here is clever: Monte Carlo for the six-dimensional pair integrals,
-adaptive quadrature for radial transforms and nested Coulomb integrals, and
-direct samplers for density moments.  These are the instruments the analytic
+numpy quadrature rules for radial transforms and nested Coulomb integrals,
+and direct samplers for density moments.  These are the instruments the analytic
 results in `model`, `energy`, `observables`, and `selfgrav` are pinned
 against; the test suite runs them routinely, and `verify_checks` gathers
 them into the battery that the CLI `verify` command reports.
@@ -18,23 +18,24 @@ distances or squared draws leave the doubles raises ValueError naming it.
 The quadrature oracles and mc_pair_energy fail closed as the self-gravity
 energies do (selfgrav._fails_closed): a rejected input or a result beyond
 the doubles raises ValueError naming the call's arguments.  Every quadrature
-is trusted by one rule, `_quad`'s: an integrand that overflows, or an error
-estimate above QUAD_TRUST = 1e-8 of a finite value, raises QuadratureError.
+runs in `_quad`: tanh-sinh, exp-sinh on [a, inf), or composite Gauss-Legendre
+for a sine weight, each level one array call of the integrand, at most
+QUAD_NODES nodes in all.  It is trusted by one rule: an integrand that
+overflows, or an error estimate (the change over the last level) above
+QUAD_TRUST = 1e-8 of a finite value, raises QuadratureError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
-# the bare package: scipy's module __getattr__ imports scipy.integrate, and
-# with it scipy.optimize and scipy.special (~0.6 s), at the first quadrature,
-# so a process that never integrates (`optimize`, a solve) never loads it
-import scipy
+# unused: the benchmark's import probe needs `import varsolid` to load the
+# scipy package.  No scipy submodule loads, and no scipy function runs
+import scipy  # noqa: F401
 
 from .lattice import build_cluster
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
@@ -61,11 +62,18 @@ MC_BLOCK = 2**14
 #: oracle; every legitimate call measured is at least 27x inside it
 QUAD_TRUST = 1e-8
 
-#: the largest lam pair_energy_quadrature takes.  At s = 0 it is right to
-#: 1e-15 up to 1.335e6; from 1.34e6 its map k = lam t/(1-t) squeezes the
-#: structure at k ~ m, n into t ~ 1e-6, and it misses 3.5e-5 of the value
-#: with an error estimate of 1e-10.  At s = 0.2, QUAD_TRUST refuses it
-#: from lam ~ 1.2e4 on
+#: the most nodes a quadrature takes over all its levels: no argument sizes
+#: an allocation
+QUAD_NODES = 2**16
+
+#: the reach of t in tanh-sinh, to 6e-38 of a piece's width from its ends,
+#: and in exp-sinh, over a + [2e-19, 4e18]
+_DE_T = 4.0
+
+#: the largest lam pair_energy_quadrature takes.  Its exp-sinh nodes end at
+#: k = 4e18: at s = 0 it is right to 8e-16 up to lam = 1e16, and at 3e17 it
+#: misses 2.9e-9 of the value with an estimate of 3.3e-10.  The bound stays
+#: where it was pinned.  At s = 0.2, QUAD_TRUST refuses it from lam ~ 1e3
 FOURIER_MAX_LAM = 1e6
 
 
@@ -272,72 +280,118 @@ def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
 
 @contextlib.contextmanager
 def _evaluable(what: str):
-    """Raise QuadratureError naming `what` where an integrand overflows."""
+    """Raise QuadratureError naming `what` where an integrand overflows or divides by 0."""
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="ignore"):
             yield
     except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
         raise QuadratureError(f"{what}: integrand not evaluable ({exc})") from exc
 
 
-def _quad(what: str, f: Callable[[float], float], a: float, b: float, *,
-          epsrel: float, epsabs: float = 1e-300, **kw: Any) -> tuple[float, float]:
-    """scipy.integrate.quad(f, a, b), with QUADPACK's IntegrationWarning
-    silenced: an integrand that overflows, or a finite value whose error
+def _tanh_sinh(edges: Sequence[float]) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Levels (keep, nodes, weights) of tanh-sinh on each finite piece between
+    `edges`, and exp-sinh on a last piece [a, inf) (Takahashi & Mori, Publ.
+    RIMS 9, 721 (1974)), t in [-_DE_T, _DE_T] at a step h halving from 1.
+    A level adds the nodes halfway between the last's: it keeps half its sum."""
+    ends = np.asarray(edges, dtype=float)
+    half_line = bool(ends[-1] == math.inf)
+    lo, hi = ends[:-1 - half_line, None], ends[1:len(ends) - half_line, None]
+    h, t = 1.0, np.arange(-_DE_T, _DE_T + 0.5)
+    while True:
+        u = 0.5 * math.pi * np.sinh(t)
+        e = np.exp(-2.0 * np.abs(u))  # 1 - tanh|u| = 2e/(1 + e)
+        d = (hi - lo) * (e / (1.0 + e))  # each node's distance to the nearer end
+        x = np.where(t < 0.0, lo + d, hi - d)
+        w = (hi - lo) * (h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
+        if half_line:
+            g = np.exp(u)
+            x, w = np.vstack([x, ends[-2] + g]), np.vstack([w, 0.5 * h * math.pi * np.cosh(t) * g])
+        yield (0.0 if h == 1.0 else 0.5), x, w
+        h /= 2.0
+        t = np.arange(-_DE_T + h, _DE_T, 2.0 * h)
+
+
+def _gauss_legendre(a: float, b: float) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Levels (keep, nodes, weights) of composite 20-point Gauss-Legendre on
+    [a, b] over n = 1, 2, 4, ... equal panels, the first cut at a + (b - a)/(n
+    4^j), j <= 20, for a peak at a narrower than a panel (cuts at ratio 2
+    would repeat from level to level)."""
+    from numpy.polynomial.legendre import leggauss  # ~4 ms, at the first transform
+    x0, w0 = leggauss(20)
+    n = 1
+    while True:
+        edges = np.concatenate([[a], a + (b - a) / n * 4.0 ** -np.arange(20.0, 0.0, -1.0),
+                                np.linspace(a, b, n + 1)[1:]])
+        half = 0.5 * np.diff(edges)[:, None]
+        yield 0.0, (edges[:-1, None] + half * (1.0 + x0)).reshape(1, -1), (half * w0).reshape(1, -1)
+        n *= 2
+
+
+def _quad(what: str, f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
+          epsrel: float, epsabs: float = 1e-300, points: Sequence[float] = (),
+          sine: float | None = None) -> tuple[Any, Any]:
+    """int_a^b f(x) dx (b may be inf) and its error estimate.  f maps an
+    array of nodes to their values, or to an (m, n) array: m integrals.
+
+    The rule is _tanh_sinh's, split at `points`, or with sine = k
+    _gauss_legendre's of f(x) sin(k x).  Levels refine until the estimate,
+    the change over a level plus its end terms (large where f diverges), is
+    within max(epsabs, epsrel |value|), or QUAD_NODES nodes are used.  Then
+    one rule of trust: an integrand that overflows, or a finite value whose
     estimate is more than QUAD_TRUST of it, raises QuadratureError naming
-    `what`.  A non-finite value is returned, for the caller to name its
-    argument."""
-    with _evaluable(what), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, err = scipy.integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, **kw)
-    if math.isfinite(val) and not abs(err) <= QUAD_TRUST * abs(val):  # NaN err too
-        raise QuadratureError(f"{what}: error estimate {err:.3e} is more than "
-                              f"{QUAD_TRUST:g} of the value {val:.6e}")
-    return val, err
+    `what`.  A non-finite value is returned, for the caller to name."""
+    levels = _tanh_sinh([a, *points, b]) if sine is None else _gauss_legendre(a, b)
+    g = f if sine is None else lambda x: f(x) * np.sin(sine * x)
+    val, err, used = 0.0, math.inf, 0
+    with _evaluable(what):
+        for keep, x, w in levels:
+            used += x.size
+            if used > QUAD_NODES:
+                break
+            fx = np.asarray(g(x.ravel()))
+            terms = w * fx.reshape(fx.shape[:-1] + x.shape)
+            last, val = val, terms.sum(axis=(-2, -1)) + (keep * val if keep else 0.0)
+            if used > x.size:  # from the second level on
+                err = np.abs(val - last) + np.abs(terms[..., [0, -1]]).sum(axis=(-2, -1))
+                done = np.all(err <= np.maximum(epsabs, epsrel * np.abs(val)))
+                if done or not np.isfinite(val).all():
+                    break
+    err = np.broadcast_to(err, np.shape(val))
+    bad = np.flatnonzero(np.isfinite(val) & ~(err <= QUAD_TRUST * np.abs(val)))  # NaN err too
+    if bad.size:
+        raise QuadratureError(f"{what}: error estimate {err.flat[bad[0]]:.3e} is more than "
+                              f"{QUAD_TRUST:g} of the value {np.ravel(val)[bad[0]]:.6e}")
+    return (float(val), float(err)) if np.ndim(val) == 0 else (val, err)
 
 
-def _times_r(f: Callable[[float], float]) -> Callable[[float], float]:
-    """r*f(r), evaluable at r = 0 for f at most as singular as 1/r."""
-    def rf(r: float) -> float:
-        if r < _TINY_R:
-            r = _TINY_R
-        return r * f(r)
-    return rf
-
-
-def _decay_cutoff(rf: Callable[[float], float]) -> float:
-    """Radius beyond which r*f(r) has decayed to nothing (probe-based)."""
-    peak = max(abs(rf(r)) for r in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0))
-    if peak == 0.0:
-        return 400.0
-    for r in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
-        if abs(rf(r)) < 1e-24 * peak and abs(rf(1.5 * r)) < 1e-24 * peak:
-            return 2.0 * r
-    return 400.0
-
-
-def radial_transform_check(f: Callable[[float], float], k: float) -> float:
+def radial_transform_check(f: Callable[[np.ndarray], np.ndarray], k: float) -> float:
     """(4 pi / k) int_0^inf r sin(kr) f(r) dr for a radial function f.
 
     The 3-D Fourier transform of f(|r|) at wavenumber k; the k = 0 branch is
-    the plain volume integral.  Oscillation is handled by the sine-weighted
-    Clenshaw-Curtis rule on a finite interval chosen past the decay of f, so
-    the relative tolerance 1e-10 is honored.  f may diverge at the origin as
-    fast as 1/r.  k must be finite and >= 0; a transform that leaves the
-    doubles raises QuadratureError.
+    the plain volume integral.  f takes an array of radii.  The sine integral
+    is composite Gauss-Legendre on a finite interval chosen past the decay
+    of f, refined to the relative tolerance 1e-12.  f may diverge at the
+    origin as fast as 1/r.  k must be finite and >= 0; a transform that
+    leaves the doubles raises QuadratureError.
     """
     if not 0.0 <= k < math.inf:  # NaN fails it too
         raise ValueError(f"wavenumber must be finite and >= 0, got {k}")
     what = f"radial transform at k={k:.6g}"
-    rf = _times_r(f)
-    with _evaluable(what):  # f may grow faster than the advertised 1/r
-        hi = _decay_cutoff(rf)
+
+    def rf(r: np.ndarray) -> np.ndarray:  # finite at r = 0 for f as singular as 1/r
+        r = np.maximum(r, _TINY_R)
+        return r * f(r)
+
+    # probe where r f(r) has decayed to nothing; f may grow faster than 1/r
+    with _evaluable(what):
+        peak = np.max(np.abs(rf(np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]))))
+        r = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+        gone = (np.abs(rf(r)) < 1e-24 * peak) & (np.abs(rf(1.5 * r)) < 1e-24 * peak)
+    hi = 2.0 * float(r[gone][0]) if gone.any() else 400.0
     if k == 0.0:
-        out, _ = _quad(what, lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi,
-                       epsrel=1e-10, limit=800)
+        out, _ = _quad(what, lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi, epsrel=1e-12)
     else:
-        val, _ = _quad(what, rf, 0.0, hi, weight="sin", wvar=k, epsrel=1e-10,
-                       limit=800, maxp1=100)
+        val, _ = _quad(what, rf, 0.0, hi, epsrel=1e-12, sine=k)
         out = 4.0 * math.pi / k * val
     if not math.isfinite(out):  # at a subnormal k, 4 pi/k is inf
         raise QuadratureError(f"{what}: the transform leaves the doubles")
@@ -347,10 +401,10 @@ def radial_transform_check(f: Callable[[float], float], k: float) -> float:
 @_fails_closed
 def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
                            s: float) -> tuple[float, float]:
-    """Fourier-space pair energy by mapped adaptive quadrature, with its
-    error estimate.
+    """Fourier-space pair energy by exp-sinh quadrature, with its error
+    estimate.
 
-    (1/2 pi^2) int k^2 v~(k) n~(k)^2 j0(ks) dk under k = lam t/(1-t).
+    (1/2 pi^2) int_0^inf k^2 v~(k) n~(k)^2 j0(ks) dk.
     Returns (value, error_estimate).  The error estimate is honest: for
     well-separated sites the integrand oscillates with enormous cancellation,
     and the returned estimate grows to dominate the value itself — that
@@ -360,26 +414,19 @@ def pair_energy_quadrature(p: OrbitalParams, pot: TwoYukawaParams,
     _check_separation(s)
     lam = p.lam
     if lam > FOURIER_MAX_LAM:
-        raise ValueError(f"lam={lam!r} is above {FOURIER_MAX_LAM:g}, where the "
-                         "k map misses the low-k part of the integrand")
+        raise ValueError(f"lam={lam!r} is above {FOURIER_MAX_LAM:g}, the largest "
+                         "lam this oracle takes")
 
-    def j0(x: float) -> float:
-        if abs(x) < 1e-4:
-            x2 = x * x
-            return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-        return math.sin(x) / x
-
-    def integrand(t: float) -> float:
-        k = lam * t / (1.0 - t)
-        jac = lam / (1.0 - t) ** 2
+    def integrand(k: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # checked below
+            ks = k * s
+        if not np.isfinite(ks).all():  # sin(inf) is NaN
+            raise ValueError(f"s makes k*s leave the doubles at k={k.max()!r}")
         nk = (1.0 + (k / lam) ** 2) ** -2
-        ks = k * s
-        if ks == math.inf:  # sin(inf) is a math domain error
-            raise ValueError(f"s makes k*s leave the doubles at k={k!r}")
-        return k * k * two_yukawa_fourier(k, pot) * nk * nk * j0(ks) * jac
+        return k * k * two_yukawa_fourier(k, pot) * nk * nk * np.sinc(ks / math.pi)
 
-    val, err = _quad(f"Fourier pair integral at s={s:.6g}", integrand, 0.0, 1.0,
-                     epsabs=1e-13, epsrel=1e-10, limit=2000)
+    val, err = _quad(f"Fourier pair integral at s={s:.6g}", integrand, 0.0, np.inf,
+                     epsabs=1e-13, epsrel=1e-10)
     return val / (2.0 * math.pi**2), err / (2.0 * math.pi**2)
 
 
@@ -402,6 +449,8 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     this is the strongest independent check on the closed form.
     """
     _check_separation(s)
+    if s > 0.0 and 2.0 * math.pi / s == math.inf:
+        raise ValueError(f"s={s!r} makes 2 pi/s leave the doubles")
     lam = p.lam
     b, m_, n_ = pot.b, pot.m, pot.n
     reach = 760.0 / lam  # past it e^{-lam w} < 1e-330 underflows to 0.0
@@ -412,41 +461,30 @@ def pair_energy_realspace_reference(p: OrbitalParams, pot: TwoYukawaParams,
     except OverflowError:
         raise ValueError(f"lam={lam!r} makes lam^3 leave the doubles") from None
 
-    def h(w: float) -> float:
-        lw = lam * w
-        decay = math.exp(-lw)
-        if decay == 0.0:  # (lam w)^2 may be inf there, and 0.0 * inf NaN
-            return 0.0
-        return scale_h * decay * (lw * lw + 3.0 * lw + 3.0)
+    def h(w: np.ndarray) -> np.ndarray:
+        lw = np.minimum(lam * w, 760.0)  # e^{-760} is 0.0, and (lam w)^2 stays finite
+        return scale_h * np.exp(-lw) * (lw * lw + 3.0 * lw + 3.0)
 
+    # past reach h is 0.0: the integrands end there, and tanh-sinh resolves
+    # h's peak of width 1/lam at the end w = 0 of [0, reach]
     what = f"real-space pair integral at s={s:.6g}"
-    # h's own scale: QUADPACK misses a peak of width 1/lam in an interval
-    # of width 1 unless the break points resolve its decay out to reach
-    near = {1.0 / lam, 10.0 / lam, 30.0 / lam, 100.0 / lam, reach}
     if s == 0.0:
-        hi = reach + 2.0
         val, _ = _quad(what, lambda w: 4.0 * math.pi * w * w * h(w)
-                       * float(two_yukawa(max(w, _TINY_R), pot)),
-                       0.0, hi, epsrel=1e-12, limit=800,
-                       points=sorted(near | {min(1.0, 0.5 * hi)}))
+                       * two_yukawa(np.maximum(w, _TINY_R), pot), 0.0, reach, epsrel=1e-12)
         return val
     else:
-        def inner(w: float) -> float:
+        def inner(w: np.ndarray) -> np.ndarray:
             # e^{-a|s-w|} - e^{-a(s+w)}, factored: the two terms are equal
             # doubles once w < ulp(s), and a sinh form overflows past a s ~ 710
             tot = 0.0
             for sign, a in ((1.0, m_), (-1.0, n_)):
                 ea = math.exp(a)  # e^{m} offset of the potential
-                tot += -sign * b * ea * math.exp(-a * abs(s - w)) * -math.expm1(
-                    -2.0 * a * min(s, w)) / a
+                tot = tot - sign * b * ea * np.exp(-a * np.abs(s - w)) * -np.expm1(
+                    -2.0 * a * np.minimum(s, w)) / a
             return tot
 
-        hi = s + 3.0 + reach
-        pts = sorted(pt for pt in near | {s, abs(s - 1.0 / n_), s + 1.0 / n_,
-                                          abs(s - 1.0), s + 1.0, s + 3.0}
-                     if 0.0 < pt < hi)
-        val, _ = _quad(what, lambda w: w * h(w) * inner(w), 0.0, hi,
-                       epsrel=1e-12, limit=800, points=pts)
+        val, _ = _quad(what, lambda w: w * h(w) * inner(w), 0.0, reach,
+                       epsrel=1e-12, points=[s] if s < reach else [])  # inner's kink
         return 2.0 * math.pi / s * val
 
 
@@ -457,24 +495,27 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     Nested shell-theorem quadrature: the inner potential at radius r is
     (4 pi/r) int_0^r t^2 rho dt + 4 pi int_r^inf t rho dt.  Closed form says
     5 rate/16; this pins the Coulomb coefficients used by selfgrav.  It is
-    integrated in x = rate r, exactly rate times the rate-1 integral: QUADPACK's
-    map of [0, inf) misses a peak of width 1/rate and can report error 0.
+    integrated in x = rate r, exactly rate times the rate-1 integral, and
+    each outer node of a level is a row of the two inner integrals.
     """
     _check_positive(rate=rate)
 
-    def rho(r: float) -> float:
-        return math.exp(-r) / (8.0 * math.pi)
+    def rho(r: np.ndarray) -> np.ndarray:
+        return np.exp(-r) / (8.0 * math.pi)
 
-    def potential(r: float) -> float:
-        inner_mass, _ = _quad("Coulomb inner mass", lambda t: t * t * rho(t),
-                              0.0, r, epsrel=1e-11, limit=200)
-        outer, _ = _quad("Coulomb outer potential", lambda t: t * rho(t),
-                         r, np.inf, epsrel=1e-11, limit=200)
-        return 4.0 * math.pi * (inner_mass / r + outer)
+    def potential(r: np.ndarray) -> np.ndarray:
+        # (1/r) int_0^r t^2 rho in t = r u, and int_r^inf t rho in t = r + v
+        # as e^{-r} int (r + v) rho(v): no underflow.  Past 800, rho(r) is 0.0
+        r = np.clip(r, 1e-12, 800.0)[:, None]
+        inner_mass, _ = _quad("Coulomb inner mass", lambda u: r * r * u * u * rho(r * u),
+                              0.0, 1.0, epsrel=1e-11)
+        outer, _ = _quad("Coulomb outer potential", lambda v: (r + v) * rho(v),
+                         0.0, np.inf, epsrel=1e-11)
+        return 4.0 * math.pi * (inner_mass + np.exp(-r[:, 0]) * outer)
 
     val, _ = _quad("nested Coulomb quadrature",
-                   lambda r: 4.0 * math.pi * r * r * rho(r) * potential(max(r, 1e-12)),
-                   0.0, np.inf, epsrel=1e-11, limit=200)
+                   lambda r: 4.0 * math.pi * r * r * rho(r) * potential(r),
+                   0.0, np.inf, epsrel=1e-11)
     return rate * val
 
 
@@ -492,8 +533,8 @@ def density_power_integral_quadrature(rate: float, mass: float,
     """
     _check_positive(rate=rate, mass=mass, power=power)
 
-    def rho(x: float) -> float:
-        return mass * math.exp(-x) / (8.0 * math.pi)
+    def rho(x: np.ndarray) -> np.ndarray:
+        return mass * np.exp(-x) / (8.0 * math.pi)
 
     # mass e^{-x}/(8 pi) rounds to 0.0 below half the least subnormal, and
     # e^{-x} itself past the same point
@@ -504,7 +545,7 @@ def density_power_integral_quadrature(rate: float, mass: float,
             f"density power integral at power={power!r}: rho underflows to 0.0 "
             f"where {lost:.3e} of the integral lies")
     val, _ = _quad("density power integral", lambda x: 4.0 * math.pi * x * x * rho(x) ** power,
-                   0.0, np.inf, epsrel=1e-12, limit=400)
+                   0.0, np.inf, epsrel=1e-12)
     return rate ** (3.0 * power - 3.0) * val
 
 
@@ -543,8 +584,7 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     # potential transform against direct sine quadrature
     worst_k, worst = 0.0, 0.0
     for k in rng.uniform(0.05, 60.0, 20):
-        got = radial_transform_check(lambda r: float(two_yukawa(r, pot)),
-                                     float(k))
+        got = radial_transform_check(lambda r: two_yukawa(r, pot), float(k))
         want = two_yukawa_fourier(float(k), pot)
         rel = abs(got - want) / abs(want)
         if rel > worst:
@@ -556,14 +596,14 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     lam0 = 91.33
     p0 = OrbitalParams(lam0)
     got = radial_transform_check(
-        lambda r: lam0**3 * math.exp(-lam0 * r) / (8.0 * math.pi), 10.0)
+        lambda r: lam0**3 * np.exp(-lam0 * r) / (8.0 * math.pi), 10.0)
     record("density_fourier vs sine quadrature (k=10)", got,
            density_fourier(p0, 10.0), 1e-9)
 
     # Plancherel: (1/2 pi^2) int k^2 n~^2 dk = int n^2 d^3r = lam^3/(64 pi)
     plancherel, _ = _quad("Plancherel norm",
                           lambda k: k * k * (1.0 + (k / lam0) ** 2) ** -4, 0.0, np.inf,
-                          epsabs=1e-13, epsrel=1e-12, limit=400)
+                          epsabs=1e-13, epsrel=1e-12)
     record("Plancherel norm of site density", plancherel / (2.0 * math.pi**2),
            lam0**3 / (64.0 * math.pi), 1e-9)
 

@@ -165,7 +165,7 @@ ROWS = [
           mc_pair_energy(p(lam), v(b, m), separation, samples=1000),
           separation="-1 0 5e-324", lam="1e308", b="5e-324", m="5e-324"),
     # oracle: quadrature
-    *rows("radial_transform_check", lambda k: radial_transform_check(lambda r: math.exp(-r), k),
+    *rows("radial_transform_check", lambda k: radial_transform_check(lambda r: np.exp(-r), k),
           Q, k=("0 5e-324 1e308", "wavenumber")),
     *rows("pair_energy_quadrature", lambda s=0.0, lam=91.2, b=2.026, m=2.69:
           pair_energy_quadrature(p(lam), v(b, m), s),
@@ -178,7 +178,7 @@ ROWS = [
     *rows("coulomb_self_energy_quadrature", coulomb_self_energy_quadrature, Q, rate="5e-324 1e308"),
     *rows("density_power_integral_quadrature", lambda rate=1.0, mass=1.0, power=1.0:
           density_power_integral_quadrature(rate, mass, power),
-          Q, rate="5e-324 1e308", mass="5e-324", power="5e-324 1e308"),
+          Q, rate="5e-324 1e308", mass="5e-324 1e308", power="5e-324 1e308"),
     # selfgrav
     *rows("boson_energy", lambda beta=1.0, N=10, **kw: boson_energy(beta, N, **kw),
           beta="0 5e-324", N="", kappa="-1 0 5e-324", mu="1e308"),
@@ -365,7 +365,7 @@ CASES = {
            ("power", "nan", 2, (1.0, 1.0, math.nan)), ("rate", "negative", 0, (-1.0, 1.0, 1.0)),
            ("mass", "negative", 1, (1.0, -1.0, 5.0 / 3.0)))},
     "test_transform_rejects_negative_k": [
-        _raises(lambda: radial_transform_check(lambda r: math.exp(-r), -1.0))],
+        _raises(lambda: radial_transform_check(lambda r: np.exp(-r), -1.0))],
     "test_coulomb_quadrature_rejects_bad_rate": [
         _raises(lambda: coulomb_self_energy_quadrature(-1.0))],
     # test_observables.py

@@ -2,6 +2,7 @@
 deterministic replay, and the quadrature transforms on textbook cases."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
                       density_fourier, pair_energy)
-from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_TRUST, QuadratureError, _quad,
-                             _row_norms,
+from varsolid.model import DEGENERACY_WINDOW
+from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_NODES, QUAD_TRUST,
+                             QuadratureError, _quad, _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_com_variance,
@@ -234,7 +236,7 @@ def test_narrow_gaussian_transforms_to_its_norm():
     norm = (2.0 * math.pi * w * w) ** -1.5
 
     def f(r):
-        return norm * math.exp(-0.5 * (r / w) ** 2)
+        return norm * np.exp(-0.5 * (r / w) ** 2)
 
     assert radial_transform_check(f, 0.5) == pytest.approx(1.0, rel=1e-5)
 
@@ -242,7 +244,7 @@ def test_narrow_gaussian_transforms_to_its_norm():
 @pytest.mark.parametrize("alpha,k", [(1.0, 0.5), (2.69, 3.0), (14.7, 0.05),
                                      (5.0, 40.0)])
 def test_yukawa_kernel_transform(alpha, k):
-    got = radial_transform_check(lambda r: math.exp(-alpha * r) / r, k)
+    got = radial_transform_check(lambda r: np.exp(-alpha * r) / r, k)
     assert got == pytest.approx(4.0 * math.pi / (k * k + alpha * alpha),
                                 rel=1e-10)
 
@@ -250,7 +252,7 @@ def test_yukawa_kernel_transform(alpha, k):
 def test_exponential_density_transform():
     lam = 33.0
     got = radial_transform_check(
-        lambda r: lam**3 * math.exp(-lam * r) / (8.0 * math.pi), 12.0)
+        lambda r: lam**3 * np.exp(-lam * r) / (8.0 * math.pi), 12.0)
     assert got == pytest.approx(density_fourier(OrbitalParams(lam), 12.0),
                                 rel=1e-10)
 
@@ -258,7 +260,7 @@ def test_exponential_density_transform():
 def test_transform_k_zero_is_volume_integral():
     lam = 5.0
     got = radial_transform_check(
-        lambda r: lam**3 * math.exp(-lam * r) / (8.0 * math.pi), 0.0)
+        lambda r: lam**3 * np.exp(-lam * r) / (8.0 * math.pi), 0.0)
     assert got == pytest.approx(1.0, rel=1e-10)
 
 
@@ -269,24 +271,77 @@ test_transform_rejects_negative_k = cases_test("test_transform_rejects_negative_
 # the one trust rule of every quadrature
 # ----------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("error")  # QUADPACK's IntegrationWarning must not escape
-@pytest.mark.parametrize("f, reason", [
-    (lambda x: math.sin(1.0 / x), "error estimate"),  # QUADPACK cannot resolve it
-    (lambda x: 1.0 / x, "error estimate"),  # divergent
-    (lambda x: math.exp(1e3 * x), "not evaluable"),  # OverflowError
-    (lambda x: float(np.exp(np.float64(1e3) * x)), "not evaluable"),  # numpy's overflow
-], ids=["oscillating", "divergent", "overflow", "numpy-overflow"])
-def test_quad_refuses_what_it_cannot_trust(f, reason):
+@pytest.mark.filterwarnings("error")  # no numpy warning may escape the rule
+@pytest.mark.parametrize("f, b, reason", [
+    (lambda x: np.sin(1.0 / x), 1.0, "error estimate"),  # no level resolves it
+    (lambda x: 1.0 / x, 1.0, "error estimate"),  # divergent
+    (lambda x: 1.0 / (1.0 + x), math.inf, "error estimate"),  # divergent at infinity
+    (lambda x: np.array([math.exp(1e3 * v) for v in x]), 1.0, "not evaluable"),  # OverflowError
+    (lambda x: np.exp(1e3 * x), 1.0, "not evaluable"),  # numpy's overflow
+], ids=["oscillating", "divergent", "half-line-divergent", "overflow", "numpy-overflow"])
+def test_quad_refuses_what_it_cannot_trust(f, b, reason):
     with pytest.raises(QuadratureError, match=f"^probe: .*{reason}"):
-        _quad("probe", f, 0.0, 1.0, epsrel=1e-10, limit=50)
+        _quad("probe", f, 0.0, b, epsrel=1e-10)
 
 
 def test_quad_returns_a_trusted_or_non_finite_value():
-    val, err = _quad("probe", math.exp, 0.0, 1.0, epsrel=1e-12)
+    val, err = _quad("probe", np.exp, 0.0, 1.0, epsrel=1e-12)
     assert val == pytest.approx(math.e - 1.0, rel=1e-15)
     assert abs(err) <= QUAD_TRUST * val
     # the caller's _fails_closed names the argument that sent it there
-    assert _quad("probe", lambda x: math.inf, 0.0, 1.0, epsrel=1e-10)[0] == math.inf
+    assert _quad("probe", lambda x: np.full_like(x, math.inf), 0.0, 1.0,
+                 epsrel=1e-10)[0] == math.inf
+
+
+@pytest.mark.parametrize("f, want", [
+    (lambda x: x * x * np.exp(-x), 2.0),
+    (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),  # algebraic decay
+], ids=["exponential", "algebraic"])
+def test_quad_on_the_half_line(f, want):
+    val, err = _quad("probe", f, 0.0, math.inf, epsrel=1e-12)
+    assert val == pytest.approx(want, rel=1e-14)
+    assert err <= 1e-12 * val
+
+
+def test_quad_integrates_several_integrands_at_once():
+    # each row is its own integral, and each must meet the tolerance
+    rates = np.array([[0.5], [1.0], [40.0]])
+    val, err = _quad("probe", lambda x: rates * np.exp(-rates * x), 0.0, math.inf,
+                     epsrel=1e-12)
+    assert val.shape == err.shape == (3,)
+    assert val == pytest.approx(np.ones(3), rel=1e-14)
+
+
+def test_quad_with_a_sine_weight():
+    # int_0^50 e^{-x} sin(3x) dx = 3/10 (1 - e^{-50}(...)), e^{-50} below rounding
+    val, err = _quad("probe", lambda x: np.exp(-x), 0.0, 50.0, epsrel=1e-12, sine=3.0)
+    assert val == pytest.approx(0.3, rel=1e-14)
+    assert err <= 1e-12 * val
+
+
+@pytest.mark.parametrize("f, b, sine", [
+    (lambda x: np.sin(1.0 / x), 1.0, None),
+    (lambda x: np.exp(-x), 50.0, 1e15),
+], ids=["double-exponential", "gauss-legendre"])
+def test_quad_stops_at_its_node_budget(f, b, sine):
+    nodes = []
+
+    def counted(x):
+        nodes.append(x.size)
+        return f(x)
+
+    with pytest.raises(QuadratureError, match="error estimate"):
+        _quad("probe", counted, 0.0, b, epsrel=1e-10, sine=sine)
+    assert QUAD_NODES // 2 < sum(nodes) <= QUAD_NODES
+
+
+@pytest.mark.parametrize("k", [1e15, 1e308])
+def test_transform_at_a_huge_k_fails_closed_quickly(k):
+    # k never sizes an allocation: the node budget, or k r overflowing, ends it
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError):
+        radial_transform_check(lambda r: np.exp(-r), k)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_divergent_integrand_raises():
@@ -319,6 +374,21 @@ def test_fourier_route_rejects_a_narrow_density(lam):
     # estimates of 1e-10 and 4e-12
     with pytest.raises(ValueError, match=rf"lam={lam!r} is above"):
         pair_energy_quadrature(OrbitalParams(lam), POT, 0.0)
+
+
+def test_realspace_reference_over_the_sweep_window_domain():
+    # the sweep benchmark checks pair_energy against this oracle, at 1e-9,
+    # at points drawn like these: lam inside one exponent's degeneracy
+    # window, s at the first two FCC shells of a spacing d
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for alpha in (POT.m, POT.n):
+        for u, d in rng.uniform([-1.0, 0.9], [1.0, 1.5], size=(50, 2)):
+            p = OrbitalParams(alpha * (1.0 + 0.999 * DEGENERACY_WINDOW * u))
+            for s in (d, d * math.sqrt(2.0)):
+                ref = pair_energy_realspace_reference(p, POT, s)
+                worst = max(worst, abs(pair_energy(p, POT, s) - ref) / abs(ref))
+    assert worst <= 1e-12
 
 
 def test_three_oracles_meet_at_the_physical_point():
