@@ -7,14 +7,17 @@ results in `model`, `energy`, `observables`, and `selfgrav` are pinned
 against; the test suite runs them routinely, and `verify_checks` gathers
 them into the battery that the CLI `verify` command reports.
 
-Every Monte Carlo estimate is drawn and reduced in blocks of `MC_BLOCK`
-samples; each block's count, mean and sum of squared deviations (M2) is
-merged into the running totals by the update of Chan, Golub & LeVeque
-(Am. Stat. 37, 242 (1983)).  The estimate is still the sample mean with the
-unbiased standard error, and memory is O(MC_BLOCK) whatever `samples` is.
-The draws of one block all come before those of the next, so a fixed seed
-and sample count replay bit for bit.  A rate or separation whose draws,
-distances or squared draws leave the doubles raises ValueError naming it.
+Every Monte Carlo estimate is drawn in blocks of `MC_BLOCK` samples, block
+j from its own stream: child j of np.random.SeedSequence(seed).  Threads,
+one per CPU this process may run on and at most MC_IN_FLIGHT, draw a wave
+of blocks at once.  The calling thread then reduces each block to its
+count, mean and sum of squared deviations (M2) and merges them in block
+order by the update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)).
+The estimate is the sample mean with the unbiased standard error, memory is
+O(MC_IN_FLIGHT MC_BLOCK) whatever `samples` is, and a fixed seed and sample
+count replay bit for bit whatever the thread count.  A rate or separation
+whose draws, distances or squared draws leave the doubles raises ValueError
+naming it.
 The quadrature oracles and mc_pair_energy fail closed as the self-gravity
 energies do (selfgrav._fails_closed): a rejected input or a result beyond
 the doubles raises ValueError naming the call's arguments.  Every quadrature
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -57,6 +61,11 @@ VERIFY_MC_SAMPLES = 200_000
 
 #: samples drawn and reduced at a time by every Monte Carlo estimate
 MC_BLOCK = 2**14
+
+#: the most blocks a Monte Carlo estimate draws at once, and so the most
+#: threads it draws them on: its memory does not grow with the CPU count,
+#: and the wave of draws it holds stays within ~2 MB
+MC_IN_FLIGHT = 2
 
 #: the most of its value a quadrature's error estimate may be, in every
 #: oracle; every legitimate call measured is at least 27x inside it
@@ -104,28 +113,69 @@ def _check_samples(samples: int) -> None:
                          f"got {samples!r}")
 
 
-def _streamed_moments(draw: Callable[[int], np.ndarray], samples: int,
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _streamed_moments(draw: Callable[[np.random.Generator, int], Any],
+                      rows: Callable[[Any], np.ndarray], samples: int, seed: int,
                       source: str) -> tuple[Any, Any]:
     """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
 
-    draw(k) returns the next k rows.  Each block's mean and M2 (sum of
-    squared deviations from its mean) merge into the totals by Chan, Golub
-    & LeVeque: with delta the gap between the means, the merged M2 is
-    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).  If a row, its square or
-    a sum leaves the doubles, ValueError names `source` ("beta=1e+200").
+    Block j is rows(draw(rng_j, k)), rng_j the generator of child j of
+    SeedSequence(seed), and rows returns a new array: the reduction
+    overwrites it.  The blocks are drawn in waves, one block per CPU this
+    process may run on and at most MC_IN_FLIGHT at once.  The calling
+    thread draws one block of the wave and waits for the rest, then maps
+    each draw to its rows and merges their mean and M2 (sum of squared
+    deviations from the mean) in block order by Chan, Golub & LeVeque:
+    with delta the gap between the means, the merged M2 is
+    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).  So neither the estimate
+    nor the peak memory (a wave's draws, then one block's rows) depends on
+    the thread count or on which thread ran when, as long as draw keeps all
+    it allocates.  If a row, its square or a sum leaves the doubles,
+    ValueError names `source` ("beta=1e+200").
     """
+    from concurrent.futures import ThreadPoolExecutor  # ~6 ms, at the first estimate
+
+    sizes = [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+
+    def block(j: int) -> Any:
+        # a thread starts with numpy's default error state
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            return draw(np.random.default_rng(streams[j]), sizes[j])
+
+    def moments(drawn: Any) -> tuple[Any, Any]:
+        x = rows(drawn)
+        block_mean = x.mean(axis=0)
+        x -= block_mean
+        x *= x
+        return block_mean, x.sum(axis=0)
+
     n, mean, m2 = 0, 0.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for start in range(0, samples, MC_BLOCK):
-            k = min(MC_BLOCK, samples - start)
-            x = draw(k)
-            block_mean = x.mean(axis=0)
-            dev = x - block_mean
-            total = n + k
-            delta = block_mean - mean
-            mean = mean + delta * (k / total)
-            m2 = m2 + (dev * dev).sum(axis=0) + delta * delta * (n * k / total)
-            n = total
+    threads = min(_cpus(), MC_IN_FLIGHT, len(sizes))
+    # workers draw all but the first block of each wave, so on one CPU none
+    # starts; the calling thread's draws stay in the allocator's main arena,
+    # where a worker's own arena kept 1-3 MB of freed draws resident
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for first in range(0, len(sizes), threads):
+            wave = [pool.submit(block, j)
+                    for j in range(first + 1, min(first + threads, len(sizes)))]
+            drawn = [block(first), *(future.result() for future in wave)]
+            del wave  # each draw is held once, until its block is merged
+            for k in sizes[first:first + threads]:
+                block_mean, block_m2 = moments(drawn.pop(0))
+                total = n + k
+                delta = block_mean - mean
+                mean = mean + delta * (k / total)
+                m2 = m2 + block_m2 + delta * delta * (n * k / total)
+                n = total
     if not (np.isfinite(mean).all() and np.isfinite(m2).all()):
         raise ValueError(f"{source}: the Monte Carlo draws or their squares "
                          "leave the doubles")
@@ -136,26 +186,54 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     """|x| of each row of a (k, 3) array, bitwise np.linalg.norm(x, axis=1):
     that sums the three squares in order too, at about four times the cost
     for its generic dispatch."""
-    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2])
+    sq = x * x
+    norms = sq[:, 0] + sq[:, 1]
+    norms += sq[:, 2]
+    return np.sqrt(norms, out=norms)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """No entry of x is inf or NaN: its min and max, which a NaN reaches,
+    are finite.  An isfinite mask would allocate."""
+    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
+#
+# Both laws are Gaussian scale mixtures, a standard normal 3-vector times a
+# function of a chi variate, drawn into one (4, n) buffer: the scale in row
+# 3, drawn first, then the normals in rows 0-2.  A draw allocates nothing
+# else, so an estimate's draws are all it holds while a wave is drawn.
+
+def _fill_cloud(rate: float, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Positions from the density rate^3 e^{-rate r}/(8 pi) into rows 0-2 of
+    the (4, n) array `out`: chi_4/rate times a standard normal 3-vector
+    (Andrews & Mallows, JRSS B 36, 99 (1974)), so the radius is Gamma(shape
+    3, scale 1/rate) and the direction isotropic.  chi_4^2 is 2 Gamma(2),
+    drawn as 2 (E_1 + E_2) from two standard exponentials in rows 2-3."""
+    scale = out[3]
+    rng.standard_exponential(out=out[2:])
+    scale += out[2]
+    scale *= 2.0
+    np.sqrt(scale, out=scale)
+    rng.standard_normal(out=out[:3])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scale /= rate
+        out[:3] *= scale
+    if not _all_finite(out[:3]):  # 1/rate or a position overflowed
+        raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
+
 
 def sample_exponential_cloud(rate: float, samples: int,
                              rng: np.random.Generator) -> np.ndarray:
-    """Positions from the density rate^3 e^{-rate r}/(8 pi).
-
-    Radius ~ Gamma(shape 3, scale 1/rate) times an isotropic direction.
-    """
+    """Positions from the density rate^3 e^{-rate r}/(8 pi), as a (samples,
+    3) view of the (4, samples) buffer they are drawn in (_fill_cloud)."""
     _check_positive(rate=rate)
-    r = rng.gamma(3.0, 1.0 / rate, size=samples)
-    if not np.isfinite(r).all():  # 1/rate or a radius overflowed
-        raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
-    u = rng.normal(size=(samples, 3))
-    u /= _row_norms(u)[:, None]
-    return r[:, None] * u
+    buf = np.empty((4, samples))
+    _fill_cloud(rate, rng, buf)
+    return buf[:3].T
 
 
 def exp_density_sampler(rate: float) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -165,22 +243,28 @@ def exp_density_sampler(rate: float) -> Callable[[np.random.Generator, int], np.
 
 def sample_orbital_momentum(beta: float, samples: int,
                             rng: np.random.Generator) -> np.ndarray:
-    """Momentum vectors (hbar = 1) of the orbital phi ~ e^{-beta r}.
+    """Momentum vectors (hbar = 1) of the orbital phi ~ e^{-beta r}, as a
+    (samples, 3) view of the (4, samples) buffer they are drawn in.
 
-    |phi~(q)|^2 is proportional to (beta^2 + q^2)^{-4}; with u = sin^2(theta)
-    under q = beta tan(theta) the radial law becomes u^{1/2}(1-u)^{3/2},
-    i.e. u ~ Beta(3/2, 5/2) and q = beta sqrt(u/(1-u)).  By construction
-    <q^2> = hbar^2 beta^2 (= 2 mu times the kinetic energy).
+    |phi~(q)|^2 is proportional to (beta^2 + q^2)^{-4}, the multivariate t
+    law with 5 degrees of freedom and scale beta/sqrt(5): beta times a
+    standard normal 3-vector over chi_5.  Then q^2/beta^2 = G_{3/2}/G_{5/2},
+    u = q^2/(beta^2 + q^2) ~ Beta(3/2, 5/2), and <q^2> = hbar^2 beta^2
+    (= 2 mu times the kinetic energy).
     """
     _check_positive(beta=beta)
-    u = rng.beta(1.5, 2.5, size=samples)
-    with np.errstate(over="ignore"):  # checked below
-        q = beta * np.sqrt(u / (1.0 - u))
-    if not np.isfinite(q).all():
+    buf = np.empty((4, samples))
+    scale = buf[3]
+    rng.standard_gamma(2.5, out=scale)
+    scale *= 2.0  # chi_5^2
+    np.sqrt(scale, out=scale)
+    rng.standard_normal(out=buf[:3])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        np.divide(beta, scale, out=scale)
+        buf[:3] *= scale
+    if not _all_finite(buf[:3]):
         raise ValueError(f"beta={beta!r} draws momenta beyond the doubles")
-    d = rng.normal(size=(samples, 3))
-    d /= _row_norms(d)[:, None]
-    return q[:, None] * d
+    return buf[:3].T
 
 
 def _pooled_axis_variance(draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -189,8 +273,7 @@ def _pooled_axis_variance(draw: Callable[[np.random.Generator, int], np.ndarray]
     over the three axes: the mean of the squares, streamed in MC_BLOCK
     blocks, with the standard error of the pooled mean."""
     _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    mean, m2 = _streamed_moments(lambda k: draw(rng, k) ** 2, samples, source)
+    mean, m2 = _streamed_moments(draw, lambda x: np.square(x, out=x), samples, seed, source)
     se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
     return McEstimate(mean=float(mean.mean()), std_error=se)
 
@@ -200,8 +283,8 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
     """MC estimate of the per-axis momentum variance of e^{-beta r} orbitals.
 
     Pins the 1/3 in omega-type formulas: the estimate converges on
-    hbar^2 beta^2/3 per axis.  Streamed in blocks of MC_BLOCK samples, each
-    drawn as sample_orbital_momentum draws it (beta(k), then normal(k, 3)).
+    hbar^2 beta^2/3 per axis.  Each block of MC_BLOCK samples is drawn as
+    sample_orbital_momentum draws it, from the block's own stream.
     """
     return _pooled_axis_variance(
         lambda rng, k: sample_orbital_momentum(beta, k, rng), samples, seed,
@@ -221,10 +304,16 @@ def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
             and np.isfinite(sites).all()):
         raise ValueError(f"sites must be a finite (N, 3) array with N >= 1, "
                          f"got shape {sites.shape}")
-    return _pooled_axis_variance(
-        lambda rng, k: sum(sample_exponential_cloud(lam, k, rng)
-                           for _ in range(len(sites))) / len(sites),
-        samples, seed, f"lam={lam!r}")
+
+    def offsets(rng: np.random.Generator, k: int) -> np.ndarray:
+        buf = np.zeros((7, k))  # the offset in rows 0-2, each particle drawn in rows 3-6
+        for _ in range(len(sites)):
+            _fill_cloud(lam, rng, buf[3:])
+            buf[:3] += buf[3:6]
+        buf[:3] /= len(sites)
+        return buf[:3].T
+
+    return _pooled_axis_variance(offsets, samples, seed, f"lam={lam!r}")
 
 
 # ----------------------------------------------------------------------
@@ -241,27 +330,29 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
     are fine: the singular set has measure zero, so direct evaluation is
     finite with probability 1.
 
-    The samples are drawn in blocks of MC_BLOCK, each as density(rng, k)
-    for r, then density(rng, k) for r', and reduced block by block, so
-    memory does not grow with `samples`.  The estimate is the sample mean
-    with its unbiased standard error.
+    The samples are drawn in blocks of MC_BLOCK, each from its own stream
+    as density(rng, k) for r, then density(rng, k) for r', possibly on a
+    worker thread, and reduced block by block, so memory does not grow with
+    `samples`.  density returns a new (k, 3) array: r - r' overwrites r.
+    The estimate is the sample mean with its unbiased standard error.
     """
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")
     _check_samples(samples)
-    rng = np.random.default_rng(seed)
 
-    def draw(k: int) -> np.ndarray:
-        r = density(rng, k)
-        diff = r - density(rng, k)
+    def values(drawn: list[np.ndarray]) -> np.ndarray:
+        diff = drawn.pop(0)
+        diff -= drawn.pop()  # r - r', in r; r' is freed
         diff[:, 2] += separation
         dist = _row_norms(diff)
-        if not np.isfinite(dist).all():  # a square overflowed
+        del diff  # freed before the kernel runs
+        if not _all_finite(dist):  # a square overflowed
             raise ValueError(f"separation={separation!r}: a distance "
                              "|r - r' + s z^| leaves the doubles")
-        return np.asarray(kernel(dist), dtype=float)
+        return np.array(kernel(dist), dtype=float)  # a copy, for the reduction
 
-    mean, m2 = _streamed_moments(draw, samples, f"separation={separation!r}")
+    mean, m2 = _streamed_moments(lambda rng, k: [density(rng, k), density(rng, k)], values,
+                                 samples, seed, f"separation={separation!r}")
     se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     return McEstimate(mean=float(mean), std_error=se)
 

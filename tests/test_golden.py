@@ -129,7 +129,7 @@ GOLDEN = {
          "bd87d8604771990c76e1ccc0318569f59a496e6933a940eb558197f4a02bf1d7"),
         ("14.0:15.4:5", "1c36b4457e86aa1e",
          "5a78e161c9a775bd6e6641afa2c447d66f2c1d3cac77bb55a8460dda36c442d4")]},
-    "verify": (partial(cli, "verify"), "8c4c5bf4ec07332c"),
+    "verify": (partial(cli, "verify"), "a9403d9f40e7b119"),
     "sweep-lambda": (
         partial(cli, "sweep", "--param", "lambda", "--range", "1:500:9"), "4c05f979d1fc9e41"),
     "sweep-d": (partial(cli, "sweep", "--param", "d", "--range", "0.5:3:6"), "bcc72cc71ca6d437"),

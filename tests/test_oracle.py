@@ -1,15 +1,21 @@
 """The verifiers themselves: sampling correctness, error-bar honesty,
 deterministic replay, and the quadrature transforms on textbook cases."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
-                      density_fourier, pair_energy)
+                      density_fourier, oracle, pair_energy)
 from varsolid.model import DEGENERACY_WINDOW
 from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_NODES, QUAD_TRUST,
                              QuadratureError, _quad, _row_norms,
@@ -32,23 +38,52 @@ POT = TwoYukawaParams()
 # ----------------------------------------------------------------------
 
 def test_row_norms_are_bitwise_linalg_norm():
-    # the samplers and mc_pair_integral take |x| of (k, 3) rows this way
+    # mc_pair_integral takes the distances |r - r' + s z^| this way
     x = np.random.default_rng(3).normal(size=(20_000, 3)) * [1.0, 1e-3, 1e3]
     x[:5] = [[0.0, 0.0, 0.0], [-0.0, 3.0, 4.0], [1e-200, 1e-200, 0.0],
              [1e150, -1e150, 1e150], [5e-324, 0.0, 0.0]]
     assert _row_norms(x).tolist() == np.linalg.norm(x, axis=1).tolist()
 
 
+def _within(sample, want, z=4.0):
+    """The mean of `sample` is within z standard errors of `want`."""
+    se = np.std(sample, ddof=1) / math.sqrt(len(sample))
+    return abs(np.mean(sample) - want) <= z * se
+
+
 def test_exponential_cloud_moments():
-    # <r> = 3/rate, <r^2> = 12/rate^2 for the Gamma(3) radius
+    # the Gamma(3) radius: <r> = 3/rate, <r^2> = 12/rate^2, <r^4> = 360/rate^4
     rate = 2.5
     rng = np.random.default_rng(0)
     pts = sample_exponential_cloud(rate, 200_000, rng)
     r = np.linalg.norm(pts, axis=1)
     assert r.mean() == pytest.approx(3.0 / rate, rel=5e-3)
     assert (r**2).mean() == pytest.approx(12.0 / rate**2, rel=1e-2)
+    for power, moment in ((1, 3.0), (2, 12.0), (4, 360.0)):
+        assert _within((rate * r) ** power, moment)
     # isotropy: per-axis means vanish
     assert np.all(np.abs(pts.mean(axis=0)) < 5.0 * r.std() / math.sqrt(len(r)))
+
+
+def test_exponential_cloud_radial_law():
+    # Kolmogorov-Smirnov distance of x = rate r from the Gamma(3) CDF
+    # 1 - e^{-x}(1 + x + x^2/2), against its 0.1% critical value
+    rate, n = 0.7, 100_000
+    x = np.sort(rate * np.linalg.norm(
+        sample_exponential_cloud(rate, n, np.random.default_rng(4)), axis=1))
+    cdf = 1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x)
+    i = np.arange(1, n + 1)
+    assert max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)) < 1.95 / math.sqrt(n)
+
+
+def test_momentum_sampler_has_the_beta_law():
+    # u = q^2/(beta^2 + q^2) ~ Beta(3/2, 5/2): <u> = 3/8 and <u^2> = 3/16
+    beta = 3.0
+    q2 = np.sum(sample_orbital_momentum(beta, 200_000, np.random.default_rng(6)) ** 2,
+                axis=1)
+    u = q2 / (beta * beta + q2)
+    assert _within(u, 3.0 / 8.0)
+    assert _within(u * u, 3.0 / 16.0)
 
 
 test_sampler_rejects_bad_rate = cases_test("test_sampler_rejects_bad_rate")
@@ -138,13 +173,21 @@ def test_mc_memory_does_not_grow_with_samples(estimate):
     assert large <= 1.1 * small
 
 
+def _block_streams(samples, seed):
+    """(rng, k) of each block of an estimate: block j draws its k samples
+    from child j of SeedSequence(seed)."""
+    sizes = [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [(np.random.default_rng(child), k) for child, k in zip(children, sizes)]
+
+
 @pytest.mark.parametrize("samples", [1000, MC_BLOCK, MC_BLOCK + 1,
                                      3 * MC_BLOCK + 7])
 def test_block_merge_matches_the_whole_sample(samples):
     calls, values = [], []
 
     def sampler(rng, k):
-        calls.append(k)
+        calls.append(k)  # on the calling and worker threads, in any order
         return sample_exponential_cloud(3.0, k, rng)
 
     def kernel(r):
@@ -156,8 +199,13 @@ def test_block_merge_matches_the_whole_sample(samples):
     whole = np.concatenate(values)
     assert len(whole) == samples
     # each block draws the density twice, for r and r', MC_BLOCK at a time
-    sizes = [min(MC_BLOCK, samples - i) for i in range(0, samples, MC_BLOCK)]
-    assert calls == [k for k in sizes for _ in "ab"]
+    blocks = _block_streams(samples, 9)
+    assert sorted(calls) == sorted(k for _, k in blocks for _ in "ab")
+    # replayed block by block from the blocks' own streams, in block order
+    diff = np.concatenate([sample_exponential_cloud(3.0, k, rng)
+                           - sample_exponential_cloud(3.0, k, rng) for rng, k in blocks])
+    diff[:, 2] += 0.4
+    assert whole.tolist() == kernel(np.linalg.norm(diff, axis=1)).tolist()
     assert est.mean == pytest.approx(np.mean(whole), rel=1e-13, abs=0.0)
     assert est.std_error == pytest.approx(
         np.std(whole, ddof=1) / math.sqrt(samples), rel=1e-13, abs=0.0)
@@ -165,14 +213,90 @@ def test_block_merge_matches_the_whole_sample(samples):
 
 def test_momentum_variance_streams_blocks_of_the_sampler():
     beta, samples, seed = 4.0, 3 * MC_BLOCK + 7, 21
-    rng = np.random.default_rng(seed)
-    sq = np.concatenate([
-        sample_orbital_momentum(beta, min(MC_BLOCK, samples - start), rng)
-        for start in range(0, samples, MC_BLOCK)]) ** 2
+    sq = np.concatenate([sample_orbital_momentum(beta, k, rng)
+                         for rng, k in _block_streams(samples, seed)]) ** 2
     est = mc_momentum_axis_variance(beta, samples=samples, seed=seed)
     assert est.mean == pytest.approx(sq.mean(), rel=1e-13, abs=0.0)
     want_se = math.sqrt(np.sum(sq.var(axis=0, ddof=1) / samples)) / 3.0
     assert est.std_error == pytest.approx(want_se, rel=1e-13, abs=0.0)
+
+
+#: an estimate of each kind and the `verify` stdout, from a child process
+#: that may pin itself to one CPU first
+_ON_ONE_CPU = """
+import contextlib, io, json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from varsolid import OrbitalParams, TwoYukawaParams, build_cluster
+from varsolid.cli import main
+from varsolid.oracle import mc_com_variance, mc_momentum_axis_variance, mc_pair_energy
+estimates = [mc_pair_energy(OrbitalParams(91.33), TwoYukawaParams(), 1.0981, 100_000, 3),
+             mc_momentum_axis_variance(45.665, 100_000, 3),
+             mc_com_variance(7.0, build_cluster(1.0, 13), 40_000, 3)]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify"])
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "verify": [code, out.getvalue()],
+                  "estimates": [[e.mean.hex(), e.std_error.hex()] for e in estimates]}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_estimates_do_not_depend_on_the_thread_count():
+    # one thread per CPU the process may run on: pinned to one CPU, a child
+    # draws every block on one thread, and gets the same bits
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    children = {how: subprocess.Popen([sys.executable, "-c", _ON_ONE_CPU, how], env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                for how in ("pinned", "unpinned")}
+    runs = {}
+    for how, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        runs[how] = json.loads(out)
+    assert runs["pinned"]["cpus"] == 1
+    assert runs["pinned"]["estimates"] == runs["unpinned"]["estimates"]
+    assert runs["pinned"]["verify"] == runs["unpinned"]["verify"]
+    assert runs["pinned"]["verify"][0] == 0
+
+
+def test_estimates_agree_on_more_threads_than_cpus(monkeypatch):
+    # eight threads, switching every microsecond: a lost or reordered block
+    # would change the bits
+    def estimates():
+        return (mc_pair_energy(OrbitalParams(91.33), POT, 1.0981, samples=10 * MC_BLOCK, seed=8),
+                mc_momentum_axis_variance(45.665, samples=10 * MC_BLOCK, seed=8))
+
+    monkeypatch.setattr(oracle, "_cpus", lambda: 1)
+    one = estimates()
+    monkeypatch.setattr(oracle, "_cpus", lambda: 8)
+    monkeypatch.setattr(oracle, "MC_IN_FLIGHT", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = estimates()
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one
+
+
+def test_no_thread_outlives_an_estimate(monkeypatch):
+    monkeypatch.setattr(oracle, "_cpus", lambda: 2)  # a worker draws every other block
+    before = set(threading.enumerate())
+
+    def on_the_calling_thread(rng, k):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("drawn on a worker")
+        return sample_exponential_cloud(3.0, k, rng)
+
+    mc_pair_energy(OrbitalParams(50.0), POT, 1.2, samples=3 * MC_BLOCK, seed=1)
+    assert set(threading.enumerate()) == before
+    # a block raises on a worker thread, or its rows on the calling thread
+    with pytest.raises(ValueError, match="drawn on a worker"):
+        mc_pair_integral(on_the_calling_thread, np.exp, 0.5, samples=3 * MC_BLOCK, seed=1)
+    with pytest.raises(ValueError, match=r"separation=1e\+308"):
+        mc_pair_energy(OrbitalParams(50.0), POT, 1e308, samples=3 * MC_BLOCK)
+    assert set(threading.enumerate()) == before
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +326,8 @@ def test_com_variance_block_merge_matches_the_whole_sample():
     # their sites, and the CoM is measured from the sites' exact centroid
     lam, samples, seed = 5.0, 2 * MC_BLOCK + 11, 3
     sites = build_cluster(1.3, 5)
-    rng = np.random.default_rng(seed)
     offsets = []
-    for start in range(0, samples, MC_BLOCK):
-        k = min(MC_BLOCK, samples - start)
+    for rng, k in _block_streams(samples, seed):
         particles = np.stack([site + sample_exponential_cloud(lam, k, rng)
                               for site in sites])
         offsets.append(particles.mean(axis=0) - sites.mean(axis=0))
