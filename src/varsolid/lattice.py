@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .units import check_positive
+
 
 class LatticeKind(enum.Enum):
     FCC = "fcc"
@@ -65,8 +67,7 @@ class LatticeShells:
     weights: np.ndarray = field(init=False, repr=False)  # 0.5 * counts_c
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.spacing_d) and self.spacing_d > 0.0):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing_d}")
+        check_positive(spacing=self.spacing_d)
         r = _read_only(self.distances_r, float)
         c = _read_only(self.counts_c, np.int64)
         if r.shape != c.shape:
@@ -93,8 +94,7 @@ class LatticeShells:
         checked, and it shares the counts and weights.  A spacing whose
         largest distance, the last, leaves the doubles raises ValueError.
         """
-        if not (math.isfinite(new_d) and new_d > 0.0):
-            raise ValueError(f"spacing must be positive and finite, got {new_d}")
+        check_positive(spacing=new_d)
         ratio = new_d / self.spacing_d
         if self.distances_r.size and not math.isfinite(float(self.distances_r[-1]) * ratio):
             raise ValueError(f"spacing {new_d!r} puts the shell distances beyond the doubles")
@@ -123,8 +123,7 @@ def enumerate_shells(kind: LatticeKind, d: float, max_distance: float) -> Lattic
     """
     if kind is not LatticeKind.FCC:
         raise ValueError(f"unsupported lattice kind: {kind}")
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"spacing must be positive and finite, got {d}")
+    check_positive(spacing=d)
     if not math.isfinite(max_distance):
         raise ValueError(f"max_distance must be finite, got {max_distance}")
     if max_distance < d:
@@ -157,27 +156,22 @@ def build_cluster(d: float, N: int) -> np.ndarray:
     ones, so the result is platform-independent).  N above
     MAX_CLUSTER_SIZE raises ValueError.
     """
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"spacing must be positive and finite, got {d}")
-    # the growth loop below ends once N sites are inside, which a NaN or an
-    # infinite N never allows
+    check_positive(spacing=d)
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"cluster size must be an integer >= 1, got {N!r}")
     if N > MAX_CLUSTER_SIZE:
         raise ValueError(f"cluster size N={N!r} is above {MAX_CLUSTER_SIZE}")
 
-    # FCC site density is sqrt(2)/d^3; start from the radius, in units of
-    # d, enclosing N sites on average and grow until enough candidates are
-    # inside.  The sites chosen do not depend on d, which scales them last.
+    # In units of d, FCC has sqrt(2) sites per unit volume, so a ball of
+    # radius R0 holds N sites on average.  The sites within R0 + 2 are
+    # always enough: every point within R0 + 2 - 1/sqrt(2) lies in the
+    # Voronoi cell (circumradius 1/sqrt(2), volume 1/sqrt(2)) of one of
+    # them, so their cells cover a ball of volume above N/sqrt(2).  The
+    # sites chosen do not depend on d, which scales them last.
     radius = (3.0 * N / (4.0 * math.pi * math.sqrt(2.0))) ** (1.0 / 3.0) + 2.0
-    while True:
-        cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * radius) + 1)
-        m = cx * cx + cy * cy + cz * cz
-        keep = m <= math.floor(2.0 * radius**2)
-        if int(np.count_nonzero(keep)) >= N:
-            break
-        radius *= 1.3
-
+    cx, cy, cz = _fcc_coords(math.ceil(math.sqrt(2.0) * radius) + 1)
+    m = cx * cx + cy * cy + cz * cz
+    keep = m <= math.floor(2.0 * radius**2)
     m, cx, cy, cz = m[keep], cx[keep], cy[keep], cz[keep]
     order = np.lexsort((cz, cy, cx, m))[:N]  # by m, then x, y and z
     chosen = np.stack((cx[order], cy[order], cz[order]), axis=1).astype(float)

@@ -123,6 +123,8 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, from_float, fzero, mpf_exp, mpf_sub
 
+from .units import check_positive
+
 #: relative |lam - alpha|/alpha below which pair_energy uses mpmath
 DEGENERACY_WINDOW = 0.05
 
@@ -158,8 +160,7 @@ class OrbitalParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        check_positive(lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,10 @@ class TwoYukawaParams:
     sigma = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("b", "m", "n"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (MAX_EXPONENT >= self.n > self.m > 0.0):  # e^n must be a finite double
-            raise ValueError(f"need {MAX_EXPONENT:.6g} >= n > m > 0 (e^n finite), "
+        check_positive(b=self.b, m=self.m, n=self.n)
+        if not MAX_EXPONENT >= self.n > self.m:  # e^n must be a finite double
+            raise ValueError(f"need {MAX_EXPONENT:.6g} >= n > m (e^n finite), "
                              f"got m={self.m}, n={self.n}")
-        if self.b <= 0.0:
-            raise ValueError("b must be positive")
 
 
 def density_fourier(p: OrbitalParams, k):
@@ -204,20 +201,10 @@ def density_fourier(p: OrbitalParams, k):
 
 
 def two_yukawa(r, p: TwoYukawaParams = TwoYukawaParams()):
-    """Two-Yukawa potential at separation r (> 0); accepts arrays.
-
-    A float takes the same expression without the array round trip, which
-    costs the quadrature oracles most of each call; np.exp keeps it bitwise,
-    and Python float arithmetic overflows to inf without a warning.  An r
-    so small that the value leaves the doubles raises ValueError naming it.
+    """Two-Yukawa potential at separation r (> 0): a float for a number, an
+    array for an array.  An r so small that the value leaves the doubles
+    raises ValueError naming it.
     """
-    if isinstance(r, float):
-        if not r > 0.0:  # NaN fails it too
-            raise ValueError("two_yukawa is defined for r > 0 only")
-        out = -p.b * float(np.exp(-p.m * (r - 1.0)) - np.exp(-p.n * (r - 1.0))) / r
-        if not math.isfinite(out):
-            raise ValueError(f"two_yukawa at r={r!r} leaves the doubles")
-        return out
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0.0):  # NaN fails it too
         raise ValueError("two_yukawa is defined for r > 0 only")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .units import UnitSystem
+from .units import UnitSystem, check_positive
 
 #: largest |displacement component| (sigma) a superposition accepts: the
 #: squared branch separations (<= 12 MAX_DISPLACEMENT^2) and the mixture
@@ -42,8 +42,7 @@ class ComStatistics:
 
 def com_statistics(lam: float, N: float) -> ComStatistics:
     """Exact CoM statistics for N particles at orbital decay rate lam."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    check_positive(lam=lam)
     try:
         n_ok = math.isfinite(N) and N >= 1
     except OverflowError:  # an int beyond the doubles

@@ -45,8 +45,9 @@ from .lattice import build_cluster
 from .model import (OrbitalParams, TwoYukawaParams, density_fourier,
                     pair_energy, two_yukawa, two_yukawa_fourier)
 from .observables import com_statistics
-from .selfgrav import (C_KIN, _check_positive, _fails_closed, boson_energy,
-                       boson_solve, fermion_solve, fermion_tf_energy)
+from .selfgrav import (C_KIN, _fails_closed, boson_energy, boson_solve,
+                       fermion_solve, fermion_tf_energy)
+from .units import check_positive
 
 #: radius used to evaluate lim_{r->0} r*f(r) for kernels as singular as 1/r
 _TINY_R = 1e-280
@@ -192,12 +193,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """No entry of x is inf or NaN: its min and max, which a NaN reaches,
-    are finite.  An isfinite mask would allocate."""
-    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
-
-
 # ----------------------------------------------------------------------
 # samplers
 # ----------------------------------------------------------------------
@@ -222,7 +217,7 @@ def _fill_cloud(rate: float, rng: np.random.Generator, out: np.ndarray) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         scale /= rate
         out[:3] *= scale
-    if not _all_finite(out[:3]):  # 1/rate or a position overflowed
+    if not np.isfinite(out[:3]).all():  # 1/rate or a position overflowed
         raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
 
 
@@ -230,7 +225,7 @@ def sample_exponential_cloud(rate: float, samples: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Positions from the density rate^3 e^{-rate r}/(8 pi), as a (samples,
     3) view of the (4, samples) buffer they are drawn in (_fill_cloud)."""
-    _check_positive(rate=rate)
+    check_positive(rate=rate)
     buf = np.empty((4, samples))
     _fill_cloud(rate, rng, buf)
     return buf[:3].T
@@ -252,7 +247,7 @@ def sample_orbital_momentum(beta: float, samples: int,
     u = q^2/(beta^2 + q^2) ~ Beta(3/2, 5/2), and <q^2> = hbar^2 beta^2
     (= 2 mu times the kinetic energy).
     """
-    _check_positive(beta=beta)
+    check_positive(beta=beta)
     buf = np.empty((4, samples))
     scale = buf[3]
     rng.standard_gamma(2.5, out=scale)
@@ -262,7 +257,7 @@ def sample_orbital_momentum(beta: float, samples: int,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         np.divide(beta, scale, out=scale)
         buf[:3] *= scale
-    if not _all_finite(buf[:3]):
+    if not np.isfinite(buf[:3]).all():
         raise ValueError(f"beta={beta!r} draws momenta beyond the doubles")
     return buf[:3].T
 
@@ -298,7 +293,7 @@ def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
     4/(lam^2 N).  The CoM is measured from the sites' centroid, known
     exactly, so its offset is the mean of the particles' offsets from their
     sites, drawn site by site and summed so that no site rounds them away."""
-    _check_positive(lam=lam)
+    check_positive(lam=lam)
     sites = np.asarray(sites, dtype=float)
     if not (sites.ndim == 2 and sites.shape[1] == 3 and len(sites) >= 1
             and np.isfinite(sites).all()):
@@ -346,7 +341,7 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
         diff[:, 2] += separation
         dist = _row_norms(diff)
         del diff  # freed before the kernel runs
-        if not _all_finite(dist):  # a square overflowed
+        if not np.isfinite(dist).all():  # a square overflowed
             raise ValueError(f"separation={separation!r}: a distance "
                              "|r - r' + s z^| leaves the doubles")
         return np.array(kernel(dist), dtype=float)  # a copy, for the reduction
@@ -589,7 +584,7 @@ def coulomb_self_energy_quadrature(rate: float) -> float:
     integrated in x = rate r, exactly rate times the rate-1 integral, and
     each outer node of a level is a row of the two inner integrals.
     """
-    _check_positive(rate=rate)
+    check_positive(rate=rate)
 
     def rho(r: np.ndarray) -> np.ndarray:
         return np.exp(-r) / (8.0 * math.pi)
@@ -622,7 +617,7 @@ def density_power_integral_quadrature(rate: float, mass: float,
     e^{-z}(1 + z + z^2/2) with z = power X; where that is more than
     QUAD_TRUST, QuadratureError names the power.
     """
-    _check_positive(rate=rate, mass=mass, power=power)
+    check_positive(rate=rate, mass=mass, power=power)
 
     def rho(x: np.ndarray) -> np.ndarray:
         return mass * np.exp(-x) / (8.0 * math.pi)

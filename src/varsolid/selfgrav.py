@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .observables import com_statistics
+from .units import check_positive
 
 #: coefficient of N^{5/3} gamma^2 in int rho^{5/3} d^3r for the exponential
 #: profile: int (N g^3 e^{-g r}/8 pi)^{5/3} 4 pi r^2 dr = (27/125)(8 pi)^{-2/3} N^{5/3} g^2
@@ -89,13 +90,6 @@ def _fails_closed(f):
     return checked
 
 
-def _check_positive(**values: float) -> None:
-    """ValueError naming the first of `values` that is not finite and > 0."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @_fails_closed
 def boson_energy(beta: float, N: int, kappa: float = 1.0,
                  mu: float = 1.0) -> float:
@@ -108,7 +102,7 @@ def boson_energy(beta: float, N: int, kappa: float = 1.0,
         raise ValueError(f"beta must be >= 0, got {beta}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    _check_positive(mu=mu)
+    check_positive(mu=mu)
     return N * beta**2 / (2.0 * mu) - 5.0 * kappa * N * (N - 1) * beta / 16.0
 
 
@@ -117,7 +111,7 @@ def boson_solve(N: int, kappa: float = 1.0, mu: float = 1.0) -> BosonSolution:
     """Variational optimum for N >= 2 self-gravitating bosons (hbar = 1)."""
     if N < 2:
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
-    _check_positive(kappa=kappa, mu=mu)
+    check_positive(kappa=kappa, mu=mu)
     beta_star = 5.0 * kappa * mu * (N - 1) / 16.0
     com = com_statistics(2.0 * beta_star, N)  # density e^{-2 beta r}
     return BosonSolution(beta_star=beta_star,
@@ -135,7 +129,7 @@ def fermion_tf_energy(gamma: float, N: int, q: int = 2, kappa: float = 1.0,
         raise ValueError(f"gamma must be positive, got {gamma}")
     if N < 1 or not 1 <= q < math.inf:
         raise ValueError(f"need N >= 1 and a finite q >= 1, got N={N}, q={q}")
-    _check_positive(mu=mu, e_coeff=e_coeff)
+    check_positive(mu=mu, e_coeff=e_coeff)
     a_kin = e_coeff * C_KIN / (q ** (2.0 / 3.0) * mu)
     return a_kin * N ** (5.0 / 3.0) * gamma**2 - 5.0 / 32.0 * kappa * N**2 * gamma
 
@@ -153,7 +147,7 @@ def fermion_solve(N: int, q: int = 2, kappa: float = 1.0, mu: float = 1.0,
         raise ValueError(f"need N >= 2 for a bound state, got {N}")
     if q < 1:
         raise ValueError(f"occupation must be >= 1, got {q}")
-    _check_positive(kappa=kappa, mu=mu, e_coeff=e_coeff)
+    check_positive(kappa=kappa, mu=mu, e_coeff=e_coeff)
     f = 5.0 * q ** (2.0 / 3.0) / (64.0 * e_coeff * C_KIN)
     gamma_star = f * kappa * mu * N ** (1.0 / 3.0)
     return FermionSolution(gamma_star=gamma_star,

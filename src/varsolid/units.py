@@ -27,12 +27,21 @@ KRYPTON_EPSILON_K = 170.0
 KRYPTON_MASS_U = 83.798  # standard atomic weight
 
 
+def check_positive(**values: float) -> None:
+    """ValueError naming the first of `values` that is not finite and > 0
+    (NaN fails too): the one positivity rule of every module's inputs."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Length/energy/mass scales plus the derived kinetic coupling.
 
     The SI constants are the module's own; ``coupling`` is computed in
-    ``__post_init__`` from the three scales and cannot be supplied by hand.
+    ``__post_init__`` from the three scales, each positive and finite
+    (check_positive), and cannot be supplied by hand.
     """
 
     sigma_m: float
@@ -41,10 +50,7 @@ class UnitSystem:
     coupling: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("sigma_m", "epsilon_K", "mass_u"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_positive(sigma_m=self.sigma_m, epsilon_K=self.epsilon_K, mass_u=self.mass_u)
         try:
             coupling = HBAR_SI**2 / (
                 self.mass_u * AMU_SI * self.sigma_m**2 * self.epsilon_J)

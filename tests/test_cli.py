@@ -242,6 +242,17 @@ def test_successful_observables_exits_0(tmp_path, capsys):
     # displacements whose squares overflow
     ("superposition", "--branches", HUGE_BRANCHES, "--lambda", "50", "--N", "100"),
     ("superposition", "--branches", SHORT_WEIGHT_BRANCHES, "--lambda", "50", "--N", "100"),
+    # refused by the library or argparse, not by a check of the command's own
+    ("observables", "--lambda", "1", "--N", "0"),
+    ("observables", "--lambda", "1", "--N", "3", "--time", "-1"),
+    ("observables", "--lambda", "1", "--N", "3", "--boost", "1,0"),
+    ("selfgrav", "--kind", "boson", "--N-list", "1"),
+    ("observables", "--lambda", "5"),
+    ("superposition", "--lambda", "50", "--N", "100"),
+    # a point count above MAX_SWEEP_POINTS; 10^12 was once a raw
+    # MemoryError traceback from np.linspace
+    ("sweep", "--param", "d", "--range", "1:2:10001"),
+    ("sweep", "--param", "d", "--range", "1:2:1000000000000"),
 ])
 def test_non_finite_or_rejected_input_exits_1_with_no_output(argv, capsys, tmp_path):
     # no NaN/Infinity reaches stdout and no ValueError escapes as a traceback
@@ -376,6 +387,16 @@ def test_superposition_command(tmp_path):
     chi = 4.0 / (91.33**2 * 1e6)
     assert payload["variance_sigma2"][0] == pytest.approx(chi + 25.0 / 4.0,
                                                           rel=1e-12)
+    # one branch has no separation: null, once an infinity the JSON writer
+    # refused with exit 1
+    branches.write_text(json.dumps({"displacements": [[0, 0, 0]], "weights": [1.0],
+                                    "cutoff_a": 1.5}))
+    code = run_cli("--output", str(out), "superposition", "--branches",
+                   str(branches), "--lambda", "91.33", "--N", "1e6")
+    assert code == EXIT_OK
+    payload = read_json(out)
+    assert payload["min_separation_sigma"] is None
+    assert payload["variance_sigma2"] == [chi] * 3
 
 
 @pytest.mark.parametrize("lam", ["1e-200", "1e300"])

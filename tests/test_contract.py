@@ -359,7 +359,7 @@ CASES = {
        for id, s in (("negative", -1.0), ("nan", math.nan))},
     **{f"test_quadrature_boundaries_fail_closed[power-{arg}-{id}]": [_raises(
         lambda args=args: density_power_integral_quadrature(*args),
-        f"{arg} must be finite and positive, got {args[index]}")]
+        f"{arg} must be positive and finite, got {args[index]}")]
        for arg, id, index, args in (
            ("rate", "nan", 0, (math.nan, 1.0, 1.0)), ("mass", "nan", 1, (1.0, math.nan, 1.0)),
            ("power", "nan", 2, (1.0, 1.0, math.nan)), ("rate", "negative", 0, (-1.0, 1.0, 1.0)),

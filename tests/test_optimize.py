@@ -9,8 +9,9 @@ from varsolid import (ConvergenceError, OptimizeOptions, OrbitalParams,
                       TwoYukawaParams, UnitSystem, bulk_modulus,
                       enumerate_shells, minimize_solid, minimum_certificate,
                       solve_solid)
-from varsolid.optimize import (FD_STEP_REL, SEARCH_BOX, _curvature_wrt_volume,
-                               _objective, relaxed_energy_curve, unit_shells)
+from varsolid.optimize import (FD_STEP_REL, NEWTON_MAX_STEPS, SEARCH_BOX, _RelaxedCurve,
+                               _curvature_wrt_volume, _objective, relaxed_energy_curve,
+                               unit_shells)
 from test_contract import cases_test
 
 #: a mass 12 orders of magnitude lighter than Krypton's: the kinetic term
@@ -256,6 +257,54 @@ def test_spacing_without_an_interior_minimum_raises(solid, potential):
     assert info.value.u_t is not None and info.value.u_t > 0.0
     assert SEARCH_BOX["lambda"][0] < info.value.best_lambda < solid.lambda_star
     assert curve.n_evaluations <= 30
+
+
+#: ln lam where the scripted Newton runs below start
+T0 = math.log(10.0)
+
+
+@pytest.mark.parametrize("script, trials, message, best_t, u_t", [
+    # a non-finite first row: no point is accepted, so the error carries the
+    # lam tried and no slope
+    ([(math.nan, 0.0, 0.0)], [0.0],
+     "non-finite energy or derivative at lam=10", 0.0, None),
+    # a non-finite row after an accepted point
+    ([(0.0, -1.0, 1.0), (math.nan, 0.0, 0.0)], [0.0, 0.5],
+     "non-finite energy or derivative at lam=16.4872; last accepted lam=10 with u_t=-1",
+     0.0, -1.0),
+    # the capped Newton step +0.5 raises u and |u_t|, so the step is halved
+    # from the accepted point; the next point has no descent step
+    ([(0.0, -1.0, 1.0), (1.0, -2.0, 1.0), (-1.0, 0.0, -1.0)], [0.0, 0.5, 0.25],
+     "no descent step exists (u_t = 0, u_tt = -1); last accepted lam=12.8403 with u_t=0",
+     0.25, 0.0),
+    # not convex (u_tt < 0): a step of NEWTON_MAX_STEP against the slope
+    ([(0.0, 1.0, -1.0), (-1.0, 0.0, -1.0)], [0.0, -0.5],
+     "no descent step exists (u_t = 0, u_tt = -1); last accepted lam=6.06531 with u_t=0",
+     -0.5, 0.0),
+    # steps of 1e-6, each lowering u, until the evaluation budget is spent
+    ([(-k, -1.0, 1e6) for k in range(NEWTON_MAX_STEPS)],
+     [k * 1e-6 for k in range(NEWTON_MAX_STEPS)],
+     f"no convergence in {NEWTON_MAX_STEPS} energy evaluations; "
+     "last accepted lam=10.0003 with u_t=-1", (NEWTON_MAX_STEPS - 1) * 1e-6, -1.0),
+], ids=["non-finite-first", "non-finite", "backtrack", "not-convex", "step-budget"])
+def test_relaxed_curve_exits(script, trials, message, best_t, u_t):
+    # script[k] is the k-th evaluation's (u, u_t, u_tt), in t = ln lam
+    tried = []
+
+    def rows(lam, d):
+        u, slope, curvature = script[len(tried)]
+        tried.append(math.log(lam) - T0)
+        return u, slope / lam, (curvature - slope) / (lam * lam)
+
+    curve = _RelaxedCurve(rows, 1.0, 10.0)
+    with pytest.raises(ConvergenceError) as info:
+        curve(1.0)
+    assert str(info.value) == f"lam re-optimization failed at d=1: {message}"
+    assert tried == pytest.approx(trials, abs=1e-12)
+    assert curve.n_evaluations == len(script)
+    assert info.value.best_d == 1.0
+    assert info.value.best_lambda == pytest.approx(10.0 * math.exp(best_t), rel=1e-12)
+    assert info.value.u_t == (None if u_t is None else pytest.approx(u_t, abs=1e-12))
 
 
 def test_relaxed_curve_is_memoized_and_counts_evaluations(solid, potential,
