@@ -17,7 +17,10 @@ The estimate is the sample mean with the unbiased standard error, memory is
 O(MC_IN_FLIGHT MC_BLOCK) whatever `samples` is, and a fixed seed and sample
 count replay bit for bit whatever the thread count.  A rate or separation
 whose draws, distances or squared draws leave the doubles raises ValueError
-naming it.
+naming it.  mc_pair_energies draws the pair energy at several points from
+one stream of cloud pairs (common random numbers), as `verify` draws its
+three pair rows: each estimate keeps its own standard error from `samples`
+independent pairs, and the estimates are correlated with one another.
 The quadrature oracles and mc_pair_energy fail closed as the self-gravity
 energies do (selfgrav._fails_closed): a rejected input or a result beyond
 the doubles raises ValueError naming the call's arguments.  Every quadrature
@@ -31,6 +34,7 @@ QUAD_TRUST = 1e-8 of a finite value, raises QuadratureError.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -128,8 +132,8 @@ def _streamed_moments(draw: Callable[[np.random.Generator, int], Any],
     """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
 
     Block j is rows(draw(rng_j, k)), rng_j the generator of child j of
-    SeedSequence(seed), and rows returns a new array: the reduction
-    overwrites it.  The blocks are drawn in waves, one block per CPU this
+    SeedSequence(seed), and the reduction overwrites the array rows
+    returns.  The blocks are drawn in waves, one block per CPU this
     process may run on and at most MC_IN_FLIGHT at once.  The calling
     thread draws one block of the wave and waits for the rest, then maps
     each draw to its rows and merges their mean and M2 (sum of squared
@@ -352,12 +356,73 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
     return McEstimate(mean=float(mean), std_error=se)
 
 
+def mc_pair_energies(points: Sequence[tuple[OrbitalParams, float]], pot: TwoYukawaParams,
+                     samples: int = 10**6, seed: int = 0) -> list[McEstimate]:
+    """MC version of model.pair_energy at each point (p, s), all from one
+    stream of cloud pairs (common random numbers).
+
+    A cloud of rate lam is the rate-1 cloud scaled by 1/lam.  So each block
+    of MC_BLOCK draws a rate-1 pair from its own stream, r then r' as
+    mc_pair_integral draws them, and takes r - r' once.  Point j's values
+    two_yukawa(|(r - r')/lam_j + s_j z^|) go to row j of one buffer that
+    every block reuses, scaled in the spent scale row of r's draw, and r'
+    and r are freed before the kernel runs.  Each estimate is the mean of
+    `samples` independent pairs with its own unbiased standard error, and
+    estimates at different points are correlated.  A separation that is not
+    finite, or a point whose distances leave the doubles, raises ValueError
+    naming it.
+    """
+    at = [(p.lam, s) for p, s in points]
+    for _, s in at:
+        if not math.isfinite(s):
+            raise ValueError(f"separation must be finite, got {s}")
+    _check_samples(samples)
+
+    def pair(rng: np.random.Generator, k: int) -> list[np.ndarray]:
+        drawn = [np.empty((4, k)), np.empty((4, k))]  # r, then r'
+        for cloud in drawn:
+            _fill_cloud(1.0, rng, cloud)
+        return drawn
+
+    values = np.empty((len(at), min(samples, MC_BLOCK)))  # every block's, in turn
+
+    def columns(drawn: list[np.ndarray]) -> np.ndarray:
+        r = drawn.pop(0)
+        diff, tmp = r[:3], r[3]  # the scale row of r is spent: it is the scratch
+        diff -= drawn.pop()[:3]  # r - r'; r' is freed
+        out = values[:, :r.shape[1]]
+        for dist, (lam, s) in zip(out, at):
+            # |(r - r')/lam + s z^|, its squares summed in _row_norms' order
+            np.divide(diff[0], lam, out=tmp)
+            np.multiply(tmp, tmp, out=dist)
+            np.divide(diff[1], lam, out=tmp)
+            tmp *= tmp
+            dist += tmp
+            np.divide(diff[2], lam, out=tmp)
+            tmp += s
+            tmp *= tmp
+            dist += tmp
+            np.sqrt(dist, out=dist)
+            if not np.isfinite(dist).all():  # a square overflowed
+                raise ValueError(f"lam={lam!r}, separation={s!r}: a distance "
+                                 "|(r - r')/lam + s z^| leaves the doubles")
+        del r, diff, tmp  # freed before the kernel runs
+        for dist in out:
+            dist[:] = two_yukawa(dist, pot)
+        return out.T  # each column contiguous, so each reduces as a 1-d array
+
+    source = "; ".join(f"lam={lam!r}, separation={s!r}" for lam, s in at)
+    mean, m2 = _streamed_moments(pair, columns, samples, seed, source)
+    return [McEstimate(mean=float(mu),
+                       std_error=math.sqrt(sq / (samples - 1)) / math.sqrt(samples))
+            for mu, sq in zip(mean, m2)]
+
+
 @_fails_closed
 def mc_pair_energy(p: OrbitalParams, pot: TwoYukawaParams, s: float,
                    samples: int = 10**6, seed: int = 0) -> McEstimate:
-    """MC version of model.pair_energy: two site clouds through the potential."""
-    return mc_pair_integral(exp_density_sampler(p.lam), lambda r: two_yukawa(r, pot),
-                            s, samples, seed)
+    """MC version of model.pair_energy: mc_pair_energies at the one point (p, s)."""
+    return mc_pair_energies([(p, s)], pot, samples, seed)[0]
 
 
 # ----------------------------------------------------------------------
@@ -397,13 +462,19 @@ def _tanh_sinh(edges: Sequence[float]) -> Iterator[tuple[float, np.ndarray, np.n
         t = np.arange(-_DE_T + h, _DE_T, 2.0 * h)
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss-Legendre nodes and weights on [-1, 1], built once."""
+    from numpy.polynomial.legendre import leggauss  # ~4 ms, at the first transform
+    return leggauss(20)
+
+
 def _gauss_legendre(a: float, b: float) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
     """Levels (keep, nodes, weights) of composite 20-point Gauss-Legendre on
     [a, b] over n = 1, 2, 4, ... equal panels, the first cut at a + (b - a)/(n
     4^j), j <= 20, for a peak at a narrower than a panel (cuts at ratio 2
     would repeat from level to level)."""
-    from numpy.polynomial.legendre import leggauss  # ~4 ms, at the first transform
-    x0, w0 = leggauss(20)
+    x0, w0 = _legendre_rule()
     n = 1
     while True:
         edges = np.concatenate([[a], a + (b - a) / n * 4.0 ** -np.arange(20.0, 0.0, -1.0),
@@ -415,30 +486,50 @@ def _gauss_legendre(a: float, b: float) -> Iterator[tuple[float, np.ndarray, np.
 
 def _quad(what: str, f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
           epsrel: float, epsabs: float = 1e-300, points: Sequence[float] = (),
-          sine: float | None = None) -> tuple[Any, Any]:
+          sine: float | np.ndarray | None = None) -> tuple[Any, Any]:
     """int_a^b f(x) dx (b may be inf) and its error estimate.  f maps an
     array of nodes to their values, or to an (m, n) array: m integrals.
 
     The rule is _tanh_sinh's, split at `points`, or with sine = k
-    _gauss_legendre's of f(x) sin(k x).  Levels refine until the estimate,
-    the change over a level plus its end terms (large where f diverges), is
-    within max(epsabs, epsrel |value|), or QUAD_NODES nodes are used.  Then
-    one rule of trust: an integrand that overflows, or a finite value whose
-    estimate is more than QUAD_TRUST of it, raises QuadratureError naming
-    `what`.  A non-finite value is returned, for the caller to name."""
+    _gauss_legendre's of f(x) sin(k x), f giving one value per node; an
+    array of m wavenumbers k makes the m integrals of f(x) sin(k_i x), from
+    one call of f per level.  Levels refine until the estimate, the change
+    over a level plus its end terms (large where f diverges), is within
+    max(epsabs, epsrel |value|) for every integral, or QUAD_NODES nodes are
+    used.  Then one rule of trust: an integrand that overflows, or a finite
+    value whose estimate is more than QUAD_TRUST of it, raises
+    QuadratureError naming `what`.  A non-finite value is returned, for the
+    caller to name."""
+    def level_sums(x: np.ndarray, w: np.ndarray) -> tuple[Any, Any]:
+        """Each integral's weighted sum over a level, and the sum of its two end terms."""
+        if sine is None:
+            fx = np.asarray(f(x.ravel()))
+            terms = w * fx.reshape(fx.shape[:-1] + x.shape)
+            return terms.sum(axis=(-2, -1)), np.abs(terms[..., [0, -1]]).sum(axis=(-2, -1))
+        # one k at a time: m rows of a level's terms at once took ~0.9 MB,
+        # and made `verify`'s peak RSS ~0.7 MB larger
+        x, w = x.ravel(), w.ravel()
+        fx = f(x)
+        sums, ends = [], []
+        for k in np.ravel(sine):
+            terms = np.sin(k * x)
+            terms *= fx
+            terms *= w
+            sums.append(terms.sum())
+            ends.append(abs(terms[0]) + abs(terms[-1]))
+        return np.reshape(sums, np.shape(sine)), np.reshape(ends, np.shape(sine))
+
     levels = _tanh_sinh([a, *points, b]) if sine is None else _gauss_legendre(a, b)
-    g = f if sine is None else lambda x: f(x) * np.sin(sine * x)
     val, err, used = 0.0, math.inf, 0
     with _evaluable(what):
         for keep, x, w in levels:
             used += x.size
             if used > QUAD_NODES:
                 break
-            fx = np.asarray(g(x.ravel()))
-            terms = w * fx.reshape(fx.shape[:-1] + x.shape)
-            last, val = val, terms.sum(axis=(-2, -1)) + (keep * val if keep else 0.0)
+            sums, ends = level_sums(x, w)
+            last, val = val, sums + (keep * val if keep else 0.0)
             if used > x.size:  # from the second level on
-                err = np.abs(val - last) + np.abs(terms[..., [0, -1]]).sum(axis=(-2, -1))
+                err = np.abs(val - last) + ends
                 done = np.all(err <= np.maximum(epsabs, epsrel * np.abs(val)))
                 if done or not np.isfinite(val).all():
                     break
@@ -450,19 +541,33 @@ def _quad(what: str, f: Callable[[np.ndarray], np.ndarray], a: float, b: float, 
     return (float(val), float(err)) if np.ndim(val) == 0 else (val, err)
 
 
-def radial_transform_check(f: Callable[[np.ndarray], np.ndarray], k: float) -> float:
+def radial_transform_check(f: Callable[[np.ndarray], np.ndarray], k: Any) -> Any:
     """(4 pi / k) int_0^inf r sin(kr) f(r) dr for a radial function f.
 
     The 3-D Fourier transform of f(|r|) at wavenumber k; the k = 0 branch is
     the plain volume integral.  f takes an array of radii.  The sine integral
     is composite Gauss-Legendre on a finite interval chosen past the decay
     of f, refined to the relative tolerance 1e-12.  f may diverge at the
-    origin as fast as 1/r.  k must be finite and >= 0; a transform that
-    leaves the doubles raises QuadratureError.
+    origin as fast as 1/r.  A number k must be finite and >= 0, and gives a
+    float.  A 1-d array of wavenumbers, each finite and > 0, gives the array
+    of their transforms from one decay probe and one quadrature, refined
+    until every one of them meets the tolerance.  A transform that leaves
+    the doubles raises QuadratureError.
     """
-    if not 0.0 <= k < math.inf:  # NaN fails it too
-        raise ValueError(f"wavenumber must be finite and >= 0, got {k}")
-    what = f"radial transform at k={k:.6g}"
+    if np.ndim(k) == 0:
+        if not 0.0 <= k < math.inf:  # NaN fails it too
+            raise ValueError(f"wavenumber must be finite and >= 0, got {k}")
+        what = f"radial transform at k={k:.6g}"
+    else:
+        k = np.asarray(k, dtype=float)
+        if k.ndim != 1 or k.size == 0:
+            raise ValueError(f"wavenumbers must be a number or a non-empty 1-d array, "
+                             f"got shape {k.shape}")
+        bad = np.flatnonzero(~((k > 0.0) & (k < math.inf)))  # NaN fails it too
+        if bad.size:
+            raise ValueError(f"wavenumber must be finite and > 0 in an array, got "
+                             f"{k[bad[0]]} at index {bad[0]}")
+        what = f"radial transform at {k.size} wavenumbers in [{k.min():.6g}, {k.max():.6g}]"
 
     def rf(r: np.ndarray) -> np.ndarray:  # finite at r = 0 for f as singular as 1/r
         r = np.maximum(r, _TINY_R)
@@ -474,14 +579,15 @@ def radial_transform_check(f: Callable[[np.ndarray], np.ndarray], k: float) -> f
         r = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
         gone = (np.abs(rf(r)) < 1e-24 * peak) & (np.abs(rf(1.5 * r)) < 1e-24 * peak)
     hi = 2.0 * float(r[gone][0]) if gone.any() else 400.0
-    if k == 0.0:
+    if np.ndim(k) == 0 and k == 0.0:
         out, _ = _quad(what, lambda r: 4.0 * math.pi * r * rf(r), 0.0, hi, epsrel=1e-12)
     else:
         val, _ = _quad(what, rf, 0.0, hi, epsrel=1e-12, sine=k)
-        out = 4.0 * math.pi / k * val
-    if not math.isfinite(out):  # at a subnormal k, 4 pi/k is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = 4.0 * math.pi / k * val
+    if not np.isfinite(out).all():  # at a subnormal k, 4 pi/k is inf
         raise QuadratureError(f"{what}: the transform leaves the doubles")
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @_fails_closed
@@ -667,16 +773,13 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
                        "error": error, "tolerance": tol,
                        "passed": bool(error <= tol), **extra})
 
-    # potential transform against direct sine quadrature
-    worst_k, worst = 0.0, 0.0
-    for k in rng.uniform(0.05, 60.0, 20):
-        got = radial_transform_check(lambda r: two_yukawa(r, pot), float(k))
-        want = two_yukawa_fourier(float(k), pot)
-        rel = abs(got - want) / abs(want)
-        if rel > worst:
-            worst_k, worst = float(k), rel
+    # potential transform against direct sine quadrature, at 20 k at once
+    ks = rng.uniform(0.05, 60.0, 20)
+    want = two_yukawa_fourier(ks, pot)
+    rel = np.abs(radial_transform_check(lambda r: two_yukawa(r, pot), ks) - want) / np.abs(want)
+    worst = float(rel.max())
     record("two_yukawa_fourier vs sine quadrature (20 k)", worst, 0.0, 1e-9,
-           error=worst, worst_k=worst_k)
+           error=worst, worst_k=float(ks[rel.argmax()]))
 
     # density transform
     lam0 = 91.33
@@ -708,12 +811,12 @@ def verify_checks(pot: TwoYukawaParams) -> list[dict[str, Any]]:
     record("same-site W vs Fourier quadrature", qval, w0,
            max(1e-8, 3.0 * qerr / abs(w0)))
 
-    # Monte Carlo pair energies
-    for i, (lam, s) in enumerate(((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))):
-        est = mc_pair_energy(OrbitalParams(lam), pot, s,
-                             samples=VERIFY_MC_SAMPLES, seed=VERIFY_SEED + 1 + i)
-        cf = pair_energy(OrbitalParams(lam), pot, s)
-        record(f"pair_energy MC lam={lam} s={s}", est.mean, cf, 3.0,
+    # Monte Carlo pair energies, from one stream of cloud pairs
+    points = [(OrbitalParams(lam), s) for lam, s in ((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))]
+    for (p, s), est in zip(points, mc_pair_energies(points, pot, samples=VERIFY_MC_SAMPLES,
+                                                     seed=VERIFY_SEED + 1)):
+        cf = pair_energy(p, pot, s)
+        record(f"pair_energy MC lam={p.lam} s={s}", est.mean, cf, 3.0,
                error=abs(est.mean - cf) / est.std_error, unit="standard errors")
 
     # Coulomb and Thomas-Fermi coefficient pins

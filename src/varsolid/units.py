@@ -29,9 +29,14 @@ KRYPTON_MASS_U = 83.798  # standard atomic weight
 
 def check_positive(**values: float) -> None:
     """ValueError naming the first of `values` that is not finite and > 0
-    (NaN fails too): the one positivity rule of every module's inputs."""
+    (NaN fails too, and an int beyond the doubles): the one positivity rule
+    of every module's inputs."""
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
+        try:
+            ok = math.isfinite(value) and value > 0.0
+        except OverflowError:  # an int that no double holds
+            ok = False
+        if not ok:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 

@@ -43,7 +43,8 @@ from varsolid import (ConvergenceError, LatticeKind, LatticeShells, OptimizeOpti
                       sample_exponential_cloud, solve_solid, superposition_spread, two_yukawa,
                       two_yukawa_fourier)
 from varsolid.oracle import (coulomb_self_energy_quadrature,
-                             density_power_integral_quadrature, exp_density_sampler)
+                             density_power_integral_quadrature, exp_density_sampler,
+                             mc_pair_energies)
 from test_golden import GOLDEN
 
 PROBES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1.0, "0": 0.0,
@@ -164,9 +165,16 @@ ROWS = [
     *rows("mc_pair_energy", lambda separation=1.1, lam=91.2, b=2.026, m=2.69:
           mc_pair_energy(p(lam), v(b, m), separation, samples=1000),
           separation="-1 0 5e-324", lam="1e308", b="5e-324", m="5e-324"),
+    # the second of two points
+    *rows("mc_pair_energies", lambda separation=1.1, lam=91.2: mc_pair_energies(
+        [(p(60.0), 0.0), (p(lam), separation)], POT, samples=1000),
+          separation="-1 0 5e-324", lam="1e308"),
     # oracle: quadrature
     *rows("radial_transform_check", lambda k: radial_transform_check(lambda r: np.exp(-r), k),
           Q, k=("0 5e-324 1e308", "wavenumber")),
+    # an entry of an array of wavenumbers: each must be > 0
+    *rows("radial_transform_check", lambda ks: radial_transform_check(
+        lambda r: np.exp(-r), np.array([0.5, ks, 2.0])), Q, ks=("5e-324 1e308", "wavenumber")),
     *rows("pair_energy_quadrature", lambda s=0.0, lam=91.2, b=2.026, m=2.69:
           pair_energy_quadrature(p(lam), v(b, m), s),
           Q, s=("0 5e-324", r"separation must|s makes k\*s leave the doubles"), lam="5e-324",
@@ -236,7 +244,7 @@ def test_every_public_callable_has_a_row():
     probed = {row.name for row in ROWS}
     assert public - probed == NOT_PROBED.keys()
     assert probed - public == {"coulomb_self_energy_quadrature",
-                               "density_power_integral_quadrature"}
+                               "density_power_integral_quadrature", "mc_pair_energies"}
 
 
 def test_lattice_builders_fail_closed_on_size():
@@ -366,6 +374,19 @@ CASES = {
            ("mass", "negative", 1, (1.0, -1.0, 5.0 / 3.0)))},
     "test_transform_rejects_negative_k": [
         _raises(lambda: radial_transform_check(lambda r: np.exp(-r), -1.0))],
+    # a bad entry first or last in an array of wavenumbers, named with its
+    # index; 0 is the scalar volume branch only
+    **{f"test_transform_rejects_a_bad_entry[{id}-{at}]": [_raises(
+        lambda ks=[bad, 1.0, 2.0][::1 if at == "first" else -1]: radial_transform_check(
+            lambda r: np.exp(-r), np.array(ks)),
+        rf"wavenumber must be finite and > 0 in an array, got {bad} at index "
+        rf"{0 if at == 'first' else 2}")]
+       for id, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                       ("negative", -0.5), ("0", 0.0))
+       for at in ("first", "last")},
+    **{f"test_transform_rejects_a_bad_array[{id}]": [_raises(
+        lambda ks=ks: radial_transform_check(lambda r: np.exp(-r), ks), "wavenumbers must be")]
+       for id, ks in (("empty", np.zeros(0)), ("2d", np.ones((2, 2))))},
     "test_coulomb_quadrature_rejects_bad_rate": [
         _raises(lambda: coulomb_self_energy_quadrature(-1.0))],
     # test_observables.py
@@ -451,6 +472,15 @@ CASES = {
        for lam in (1e308, 5e-324)},
     "test_empty_shells_rejected": [
         _raises(lambda: energy_per_particle(p(5.0), POT, LatticeShells(1.0, (), ()), UNITS))],
+    # test_units.py: math.isfinite raised a bare OverflowError at an int that
+    # no double holds
+    **{f"test_check_positive_rejects_an_int_beyond_the_doubles[{name}]": [
+        _raises(call, f"{arg} must be positive and finite")]
+       for name, arg, call in (
+           ("OrbitalParams", "lam", lambda: OrbitalParams(10**400)),
+           ("build_cluster", "spacing", lambda: build_cluster(10**400, 5)),
+           ("com_statistics", "lam", lambda: com_statistics(10**400, 5)),
+           ("UnitSystem", "sigma_m", lambda: u(sigma_m=10**400)))},
     # test_units.py
     **{f"test_nonpositive_parameters_rejected[bad{i}]": [_raises(lambda s=s: UnitSystem(*s))]
        for i, s in enumerate((

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from varsolid import (DEGENERACY_WINDOW, LatticeKind, OrbitalParams, TwoYukawaParams,
-                      enumerate_shells, pair_energy)
+                      enumerate_shells, pair_energy, radial_transform_check, two_yukawa)
 from varsolid.cli import main
 from varsolid.model import FAR_LAM_S
 
@@ -129,7 +129,12 @@ GOLDEN = {
          "bd87d8604771990c76e1ccc0318569f59a496e6933a940eb558197f4a02bf1d7"),
         ("14.0:15.4:5", "1c36b4457e86aa1e",
          "5a78e161c9a775bd6e6641afa2c447d66f2c1d3cac77bb55a8460dda36c442d4")]},
-    "verify": (partial(cli, "verify"), "a9403d9f40e7b119"),
+    "verify": (partial(cli, "verify"), "301d8cdf9c0d3701"),
+    # a number k takes the scalar path of the radial transform, one
+    # quadrature per k, whatever an array of them takes
+    "radial_transform_check-scalar": (lambda: [
+        radial_transform_check(lambda r: two_yukawa(r, POT), k)
+        for k in (0.0, 0.05, 1.7, 31.6, 60.0)], "a8c004557de2db9b"),
     "sweep-lambda": (
         partial(cli, "sweep", "--param", "lambda", "--range", "1:500:9"), "4c05f979d1fc9e41"),
     "sweep-d": (partial(cli, "sweep", "--param", "d", "--range", "0.5:3:6"), "bcc72cc71ca6d437"),

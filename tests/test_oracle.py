@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
-                      density_fourier, oracle, pair_energy)
+                      density_fourier, oracle, pair_energy, two_yukawa,
+                      two_yukawa_fourier)
 from varsolid.model import DEGENERACY_WINDOW
 from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_NODES, QUAD_TRUST,
                              QuadratureError, _quad, _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_com_variance,
-                             mc_momentum_axis_variance, mc_pair_energy,
-                             mc_pair_integral,
+                             mc_momentum_axis_variance, mc_pair_energies,
+                             mc_pair_energy, mc_pair_integral,
                              pair_energy_quadrature,
                              pair_energy_realspace_reference,
                              radial_transform_check, sample_exponential_cloud,
@@ -135,6 +136,20 @@ def test_seed_replay_is_bitwise():
     assert c.mean != a.mean
 
 
+#: the three points of the `verify` battery's Monte Carlo pair rows
+VERIFY_POINTS = [(OrbitalParams(91.33), 1.0981), (OrbitalParams(60.0), 0.0),
+                 (OrbitalParams(120.0), 1.6)]
+
+
+@pytest.mark.parametrize("samples", [1000, 3 * MC_BLOCK + 7])
+def test_shared_stream_columns_are_the_one_point_estimates(samples):
+    # each point of one stream of cloud pairs is, bit for bit, the estimate
+    # mc_pair_energy draws alone from the same seed
+    shared = mc_pair_energies(VERIFY_POINTS, POT, samples=samples, seed=12)
+    assert shared == [mc_pair_energy(p, POT, s, samples=samples, seed=12)
+                      for p, s in VERIFY_POINTS]
+
+
 def test_minimum_sample_count_enforced():
     s = exp_density_sampler(1.0)
     with pytest.raises(ValueError):
@@ -163,7 +178,8 @@ def _traced_peak_mb(call) -> float:
                              seed=5),
     lambda n: mc_momentum_axis_variance(45.665, samples=n, seed=5),
     lambda n: mc_com_variance(7.0, build_cluster(1.0, 2), samples=n, seed=5),
-], ids=["pair_energy", "momentum_variance", "com_variance"])
+    lambda n: mc_pair_energies(VERIFY_POINTS, POT, samples=n, seed=5),
+], ids=["pair_energy", "momentum_variance", "com_variance", "pair_energies"])
 def test_mc_memory_does_not_grow_with_samples(estimate):
     # numpy reports its buffers to tracemalloc; drawing every sample at
     # once peaks at ~30-43 MB for 400k samples
@@ -229,10 +245,14 @@ if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from varsolid import OrbitalParams, TwoYukawaParams, build_cluster
 from varsolid.cli import main
-from varsolid.oracle import mc_com_variance, mc_momentum_axis_variance, mc_pair_energy
+from varsolid.oracle import (mc_com_variance, mc_momentum_axis_variance, mc_pair_energies,
+                             mc_pair_energy)
 estimates = [mc_pair_energy(OrbitalParams(91.33), TwoYukawaParams(), 1.0981, 100_000, 3),
              mc_momentum_axis_variance(45.665, 100_000, 3),
-             mc_com_variance(7.0, build_cluster(1.0, 13), 40_000, 3)]
+             mc_com_variance(7.0, build_cluster(1.0, 13), 40_000, 3),
+             *mc_pair_energies([(OrbitalParams(lam), s) for lam, s in
+                                ((91.33, 1.0981), (60.0, 0.0), (120.0, 1.6))],
+                               TwoYukawaParams(), 100_000, 3)]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["verify"])
@@ -387,6 +407,29 @@ def test_transform_k_zero_is_volume_integral():
 
 
 test_transform_rejects_negative_k = cases_test("test_transform_rejects_negative_k")
+
+
+def test_transform_of_an_array_of_wavenumbers():
+    # one quadrature for every k: each entry is the closed form, and the
+    # transform at that k alone, to the quadrature's rounding
+    ks = np.random.default_rng(15).uniform(0.05, 60.0, 20)
+    got = radial_transform_check(lambda r: two_yukawa(r, POT), ks)
+    assert got.shape == ks.shape
+    assert np.all(np.abs(got / two_yukawa_fourier(ks, POT) - 1.0) <= 1e-12)
+    alone = [radial_transform_check(lambda r: two_yukawa(r, POT), k) for k in ks.tolist()]
+    assert np.all(np.abs(got / alone - 1.0) <= 1e-13)
+
+
+def test_transform_of_a_number_is_a_float():
+    # its bits are GOLDEN's record radial_transform_check-scalar
+    for k in (0.0, 1.7, np.float64(1.7)):
+        assert type(radial_transform_check(lambda r: two_yukawa(r, POT), k)) is float
+
+
+test_transform_rejects_a_bad_entry = cases_test("test_transform_rejects_a_bad_entry")
+
+
+test_transform_rejects_a_bad_array = cases_test("test_transform_rejects_a_bad_array")
 
 
 # ----------------------------------------------------------------------

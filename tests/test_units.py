@@ -84,3 +84,7 @@ def test_si_constants_are_not_fields(constant):
     with pytest.raises(TypeError):
         UnitSystem(sigma_m=3.6e-10, epsilon_K=170.0, mass_u=83.798,
                    **{constant: 1.0})
+
+
+test_check_positive_rejects_an_int_beyond_the_doubles = cases_test(
+    "test_check_positive_rejects_an_int_beyond_the_doubles")
