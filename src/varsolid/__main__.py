@@ -11,10 +11,8 @@ def entry() -> int:
     By now `cli` has imported numpy, the scipy package and mpmath, and their
     objects live until the process exits.  Freezing them moves them to the
     permanent generation, so no collection during the command or at exit
-    scans them.  `verify` imports numpy.polynomial (~4 ms) after the
-    freeze, for its sine transforms.  main itself leaves
-    the collector alone: a library or test caller runs it in a process the
-    freeze must not change.
+    scans them.  main itself leaves the collector alone: a library or test
+    caller runs it in a process the freeze must not change.
     """
     gc.freeze()
     return main()

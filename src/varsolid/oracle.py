@@ -8,19 +8,21 @@ against; the test suite runs them routinely, and `verify_checks` gathers
 them into the battery that the CLI `verify` command reports.
 
 Every Monte Carlo estimate is drawn in blocks of `MC_BLOCK` samples, block
-j from its own stream: child j of np.random.SeedSequence(seed).  Threads,
-one per CPU this process may run on and at most MC_IN_FLIGHT, draw a wave
-of blocks at once.  The calling thread then reduces each block to its
-count, mean and sum of squared deviations (M2) and merges them in block
-order by the update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)).
-The estimate is the sample mean with the unbiased standard error, memory is
-O(MC_IN_FLIGHT MC_BLOCK) whatever `samples` is, and a fixed seed and sample
-count replay bit for bit whatever the thread count.  A rate or separation
-whose draws, distances or squared draws leave the doubles raises ValueError
-naming it.  mc_pair_energies draws the pair energy at several points from
-one stream of cloud pairs (common random numbers), as `verify` draws its
-three pair rows: each estimate keeps its own standard error from `samples`
-independent pairs, and the estimates are correlated with one another.
+j from its own stream (child j of np.random.SeedSequence(seed)), in waves
+of at most MC_IN_FLIGHT blocks on plain threads, each block into a slot
+allocated once per estimate.  The calling thread merges the blocks' counts,
+means and sums of squared deviations (M2) in block order (Chan, Golub &
+LeVeque, Am. Stat. 37, 242 (1983)), so a fixed seed and sample count replay
+bit for bit whatever the thread count, in O(MC_IN_FLIGHT MC_BLOCK) memory.
+The estimate is the sample mean with the unbiased standard error.  A rate or
+separation whose draws, distances or squared draws leave the doubles raises
+ValueError naming it.  A pair's separation r - r' is chi_8 times a standard
+normal 3-vector: given the clouds' chi_4 scales a and b it is N(0, (a^2 +
+b^2) I), and a^2 + b^2 is chi^2_8.  Its density is the h that
+pair_energy_realspace_reference integrates.  mc_pair_energies draws several
+points from one stream of separations (common random numbers), as `verify`
+draws its three pair rows: each estimate keeps its own standard error, and
+the estimates are correlated.
 The quadrature oracles and mc_pair_energy fail closed as the self-gravity
 energies do (selfgrav._fails_closed): a rejected input or a result beyond
 the doubles raises ValueError naming the call's arguments.  Every quadrature
@@ -34,9 +36,9 @@ QUAD_TRUST = 1e-8 of a finite value, raises QuadratureError.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -69,7 +71,7 @@ MC_BLOCK = 2**14
 
 #: the most blocks a Monte Carlo estimate draws at once, and so the most
 #: threads it draws them on: its memory does not grow with the CPU count,
-#: and the wave of draws it holds stays within ~2 MB
+#: and the slots a wave is drawn into stay within ~1 MB
 MC_IN_FLIGHT = 2
 
 #: the most of its value a quadrature's error estimate may be, in every
@@ -126,60 +128,66 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _streamed_moments(draw: Callable[[np.random.Generator, int], Any],
+def _streamed_moments(draw: Callable[[np.random.Generator, int, np.ndarray], Any],
                       rows: Callable[[Any], np.ndarray], samples: int, seed: int,
-                      source: str) -> tuple[Any, Any]:
+                      source: str, slot_rows: int = 0) -> tuple[Any, Any]:
     """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
 
-    Block j is rows(draw(rng_j, k)), rng_j the generator of child j of
-    SeedSequence(seed), and the reduction overwrites the array rows
-    returns.  The blocks are drawn in waves, one block per CPU this
-    process may run on and at most MC_IN_FLIGHT at once.  The calling
-    thread draws one block of the wave and waits for the rest, then maps
-    each draw to its rows and merges their mean and M2 (sum of squared
-    deviations from the mean) in block order by Chan, Golub & LeVeque:
-    with delta the gap between the means, the merged M2 is
-    M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b).  So neither the estimate
-    nor the peak memory (a wave's draws, then one block's rows) depends on
-    the thread count or on which thread ran when, as long as draw keeps all
-    it allocates.  If a row, its square or a sum leaves the doubles,
-    ValueError names `source` ("beta=1e+200").
+    Block j is rows(draw(rng_j, k, out)): rng_j from child j of
+    SeedSequence(seed), out a C-contiguous (slot_rows, k) view of its slot.
+    The reduction overwrites the array rows returns.  Each wave, one block
+    per CPU this process may run on and at most MC_IN_FLIGHT, is drawn into
+    the slots (slot_rows min(samples, MC_BLOCK) doubles each, allocated once):
+    the calling thread draws the first block and plain threads the rest, and
+    once all are joined an exception a thread raised is raised again.  The
+    calling thread then merges the blocks' mean and M2 (sum of squared
+    deviations) in block order by Chan, Golub & LeVeque: M2_a + M2_b +
+    delta^2 n_a n_b / (n_a + n_b), delta the gap between the means.  So
+    neither the estimate nor the peak memory depends on the thread count, as
+    long as draw keeps all it allocates.  If a row, its square or a sum
+    leaves the doubles, ValueError names `source` ("beta=1e+200").
     """
-    from concurrent.futures import ThreadPoolExecutor  # ~6 ms, at the first estimate
-
     sizes = [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    threads = min(_cpus(), MC_IN_FLIGHT, len(sizes))
+    # allocated on the calling thread: a worker thread's own allocator arena
+    # kept 1-3 MB of freed draws resident
+    slots = [np.empty(slot_rows * sizes[0]) for _ in range(threads)]
+    drawn: list[Any] = [None] * threads
 
-    def block(j: int) -> Any:
-        # a thread starts with numpy's default error state
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            return draw(np.random.default_rng(streams[j]), sizes[j])
-
-    def moments(drawn: Any) -> tuple[Any, Any]:
-        x = rows(drawn)
-        block_mean = x.mean(axis=0)
-        x -= block_mean
-        x *= x
-        return block_mean, x.sum(axis=0)
+    def block(j: int) -> None:
+        """Draw block j into its slot, as its entry of drawn or the exception it raised."""
+        i, k = j % threads, sizes[j]
+        try:
+            # a thread starts with numpy's default error state
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                drawn[i] = draw(np.random.default_rng(streams[j]), k,
+                                slots[i][:slot_rows * k].reshape(slot_rows, k))
+        except BaseException as exc:  # raised again on the calling thread
+            drawn[i] = exc
 
     n, mean, m2 = 0, 0.0, 0.0
-    threads = min(_cpus(), MC_IN_FLIGHT, len(sizes))
-    # workers draw all but the first block of each wave, so on one CPU none
-    # starts; the calling thread's draws stay in the allocator's main arena,
-    # where a worker's own arena kept 1-3 MB of freed draws resident
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool, \
-            np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for first in range(0, len(sizes), threads):
-            wave = [pool.submit(block, j)
-                    for j in range(first + 1, min(first + threads, len(sizes)))]
-            drawn = [block(first), *(future.result() for future in wave)]
-            del wave  # each draw is held once, until its block is merged
-            for k in sizes[first:first + threads]:
-                block_mean, block_m2 = moments(drawn.pop(0))
+            wave = range(first, min(first + threads, len(sizes)))
+            workers = [threading.Thread(target=block, args=(j,)) for j in wave[1:]]
+            for worker in workers:  # on one CPU none starts
+                worker.start()
+            block(first)
+            for worker in workers:
+                worker.join()
+            for i, k in enumerate(sizes[first:first + threads]):
+                x, drawn[i] = drawn[i], None  # each draw is held until it is merged
+                if isinstance(x, BaseException):
+                    raise x
+                x = rows(x)
+                block_mean = x.mean(axis=0)
+                x -= block_mean
+                x *= x
                 total = n + k
                 delta = block_mean - mean
                 mean = mean + delta * (k / total)
-                m2 = m2 + block_m2 + delta * delta * (n * k / total)
+                m2 = m2 + x.sum(axis=0) + delta * delta * (n * k / total)
                 n = total
     if not (np.isfinite(mean).all() and np.isfinite(m2).all()):
         raise ValueError(f"{source}: the Monte Carlo draws or their squares "
@@ -201,20 +209,24 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 # samplers
 # ----------------------------------------------------------------------
 #
-# Both laws are Gaussian scale mixtures, a standard normal 3-vector times a
-# function of a chi variate, drawn into one (4, n) buffer: the scale in row
-# 3, drawn first, then the normals in rows 0-2.  A draw allocates nothing
-# else, so an estimate's draws are all it holds while a wave is drawn.
+# Every law here is a Gaussian scale mixture, a standard normal 3-vector
+# times a function of a chi variate, drawn into one (4, n) buffer: the scale
+# in row 3, drawn first, then the normals in rows 0-2.  A draw allocates
+# nothing else.
 
-def _fill_cloud(rate: float, rng: np.random.Generator, out: np.ndarray) -> None:
+def _fill_cloud(rate: float, rng: np.random.Generator, out: np.ndarray,
+                m: int = 2) -> np.ndarray:
     """Positions from the density rate^3 e^{-rate r}/(8 pi) into rows 0-2 of
-    the (4, n) array `out`: chi_4/rate times a standard normal 3-vector
-    (Andrews & Mallows, JRSS B 36, 99 (1974)), so the radius is Gamma(shape
-    3, scale 1/rate) and the direction isotropic.  chi_4^2 is 2 Gamma(2),
-    drawn as 2 (E_1 + E_2) from two standard exponentials in rows 2-3."""
+    the (4, n) array `out`, returned as their (n, 3) view: chi_4/rate times
+    a standard normal 3-vector (Andrews & Mallows, JRSS B 36, 99 (1974)),
+    so the radius is Gamma(shape 3, scale 1/rate) and the direction
+    isotropic.  chi_2m^2 is 2 (E_1 + ... + E_m), from m exponentials in rows
+    4-m to 3.  With m = 4 it draws chi_8/rate times one: the separation
+    r - r' of two such clouds."""
     scale = out[3]
-    rng.standard_exponential(out=out[2:])
-    scale += out[2]
+    rng.standard_exponential(out=out[4 - m:])
+    for row in out[4 - m:3]:
+        scale += row
     scale *= 2.0
     np.sqrt(scale, out=scale)
     rng.standard_normal(out=out[:3])
@@ -223,6 +235,7 @@ def _fill_cloud(rate: float, rng: np.random.Generator, out: np.ndarray) -> None:
         out[:3] *= scale
     if not np.isfinite(out[:3]).all():  # 1/rate or a position overflowed
         raise ValueError(f"rate={rate!r} draws radii beyond the doubles")
+    return out[:3].T
 
 
 def sample_exponential_cloud(rate: float, samples: int,
@@ -230,14 +243,27 @@ def sample_exponential_cloud(rate: float, samples: int,
     """Positions from the density rate^3 e^{-rate r}/(8 pi), as a (samples,
     3) view of the (4, samples) buffer they are drawn in (_fill_cloud)."""
     check_positive(rate=rate)
-    buf = np.empty((4, samples))
-    _fill_cloud(rate, rng, buf)
-    return buf[:3].T
+    return _fill_cloud(rate, rng, np.empty((4, samples)))
 
 
 def exp_density_sampler(rate: float) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Normalized sampler for the exponential cloud, for mc_pair_integral."""
     return lambda rng, n: sample_exponential_cloud(rate, n, rng)
+
+
+def _fill_momentum(beta: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """sample_orbital_momentum's draw, into the (4, n) array `out`."""
+    scale = out[3]
+    rng.standard_gamma(2.5, out=scale)
+    scale *= 2.0  # chi_5^2
+    np.sqrt(scale, out=scale)
+    rng.standard_normal(out=out[:3])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        np.divide(beta, scale, out=scale)
+        out[:3] *= scale
+    if not np.isfinite(out[:3]).all():
+        raise ValueError(f"beta={beta!r} draws momenta beyond the doubles")
+    return out[:3].T
 
 
 def sample_orbital_momentum(beta: float, samples: int,
@@ -252,27 +278,18 @@ def sample_orbital_momentum(beta: float, samples: int,
     (= 2 mu times the kinetic energy).
     """
     check_positive(beta=beta)
-    buf = np.empty((4, samples))
-    scale = buf[3]
-    rng.standard_gamma(2.5, out=scale)
-    scale *= 2.0  # chi_5^2
-    np.sqrt(scale, out=scale)
-    rng.standard_normal(out=buf[:3])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        np.divide(beta, scale, out=scale)
-        buf[:3] *= scale
-    if not np.isfinite(buf[:3]).all():
-        raise ValueError(f"beta={beta!r} draws momenta beyond the doubles")
-    return buf[:3].T
+    return _fill_momentum(beta, rng, np.empty((4, samples)))
 
 
-def _pooled_axis_variance(draw: Callable[[np.random.Generator, int], np.ndarray],
-                          samples: int, seed: int, source: str) -> McEstimate:
-    """Per-axis variance of zero-mean (k, 3) rows from draw(rng, k), pooled
-    over the three axes: the mean of the squares, streamed in MC_BLOCK
-    blocks, with the standard error of the pooled mean."""
-    _check_samples(samples)
-    mean, m2 = _streamed_moments(draw, lambda x: np.square(x, out=x), samples, seed, source)
+def _pooled_axis_variance(draw: Callable[[np.random.Generator, int, np.ndarray], np.ndarray],
+                          samples: int, seed: int, source: str,
+                          slot_rows: int) -> McEstimate:
+    """Per-axis variance of zero-mean (k, 3) rows from draw(rng, k, out)
+    (_streamed_moments), pooled over the three axes: the mean of the
+    squares, with the standard error of the pooled mean.  The caller checks
+    `samples`."""
+    mean, m2 = _streamed_moments(draw, lambda x: np.square(x, out=x), samples, seed, source,
+                                 slot_rows)
     se = float(np.sqrt(np.sum(m2 / (samples - 1) / samples)) / 3.0)
     return McEstimate(mean=float(mean.mean()), std_error=se)
 
@@ -285,9 +302,10 @@ def mc_momentum_axis_variance(beta: float, samples: int = 10**6,
     hbar^2 beta^2/3 per axis.  Each block of MC_BLOCK samples is drawn as
     sample_orbital_momentum draws it, from the block's own stream.
     """
-    return _pooled_axis_variance(
-        lambda rng, k: sample_orbital_momentum(beta, k, rng), samples, seed,
-        f"beta={beta!r}")
+    check_positive(beta=beta)
+    _check_samples(samples)
+    return _pooled_axis_variance(lambda rng, k, out: _fill_momentum(beta, rng, out),
+                                 samples, seed, f"beta={beta!r}", 4)
 
 
 def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
@@ -296,23 +314,30 @@ def mc_com_variance(lam: float, sites: np.ndarray, samples: int,
     cloud of rate lam about its own site (an (N, 3) array): pins chi =
     4/(lam^2 N).  The CoM is measured from the sites' centroid, known
     exactly, so its offset is the mean of the particles' offsets from their
-    sites, drawn site by site and summed so that no site rounds them away."""
+    sites, summed site by site so that no site rounds them away.  A block
+    of k samples draws up to MC_BLOCK // k sites per _fill_cloud call."""
     check_positive(lam=lam)
     sites = np.asarray(sites, dtype=float)
     if not (sites.ndim == 2 and sites.shape[1] == 3 and len(sites) >= 1
             and np.isfinite(sites).all()):
         raise ValueError(f"sites must be a finite (N, 3) array with N >= 1, "
                          f"got shape {sites.shape}")
+    _check_samples(samples)
+    n_sites = len(sites)
+    chunk = min(n_sites, MC_BLOCK // min(samples, MC_BLOCK))  # sites per draw
 
-    def offsets(rng: np.random.Generator, k: int) -> np.ndarray:
-        buf = np.zeros((7, k))  # the offset in rows 0-2, each particle drawn in rows 3-6
-        for _ in range(len(sites)):
-            _fill_cloud(lam, rng, buf[3:])
-            buf[:3] += buf[3:6]
-        buf[:3] /= len(sites)
-        return buf[:3].T
+    def offsets(rng: np.random.Generator, k: int, out: np.ndarray) -> np.ndarray:
+        offset = out[:3]
+        offset.fill(0.0)
+        for start in range(0, n_sites, chunk):
+            cloud = out[3:3 + 4 * min(chunk, n_sites - start)].reshape(4, -1)
+            _fill_cloud(lam, rng, cloud)
+            for particle in cloud[:3].reshape(3, -1, k).swapaxes(0, 1):
+                offset += particle
+        offset /= n_sites
+        return offset.T
 
-    return _pooled_axis_variance(offsets, samples, seed, f"lam={lam!r}")
+    return _pooled_axis_variance(offsets, samples, seed, f"lam={lam!r}", 3 + 4 * chunk)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +375,7 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
                              "|r - r' + s z^| leaves the doubles")
         return np.array(kernel(dist), dtype=float)  # a copy, for the reduction
 
-    mean, m2 = _streamed_moments(lambda rng, k: [density(rng, k), density(rng, k)], values,
+    mean, m2 = _streamed_moments(lambda rng, k, _: [density(rng, k), density(rng, k)], values,
                                  samples, seed, f"separation={separation!r}")
     se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     return McEstimate(mean=float(mean), std_error=se)
@@ -359,18 +384,15 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
 def mc_pair_energies(points: Sequence[tuple[OrbitalParams, float]], pot: TwoYukawaParams,
                      samples: int = 10**6, seed: int = 0) -> list[McEstimate]:
     """MC version of model.pair_energy at each point (p, s), all from one
-    stream of cloud pairs (common random numbers).
+    stream of pair separations (common random numbers).
 
     A cloud of rate lam is the rate-1 cloud scaled by 1/lam.  So each block
-    of MC_BLOCK draws a rate-1 pair from its own stream, r then r' as
-    mc_pair_integral draws them, and takes r - r' once.  Point j's values
-    two_yukawa(|(r - r')/lam_j + s_j z^|) go to row j of one buffer that
-    every block reuses, scaled in the spent scale row of r's draw, and r'
-    and r are freed before the kernel runs.  Each estimate is the mean of
-    `samples` independent pairs with its own unbiased standard error, and
-    estimates at different points are correlated.  A separation that is not
-    finite, or a point whose distances leave the doubles, raises ValueError
-    naming it.
+    draws rate-1 separations r - r' into its slot (_fill_cloud), and
+    point j's values two_yukawa(|(r - r')/lam_j + s_j z^|) go to row j of
+    one buffer that every block reuses, with a scratch row.  Each estimate
+    is the mean of `samples` independent pairs with its own unbiased
+    standard error.  A separation that is not finite, or a point whose
+    distances leave the doubles, raises ValueError naming it.
     """
     at = [(p.lam, s) for p, s in points]
     for _, s in at:
@@ -378,27 +400,18 @@ def mc_pair_energies(points: Sequence[tuple[OrbitalParams, float]], pot: TwoYuka
             raise ValueError(f"separation must be finite, got {s}")
     _check_samples(samples)
 
-    def pair(rng: np.random.Generator, k: int) -> list[np.ndarray]:
-        drawn = [np.empty((4, k)), np.empty((4, k))]  # r, then r'
-        for cloud in drawn:
-            _fill_cloud(1.0, rng, cloud)
-        return drawn
+    values = np.empty((len(at) + 1, min(samples, MC_BLOCK)))  # every block's, and scratch
 
-    values = np.empty((len(at), min(samples, MC_BLOCK)))  # every block's, in turn
-
-    def columns(drawn: list[np.ndarray]) -> np.ndarray:
-        r = drawn.pop(0)
-        diff, tmp = r[:3], r[3]  # the scale row of r is spent: it is the scratch
-        diff -= drawn.pop()[:3]  # r - r'; r' is freed
-        out = values[:, :r.shape[1]]
+    def columns(w: np.ndarray) -> np.ndarray:
+        out, tmp = values[:-1, :len(w)], values[-1, :len(w)]
         for dist, (lam, s) in zip(out, at):
             # |(r - r')/lam + s z^|, its squares summed in _row_norms' order
-            np.divide(diff[0], lam, out=tmp)
+            np.divide(w[:, 0], lam, out=tmp)
             np.multiply(tmp, tmp, out=dist)
-            np.divide(diff[1], lam, out=tmp)
+            np.divide(w[:, 1], lam, out=tmp)
             tmp *= tmp
             dist += tmp
-            np.divide(diff[2], lam, out=tmp)
+            np.divide(w[:, 2], lam, out=tmp)
             tmp += s
             tmp *= tmp
             dist += tmp
@@ -406,13 +419,13 @@ def mc_pair_energies(points: Sequence[tuple[OrbitalParams, float]], pot: TwoYuka
             if not np.isfinite(dist).all():  # a square overflowed
                 raise ValueError(f"lam={lam!r}, separation={s!r}: a distance "
                                  "|(r - r')/lam + s z^| leaves the doubles")
-        del r, diff, tmp  # freed before the kernel runs
         for dist in out:
             dist[:] = two_yukawa(dist, pot)
         return out.T  # each column contiguous, so each reduces as a 1-d array
 
     source = "; ".join(f"lam={lam!r}, separation={s!r}" for lam, s in at)
-    mean, m2 = _streamed_moments(pair, columns, samples, seed, source)
+    mean, m2 = _streamed_moments(lambda rng, k, out: _fill_cloud(1.0, rng, out, 4), columns,
+                                 samples, seed, source, 4)
     return [McEstimate(mean=float(mu),
                        std_error=math.sqrt(sq / (samples - 1)) / math.sqrt(samples))
             for mu, sq in zip(mean, m2)]
@@ -462,11 +475,21 @@ def _tanh_sinh(edges: Sequence[float]) -> Iterator[tuple[float, np.ndarray, np.n
         t = np.arange(-_DE_T + h, _DE_T, 2.0 * h)
 
 
-@functools.cache
+#: the positive nodes and their weights of the 20-point Gauss-Legendre rule
+#: on [-1, 1]: the exact doubles of numpy's leggauss(20), which is symmetric
+_LEGENDRE_20 = np.array([
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893]])
+
+
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 20-point Gauss-Legendre nodes and weights on [-1, 1], built once."""
-    from numpy.polynomial.legendre import leggauss  # ~4 ms, at the first transform
-    return leggauss(20)
+    """The 20-point Gauss-Legendre nodes, ascending, and weights on [-1, 1]."""
+    x, w = _LEGENDRE_20
+    return np.r_[-x[::-1], x], np.r_[w[::-1], w]
 
 
 def _gauss_legendre(a: float, b: float) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:

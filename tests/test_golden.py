@@ -129,7 +129,7 @@ GOLDEN = {
          "bd87d8604771990c76e1ccc0318569f59a496e6933a940eb558197f4a02bf1d7"),
         ("14.0:15.4:5", "1c36b4457e86aa1e",
          "5a78e161c9a775bd6e6641afa2c447d66f2c1d3cac77bb55a8460dda36c442d4")]},
-    "verify": (partial(cli, "verify"), "301d8cdf9c0d3701"),
+    "verify": (partial(cli, "verify"), "7e2f874c44a51148"),
     # a number k takes the scalar path of the radial transform, one
     # quadrature per k, whatever an array of them takes
     "radial_transform_check-scalar": (lambda: [

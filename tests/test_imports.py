@@ -1,8 +1,9 @@
 """The solver's own modules import no scipy; only the oracle battery does,
 as the bare package, and no command loads a scipy submodule: every
-quadrature goes through `oracle._quad`'s numpy rules.  concurrent.futures
-loads at the first Monte Carlo estimate only.  The package exposes no name
-that no user path reaches."""
+quadrature goes through `oracle._quad`'s numpy rules.  No command loads
+concurrent.futures (the Monte Carlo estimates run plain threads), nor
+numpy.polynomial (the Gauss-Legendre rule is tabulated).  The package
+exposes no name that no user path reaches."""
 
 import ast
 import json
@@ -81,24 +82,43 @@ def test_every_quadrature_goes_through_one_gate():
                              ("oracle", "_quad", "_tanh_sinh")]
 
 
-#: what a cold process has loaded of scipy and concurrent.futures after
-#: `import varsolid.cli`, after `optimize` and after `verify`, each
-#: command's stdout swallowed
+#: modules no varsolid module imports: the Monte Carlo estimates run plain
+#: threads, and the Gauss-Legendre rule is tabulated
+_NOT_IMPORTED = ("concurrent.futures", "numpy.polynomial")
+
+
+def test_no_module_imports_concurrent_futures_or_numpy_polynomial():
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _imported_modules(path)
+             if any(name == banned or name.startswith(banned + ".")
+                    for banned in _NOT_IMPORTED)}
+    assert found == set()
+
+
+#: what a cold process has loaded of scipy, concurrent.futures and
+#: numpy.polynomial after `import numpy`, after `import varsolid.cli`, after
+#: `optimize` and after `verify`, each command's stdout swallowed
 _SCIPY_LOADED = """
 import contextlib, io, json, sys
-import varsolid, varsolid.cli as cli
 
 def loaded():
     return [name for name in ("scipy", "scipy.integrate", "scipy.optimize",
-                              "scipy.special", "concurrent.futures") if name in sys.modules]
+                              "scipy.special", "concurrent.futures", "numpy.polynomial")
+            if name in sys.modules]
 
-report = {"import": loaded()}
+import numpy
+report = {"numpy": loaded()}
+import varsolid, varsolid.cli as cli
+report["import"] = loaded()
 for command in ("optimize", "verify"):
     with contextlib.redirect_stdout(io.StringIO()):
         report[command + "_exit"] = cli.main([command])
     report[command] = loaded()
 print(json.dumps(report))
 """
+
+#: the stages of a cold session that cold_loaded reports on
+_STAGES = ("import", "optimize", "verify")
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +136,23 @@ def cold_loaded():
 def test_no_command_loads_a_scipy_submodule(cold_loaded):
     # the benchmark's import contract: `import varsolid` loads scipy itself
     assert cold_loaded["import"][0] == "scipy"
-    assert [name for stage in ("import", "optimize", "verify")
+    assert [name for stage in _STAGES
             for name in cold_loaded[stage] if name.startswith("scipy.")] == []
 
 
-def test_only_a_monte_carlo_estimate_loads_concurrent_futures(cold_loaded):
-    # its threads draw the blocks; a cold `optimize` pays nothing for them
-    assert cold_loaded["import"] == cold_loaded["optimize"] == ["scipy"]
-    assert cold_loaded["verify"] == ["scipy", "concurrent.futures"]
+def test_no_command_loads_concurrent_futures(cold_loaded):
+    # each Monte Carlo estimate starts and joins plain threads
+    assert [stage for stage in ("numpy", *_STAGES)
+            if "concurrent.futures" in cold_loaded[stage]] == []
+
+
+def test_no_command_loads_numpy_polynomial(cold_loaded):
+    # the 20-point Gauss-Legendre rule is tabulated, so no transform builds
+    # it with LAPACK
+    if "numpy.polynomial" in cold_loaded["numpy"]:
+        pytest.skip("this numpy imports numpy.polynomial itself (numpy < 2 does, "
+                    "with numpy.random)")
+    assert [stage for stage in _STAGES if "numpy.polynomial" in cold_loaded[stage]] == []
 
 
 @pytest.mark.parametrize("name", ["branch_overlap", "orbital_overlap",

@@ -19,7 +19,8 @@ from varsolid import (OrbitalParams, TwoYukawaParams, build_cluster,
                       two_yukawa_fourier)
 from varsolid.model import DEGENERACY_WINDOW
 from varsolid.oracle import (FOURIER_MAX_LAM, MC_BLOCK, QUAD_NODES, QUAD_TRUST,
-                             QuadratureError, _quad, _row_norms,
+                             QuadratureError, _fill_cloud, _legendre_rule,
+                             _quad, _row_norms,
                              coulomb_self_energy_quadrature,
                              density_power_integral_quadrature,
                              exp_density_sampler, mc_com_variance,
@@ -88,6 +89,19 @@ def test_momentum_sampler_has_the_beta_law():
 
 
 test_sampler_rejects_bad_rate = cases_test("test_sampler_rejects_bad_rate")
+
+
+def test_pair_separation_has_the_law_of_h():
+    # w = r - r' for two clouds of rate lam, drawn as chi_8/lam times a
+    # standard normal 3-vector, has the density h that
+    # pair_energy_realspace_reference integrates: <|w|^2> = 24/lam^2 and
+    # <|w|^4> = 1200/lam^4
+    lam = 2.5
+    buf = np.empty((4, 2**17))
+    _fill_cloud(lam, np.random.default_rng(10), buf, 4)
+    w2 = np.sum(buf[:3] ** 2, axis=0)
+    assert _within(w2, 24.0 / lam**2)
+    assert _within(w2 * w2, 1200.0 / lam**4)
 
 
 def test_momentum_sampler_second_moment():
@@ -371,6 +385,17 @@ def test_estimate_fields():
 # ----------------------------------------------------------------------
 # radial transforms
 # ----------------------------------------------------------------------
+
+def test_tabulated_legendre_rule_is_leggauss():
+    from numpy.polynomial.legendre import leggauss
+    x, w = _legendre_rule()
+    assert x.tolist() == sorted(x.tolist())
+    assert x.tolist() == (-x[::-1]).tolist() and w.tolist() == w[::-1].tolist()
+    assert abs(math.fsum(w) - 2.0) <= 2.0 * math.ulp(2.0)
+    want_x, want_w = leggauss(20)
+    for got, want in ((x, want_x), (w, want_w)):
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
 
 def test_narrow_gaussian_transforms_to_its_norm():
     # a near-delta density looks flat in k up to O((k w)^2)
