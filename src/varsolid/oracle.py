@@ -8,12 +8,11 @@ against; the test suite runs them routinely, and `verify_checks` gathers
 them into the battery that the CLI `verify` command reports.
 
 Every Monte Carlo estimate is drawn in blocks of `MC_BLOCK` samples, block
-j from its own stream (child j of np.random.SeedSequence(seed)), in waves
-of at most MC_IN_FLIGHT blocks on plain threads, each block into a slot
-allocated once per estimate.  The calling thread merges the blocks' counts,
-means and sums of squared deviations (M2) in block order (Chan, Golub &
-LeVeque, Am. Stat. 37, 242 (1983)), so a fixed seed and sample count replay
-bit for bit whatever the thread count, in O(MC_IN_FLIGHT MC_BLOCK) memory.
+j from its own stream (child j of np.random.SeedSequence(seed)), one block
+after another into one slot allocated once per estimate.  The blocks'
+counts, means and sums of squared deviations (M2) merge in block order
+(Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)), so a fixed seed and
+sample count replay bit for bit, in O(MC_BLOCK) memory.
 The estimate is the sample mean with the unbiased standard error.  A rate or
 separation whose draws, distances or squared draws leave the doubles raises
 ValueError naming it.  A pair's separation r - r' is chi_8 times a standard
@@ -37,8 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -68,11 +65,6 @@ VERIFY_MC_SAMPLES = 200_000
 
 #: samples drawn and reduced at a time by every Monte Carlo estimate
 MC_BLOCK = 2**14
-
-#: the most blocks a Monte Carlo estimate draws at once, and so the most
-#: threads it draws them on: its memory does not grow with the CPU count,
-#: and the slots a wave is drawn into stay within ~1 MB
-MC_IN_FLIGHT = 2
 
 #: the most of its value a quadrature's error estimate may be, in every
 #: oracle; every legitimate call measured is at least 27x inside it
@@ -120,75 +112,36 @@ def _check_samples(samples: int) -> None:
                          f"got {samples!r}")
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity outside Linux
-        return os.cpu_count() or 1
-
-
 def _streamed_moments(draw: Callable[[np.random.Generator, int, np.ndarray], Any],
                       rows: Callable[[Any], np.ndarray], samples: int, seed: int,
                       source: str, slot_rows: int = 0) -> tuple[Any, Any]:
     """Mean and M2 along axis 0 of `samples` rows, drawn `MC_BLOCK` at a time.
 
     Block j is rows(draw(rng_j, k, out)): rng_j from child j of
-    SeedSequence(seed), out a C-contiguous (slot_rows, k) view of its slot.
-    The reduction overwrites the array rows returns.  Each wave, one block
-    per CPU this process may run on and at most MC_IN_FLIGHT, is drawn into
-    the slots (slot_rows min(samples, MC_BLOCK) doubles each, allocated once):
-    the calling thread draws the first block and plain threads the rest, and
-    once all are joined an exception a thread raised is raised again.  The
-    calling thread then merges the blocks' mean and M2 (sum of squared
-    deviations) in block order by Chan, Golub & LeVeque: M2_a + M2_b +
-    delta^2 n_a n_b / (n_a + n_b), delta the gap between the means.  So
-    neither the estimate nor the peak memory depends on the thread count, as
-    long as draw keeps all it allocates.  If a row, its square or a sum
-    leaves the doubles, ValueError names `source` ("beta=1e+200").
+    SeedSequence(seed), out a C-contiguous (slot_rows, k) view of one slot
+    of slot_rows min(samples, MC_BLOCK) doubles, allocated once and reused
+    by every block.  The reduction overwrites the array rows returns.  The
+    blocks' mean and M2 (sum of squared deviations) merge in block order by
+    Chan, Golub & LeVeque: M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b),
+    delta the gap between the means.  If a row, its square or a sum leaves
+    the doubles, ValueError names `source` ("beta=1e+200").
     """
     sizes = [min(MC_BLOCK, samples - start) for start in range(0, samples, MC_BLOCK)]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    threads = min(_cpus(), MC_IN_FLIGHT, len(sizes))
-    # allocated on the calling thread: a worker thread's own allocator arena
-    # kept 1-3 MB of freed draws resident
-    slots = [np.empty(slot_rows * sizes[0]) for _ in range(threads)]
-    drawn: list[Any] = [None] * threads
-
-    def block(j: int) -> None:
-        """Draw block j into its slot, as its entry of drawn or the exception it raised."""
-        i, k = j % threads, sizes[j]
-        try:
-            # a thread starts with numpy's default error state
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                drawn[i] = draw(np.random.default_rng(streams[j]), k,
-                                slots[i][:slot_rows * k].reshape(slot_rows, k))
-        except BaseException as exc:  # raised again on the calling thread
-            drawn[i] = exc
-
+    slot = np.empty(slot_rows * sizes[0])
     n, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for first in range(0, len(sizes), threads):
-            wave = range(first, min(first + threads, len(sizes)))
-            workers = [threading.Thread(target=block, args=(j,)) for j in wave[1:]]
-            for worker in workers:  # on one CPU none starts
-                worker.start()
-            block(first)
-            for worker in workers:
-                worker.join()
-            for i, k in enumerate(sizes[first:first + threads]):
-                x, drawn[i] = drawn[i], None  # each draw is held until it is merged
-                if isinstance(x, BaseException):
-                    raise x
-                x = rows(x)
-                block_mean = x.mean(axis=0)
-                x -= block_mean
-                x *= x
-                total = n + k
-                delta = block_mean - mean
-                mean = mean + delta * (k / total)
-                m2 = m2 + x.sum(axis=0) + delta * delta * (n * k / total)
-                n = total
+        for stream, k in zip(streams, sizes):
+            x = rows(draw(np.random.default_rng(stream), k,
+                          slot[:slot_rows * k].reshape(slot_rows, k)))
+            block_mean = x.mean(axis=0)
+            x -= block_mean
+            x *= x
+            total = n + k
+            delta = block_mean - mean
+            mean = mean + delta * (k / total)
+            m2 = m2 + x.sum(axis=0) + delta * delta * (n * k / total)
+            n = total
     if not (np.isfinite(mean).all() and np.isfinite(m2).all()):
         raise ValueError(f"{source}: the Monte Carlo draws or their squares "
                          "leave the doubles")
@@ -355,10 +308,10 @@ def mc_pair_integral(density: Callable[[np.random.Generator, int], np.ndarray],
     finite with probability 1.
 
     The samples are drawn in blocks of MC_BLOCK, each from its own stream
-    as density(rng, k) for r, then density(rng, k) for r', possibly on a
-    worker thread, and reduced block by block, so memory does not grow with
-    `samples`.  density returns a new (k, 3) array: r - r' overwrites r.
-    The estimate is the sample mean with its unbiased standard error.
+    as density(rng, k) for r, then density(rng, k) for r', and reduced
+    block by block, so memory does not grow with `samples`.  density
+    returns a new (k, 3) array: r - r' overwrites r.  The estimate is the
+    sample mean with its unbiased standard error.
     """
     if not math.isfinite(separation):
         raise ValueError(f"separation must be finite, got {separation}")

@@ -1,7 +1,8 @@
 """The solver's own modules import no scipy; only the oracle battery does,
 as the bare package, and no command loads a scipy submodule: every
-quadrature goes through `oracle._quad`'s numpy rules.  No command loads
-concurrent.futures (the Monte Carlo estimates run plain threads), nor
+quadrature goes through `oracle._quad`'s numpy rules.  No module imports
+threading or concurrent.futures, and no command loads concurrent.futures:
+every Monte Carlo estimate is drawn on the calling thread.  Nothing loads
 numpy.polynomial (the Gauss-Legendre rule is tabulated).  The package
 exposes no name that no user path reaches."""
 
@@ -82,12 +83,12 @@ def test_every_quadrature_goes_through_one_gate():
                              ("oracle", "_quad", "_tanh_sinh")]
 
 
-#: modules no varsolid module imports: the Monte Carlo estimates run plain
-#: threads, and the Gauss-Legendre rule is tabulated
-_NOT_IMPORTED = ("concurrent.futures", "numpy.polynomial")
+#: modules no varsolid module imports: every Monte Carlo estimate is drawn
+#: on the calling thread, and the Gauss-Legendre rule is tabulated
+_NOT_IMPORTED = ("threading", "concurrent.futures", "numpy.polynomial")
 
 
-def test_no_module_imports_concurrent_futures_or_numpy_polynomial():
+def test_no_module_imports_threading_concurrent_futures_or_numpy_polynomial():
     found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in _imported_modules(path)
              if any(name == banned or name.startswith(banned + ".")
@@ -141,7 +142,7 @@ def test_no_command_loads_a_scipy_submodule(cold_loaded):
 
 
 def test_no_command_loads_concurrent_futures(cold_loaded):
-    # each Monte Carlo estimate starts and joins plain threads
+    # each Monte Carlo estimate draws its blocks on the calling thread
     assert [stage for stage in ("numpy", *_STAGES)
             if "concurrent.futures" in cold_loaded[stage]] == []
 
